@@ -10,6 +10,8 @@ byte-identical output; --threads and --timing never change stdout.
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import os
 import sys
@@ -98,8 +100,26 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full.
+
+    Unbuffered stdout (python -u, PYTHONUNBUFFERED) hands text to a raw
+    file, whose write may stop short when the reader has gone; writing
+    the rest then raises BrokenPipeError instead of dropping it silently.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    _write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _read_graph(path: str | None) -> graphcore.Graph:
@@ -132,7 +152,7 @@ def _cmd_generate(args) -> int:
         g = farey.farey_ball(args.depth)
         if args.fins:
             g = farey.add_fins(g)
-    sys.stdout.write(graphcore.to_json(g) + "\n")
+    _write(graphcore.to_json(g) + "\n")
     return 0
 
 
@@ -154,18 +174,16 @@ def _cmd_chi(args) -> int:
 
 def _cmd_color(args) -> int:
     model = covercolor.CutSystemModel(args.r)
-    covers, labels, _, tables = covercolor._color_tables(model, args.with_cut_spheres)
+    table = covercolor.color_table(model, args.with_cut_spheres)
+    name = functools.cache(lambda bits: covercolor.class_label(bits, model.r))
     colors = {
-        label: [
-            [covercolor.class_label(b, model.r) for b in sorted(entry)]
-            for entry in table
-        ]
-        for label, table in zip(labels, tables)
+        label: [[name(b) for b in sorted(entry)] for entry in table.entries(v)]
+        for v, label in enumerate(table.labels)
     }
     _emit({
         "r": args.r,
         "with_cut_spheres": args.with_cut_spheres,
-        "covers": [c.bitstring for c in covers],
+        "covers": [c.bitstring for c in table.covers],
         "colors": colors,
     })
     return 0
@@ -233,9 +251,9 @@ def _cmd_count(args) -> int:
 def _cmd_export(args) -> int:
     g = _read_graph(args.input)
     if args.fmt == "dot":
-        sys.stdout.write(graphcore.export_dot(g))
+        _write(graphcore.export_dot(g))
     else:
-        sys.stdout.write(graphcore.export_dimacs_kcolor(g, args.k))
+        _write(graphcore.export_dimacs_kcolor(g, args.k))
     return 0
 
 

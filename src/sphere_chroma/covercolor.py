@@ -14,8 +14,20 @@ then has 2r glued spheres G_{i,s}, s the sheet of the copy of 2i-1, and
 its H_2 is spanned by them modulo one relation per sheet (the boundary of
 each sheet bounds).  A sphere vertex lifts once per sheet; the color f_a
 assigns to each cover the set of the two lift classes.  Two disjoint
-spheres must get different colors; this module verifies that exhaustively
-and counts the color space the construction draws from.
+spheres must get different colors; this module verifies that on every
+edge and counts the color space the construction draws from.
+
+Two facts keep the computation small.  First, a lift class is linear in
+the block mask: the raw class of a lift is the xor of the lifts of the
+one-boundary blocks in it, and ``GF2Quotient.canonical`` is a linear
+projection (it subtracts the echelon rows a vector's pivots select).  So
+per cover and sheet the 2r one-boundary lifts are reduced once, and the
+class of every block is read from the table of their xors.  Second, the
+covering map sends G_{i,s} to g_i and every relation to zero, so both
+lift classes of a vertex project to the vertex's own class.  Once that
+is checked for every vertex and cover, two adjacent vertices in
+different classes have disjoint lift sets in every cover, and only
+edges inside one class need their colors compared.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphcore import Graph
+from .graphcore import Graph, _bits
 from .kneser import TwoBlockPartition, spherelike_partitions
 
 __all__ = [
@@ -33,6 +45,7 @@ __all__ = [
     "GF2Quotient",
     "SphereColor",
     "ProperColoringReport",
+    "ColorTable",
     "CountReport",
     "LiftClassSet",
     "glued_sphere_graph",
@@ -41,6 +54,7 @@ __all__ = [
     "cover_h2",
     "lift_classes",
     "sphere_color",
+    "color_table",
     "sheet_swap",
     "class_label",
     "verify_coloring_proper",
@@ -49,7 +63,9 @@ __all__ = [
     "used_color_count",
 ]
 
-MAX_R_ENUMERATE = 12
+# r = 7 is the 14-holed sphere, the largest ground set kneser admits;
+# `color --r 8` also passes 1 GB of memory (CHANGES.md)
+MAX_R_ENUMERATE = 7
 
 # a lift class set is a frozenset of canonical class bitmasks (1 or 2 of them)
 LiftClassSet = frozenset
@@ -218,16 +234,23 @@ def homology_class(model: CutSystemModel, p: TwoBlockPartition) -> GF2Vector:
     return GF2Vector(model.r, bits)
 
 
-def _sheet_lift_bits(model: CutSystemModel, cover: DoubleCover, p: TwoBlockPartition, s: int) -> int:
-    # raw class of the sheet-s lift: sheet-s copies of the block_a boundaries
-    bits = 0
-    for j in p.block_a:
-        i = (j + 1) // 2
-        if j % 2:
-            bits ^= 1 << _gen(i, s)
-        else:
-            bits ^= 1 << _gen(i, s ^ cover.phi[i - 1])
-    return bits
+def _boundary_lifts(model: CutSystemModel, cover: DoubleCover, s: int) -> list[int]:
+    # raw class of the sheet-s lift of each one-boundary block {j}, index j - 1:
+    # the sheet-s copy of boundary 2i-1 is glued into G_{i,s}, that of
+    # boundary 2i into G_{i, s xor phi_i}
+    out = []
+    for i in range(1, model.r + 1):
+        out.append(1 << _gen(i, s))
+        out.append(1 << _gen(i, s ^ cover.phi[i - 1]))
+    return out
+
+
+def _span_table(basis: list[int]) -> list[int]:
+    """table[m] = xor of basis[j] over the set bits j of m, for every m."""
+    table = [0]
+    for b in basis:
+        table += [x ^ b for x in table]
+    return table
 
 
 def lift_classes(
@@ -239,16 +262,14 @@ def lift_classes(
     """Set of the (1 or 2) classes of the two lifts of p in the cover."""
     if quotient is None:
         quotient = cover_h2(model, cover)
-    return frozenset(
-        quotient.canonical(_sheet_lift_bits(model, cover, p, s)) for s in (0, 1)
-    )
-
-
-def _cut_lift_set(i: int, quotient: GF2Quotient) -> LiftClassSet:
-    # the glued cut sphere g_i lifts to the two cover spheres G_{i,0}, G_{i,1}
-    return frozenset(
-        quotient.canonical(1 << _gen(i, s)) for s in (0, 1)
-    )
+    out = []
+    for s in (0, 1):
+        bits = 0
+        for j, b in enumerate(_boundary_lifts(model, cover, s)):
+            if p.mask >> j & 1:
+                bits ^= b
+        out.append(quotient.canonical(bits))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -290,41 +311,84 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
     g = sphere_graph_holed(model.n_boundary)
     if not include_cut_spheres:
         return g
-    labels = list(g.labels) + [f"g{i}" for i in range(1, model.r + 1)]
-    edges = list(g.edges)
-    base = g.n
-    for a in range(model.r):
-        for v in range(base + a):
-            edges.append((v, base + a))
-    return Graph(labels, edges)
+    base, n = g.n, g.n + model.r
+    cuts = ((1 << n) - 1) ^ ((1 << base) - 1)
+    rows = [row | cuts for row in g.adj]
+    rows += [((1 << n) - 1) ^ (1 << v) for v in range(base, n)]
+    return Graph.from_rows(list(g.labels) + [f"g{i}" for i in range(1, model.r + 1)], rows)
 
 
-def _color_tables(model: CutSystemModel, include_cut_spheres: bool):
-    """Vertex labels, homology classes and per-cover lift sets, vertex order
-    matching glued_sphere_graph."""
+@dataclass(frozen=True)
+class ColorTable:
+    """The color f of every vertex of the glued model, in graph vertex order.
+
+    ``hom[v]`` is the mod-2 class of v as bits over g_1..g_r.  ``keys[v]``
+    packs f(v): one field of 2 * width bits per cover, the first cover in
+    the most significant field, holding the two lift classes lo <= hi
+    (lo in the upper half).  Equal keys are equal colors.
+    """
+
+    r: int
+    covers: tuple[DoubleCover, ...]
+    labels: tuple[str, ...]
+    hom: tuple[int, ...]
+    keys: tuple[int, ...]
+
+    @property
+    def width(self) -> int:
+        return 2 * self.r
+
+    def entries(self, v: int) -> tuple[LiftClassSet, ...]:
+        """f(v) as one LiftClassSet per cover, in canonical cover order."""
+        w = self.width
+        field = (1 << w) - 1
+        key = self.keys[v]
+        out = []
+        for t in range(len(self.covers) - 1, -1, -1):
+            pair = key >> (2 * w * t)
+            out.append(frozenset((pair >> w & field, pair & field)))
+        return tuple(out)
+
+
+def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> ColorTable:
+    """Homology classes and colors of every vertex of glued_sphere_graph.
+
+    Each vertex is a block mask over the 2r boundaries; the cut sphere g_i
+    is the one-boundary block {2i-1}.  Per cover and sheet the 2r
+    one-boundary lifts are reduced once and every block's class is read
+    from their span table (the reduction is linear).
+    """
     covers = enumerate_double_covers(model.r)
-    quotients = [cover_h2(model, cover) for cover in covers]
     parts = spherelike_partitions(model.n_boundary)
-    labels: list[str] = []
-    hom: list[int] = []
-    tables: list[tuple] = []
-    for p in parts:
-        labels.append(p.label)
-        hom.append(homology_class(model, p).bits)
-        tables.append(
-            tuple(
-                frozenset(
-                    q.canonical(_sheet_lift_bits(model, cover, p, s)) for s in (0, 1)
-                )
-                for cover, q in zip(covers, quotients)
-            )
-        )
+    labels = [p.label for p in parts]
+    masks = [p.mask for p in parts]
     if include_cut_spheres:
-        for i in range(1, model.r + 1):
-            labels.append(f"g{i}")
-            hom.append(1 << (i - 1))
-            tables.append(tuple(_cut_lift_set(i, q) for q in quotients))
-    return covers, labels, hom, tables
+        labels += [f"g{i}" for i in range(1, model.r + 1)]
+        masks += [1 << (2 * i - 2) for i in range(1, model.r + 1)]
+    hom_of = _span_table([1 << (j // 2) for j in range(model.n_boundary)])
+    w = 2 * model.r
+    keys = [0] * len(masks)
+    for cover in covers:
+        q = cover_h2(model, cover)
+        sheet0, sheet1 = (
+            _span_table([q.canonical(b) for b in _boundary_lifts(model, cover, s)])
+            for s in (0, 1)
+        )
+        keys = [
+            key << 2 * w | (a << w | b if a <= b else b << w | a)
+            for key, a, b in zip(keys, map(sheet0.__getitem__, masks), map(sheet1.__getitem__, masks))
+        ]
+    return ColorTable(
+        model.r, tuple(covers), tuple(labels), tuple(hom_of[m] for m in masks), tuple(keys)
+    )
+
+
+def _class_rows(hom) -> dict[int, int]:
+    # homology class -> bitmask of the vertices in it
+    rows: dict[int, int] = {}
+    for v, h in enumerate(hom):
+        rows[h] = rows.get(h, 0) | 1 << v
+    return rows
 
 
 @dataclass(frozen=True)
@@ -335,12 +399,13 @@ class ProperColoringReport:
     violations: tuple
     homologous_pairs: tuple
     ok: bool
+    projection_failures: tuple = ()  # labels of vertices whose lifts miss their class
 
     def __bool__(self) -> bool:
         return self.ok
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "r": self.r,
             "vertices": self.vertices,
             "edges": self.edges,
@@ -348,8 +413,11 @@ class ProperColoringReport:
             "homologous_pairs": [
                 {"a": a, "b": b, "witness_phi": w} for a, b, w in self.homologous_pairs
             ],
-            "ok": self.ok,
         }
+        if self.projection_failures:
+            doc["projection_failures"] = list(self.projection_failures)
+        doc["ok"] = self.ok
+        return doc
 
 
 def verify_coloring_proper(
@@ -357,38 +425,51 @@ def verify_coloring_proper(
 ) -> ProperColoringReport:
     """Check that f gives different colors to every adjacent (disjoint) pair.
 
-    For each adjacent pair with equal mod-2 homology the report records the
-    first cover (in canonical order) whose lift sets split the pair; pairs
-    with different homology are split in every cover, since the covering
-    projection sends a lift class of a to the class of a.
+    First every vertex is checked once per cover: both lift classes must
+    project to the vertex's own class.  Then only edges inside one class
+    are compared; for each the report records a violation when the colors
+    are equal, else the first cover (in canonical order) whose lift sets
+    split the pair.  A vertex failing the projection check is reported
+    and compared with all of its neighbours.
     """
     if model.r < 3:
         raise ValueError(
             "verify_coloring_proper needs r >= 3; r = 2 is handled by the farey module"
         )
     g = glued_sphere_graph(model, include_cut_spheres)
-    covers, labels, hom, tables = _color_tables(model, include_cut_spheres)
-    assert list(g.labels) == labels
+    table = color_table(model, include_cut_spheres)
+    assert g.labels == table.labels
+    labels, hom, keys = table.labels, table.hom, table.keys
+    covers = len(table.covers)
+    w = table.width
+    # covering projection G_{i,s} -> g_i on a packed key: bit 2(i-1) of each
+    # class field becomes the xor of the field's bits 2(i-1) and 2i-1
+    even = (4 ** (covers * w) - 1) // 3
+    spread = _span_table([1 << (2 * i) for i in range(model.r)])
+    every_field = sum(1 << f * w for f in range(2 * covers))
+    bad = [v for v in range(g.n) if (keys[v] ^ keys[v] >> 1) & even != spread[hom[v]] * every_field]
+    bad_mask = sum(1 << v for v in bad)
+    same_class = _class_rows(hom)
     violations = []
     homologous = []
-    for i, j in g.sorted_edges:
-        if tables[i] == tables[j]:
-            violations.append((labels[i], labels[j]))
-            continue
-        if hom[i] == hom[j]:
-            witness = next(
-                covers[t].bitstring
-                for t in range(len(covers))
-                if tables[i][t] != tables[j][t]
-            )
-            homologous.append((labels[i], labels[j], witness))
+    for i, row in enumerate(g.adj):
+        if not bad_mask >> i & 1:
+            row &= same_class[hom[i]] | bad_mask
+        for j in _bits(row >> (i + 1), i + 1):
+            diff = keys[i] ^ keys[j]
+            if not diff:
+                violations.append((labels[i], labels[j]))
+            elif hom[i] == hom[j]:
+                t = covers - 1 - (diff.bit_length() - 1) // (2 * w)
+                homologous.append((labels[i], labels[j], table.covers[t].bitstring))
     return ProperColoringReport(
         model.r,
         g.n,
         g.m,
         tuple(violations),
         tuple(homologous),
-        not violations,
+        not violations and not bad,
+        tuple(labels[v] for v in bad),
     )
 
 
@@ -400,12 +481,13 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     the construction.
     """
     g = glued_sphere_graph(model)
-    parts = spherelike_partitions(model.n_boundary)
-    hom = [homology_class(model, p) for p in parts]
+    table = color_table(model)
+    same_class = _class_rows(table.hom)
     out = []
-    for i, j in g.sorted_edges:
-        if hom[i].bits == hom[j].bits:
-            out.append((parts[i].label, parts[j].label, str(hom[i])))
+    for i, row in enumerate(g.adj):
+        name = str(GF2Vector(model.r, table.hom[i]))
+        for j in _bits((row & same_class[table.hom[i]]) >> (i + 1), i + 1):
+            out.append((table.labels[i], table.labels[j], name))
     return out
 
 
@@ -458,5 +540,4 @@ def used_color_count(model: CutSystemModel) -> int:
     """Number of distinct f values over the sphere vertices (r <= 5)."""
     if model.r > 5:
         raise ValueError(f"used_color_count is exhaustive; r <= 5 required, got {model.r}")
-    _, _, _, tables = _color_tables(model, include_cut_spheres=False)
-    return len(set(tables))
+    return len(set(color_table(model).keys))

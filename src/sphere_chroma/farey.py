@@ -65,8 +65,9 @@ def add_fins(g: Graph) -> Graph:
         if _is_fin(label):
             raise ValueError(f"graph already has fins ({label!r}); cannot fin twice")
     labels = list(g.labels)
-    edges = list(g.edges)
-    for i, j in g.sorted_edges:
+    base = g.sorted_edges
+    edges = list(base)
+    for i, j in base:
         k = len(labels)
         labels.append(f"fin({g.labels[i]},{g.labels[j]})")
         edges.append((i, k))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 __all__ = [
     "Graph",
@@ -41,17 +42,19 @@ class SchemaError(ValueError):
 
 
 class Graph:
-    """Immutable undirected graph; the label list fixes the vertex order."""
+    """Immutable undirected graph; the label list fixes the vertex order.
 
-    __slots__ = ("labels", "edges", "adj")
+    Adjacency bit rows are the only stored structure: bit j of ``adj[i]``
+    is set when i and j are adjacent.  ``edges`` and ``sorted_edges`` are
+    views derived from the rows on first use.
+    """
+
+    __slots__ = ("labels", "adj", "_edge_list", "_edge_set")
 
     def __init__(self, labels, edges=()):
-        labels = tuple(labels)
-        for x in labels:
-            if not isinstance(x, str):
-                raise ValueError(f"vertex label {x!r} is not a string")
+        labels = _checked_labels(labels)
         n = len(labels)
-        es = set()
+        adj = [0] * n
         for e in edges:
             i, j = e
             if not (isinstance(i, int) and isinstance(j, int)):
@@ -60,14 +63,30 @@ class Graph:
                 raise ValueError(f"edge {e!r} out of range for {n} vertices")
             if i == j:
                 raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-            es.add((i, j) if i < j else (j, i))
-        adj = [0] * n
-        for i, j in es:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.labels = labels
-        self.edges = frozenset(es)
         self.adj = tuple(adj)
+        self._edge_list = self._edge_set = None
+
+    @classmethod
+    def from_rows(cls, labels, rows) -> "Graph":
+        """Graph from adjacency bit rows built by trusted code.
+
+        The rows must be symmetric; that is the builder's invariant and is
+        not re-checked here.  Row count, range and the diagonal are.
+        """
+        g = cls.__new__(cls)
+        g.labels = _checked_labels(labels)
+        g.adj = tuple(rows)
+        g._edge_list = g._edge_set = None
+        n = len(g.labels)
+        if len(g.adj) != n:
+            raise ValueError(f"{len(g.adj)} adjacency rows for {n} vertices")
+        for v, row in enumerate(g.adj):
+            if row < 0 or row >> n or row >> v & 1:
+                raise ValueError(f"adjacency row {v} is out of range or has a self-loop")
+        return g
 
     @property
     def n(self) -> int:
@@ -75,11 +94,22 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) // 2
 
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Edges (i, j) with i < j, ascending; read off the rows in order."""
+        if self._edge_list is None:
+            self._edge_list = tuple(
+                (i, j) for i, row in enumerate(self.adj) for j in _bits(row >> (i + 1), i + 1)
+            )
+        return list(self._edge_list)
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.sorted_edges)
+        return self._edge_set
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -90,22 +120,47 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self.edges == other.edges
+        return self.labels == other.labels and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.labels, self.edges))
+        return hash((self.labels, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _checked_labels(labels) -> tuple[str, ...]:
+    labels = tuple(labels)
+    for x in labels:
+        if not isinstance(x, str):
+            raise ValueError(f"vertex label {x!r} is not a string")
+    return labels
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags_to_row(flags: bytearray) -> int:
+    """Bit row from one 0/1 byte per vertex (vertex 0 first, at least one byte)."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+def _bits(mask: int, base: int = 0) -> list[int]:
+    """Positions of the set bits of mask, ascending, each plus base."""
+    width = mask.bit_length()
+    if mask.bit_count() * 16 < width:
+        # sparse: peel the top bit, which shrinks the int as it goes
+        out = []
+        while mask:
+            top = mask.bit_length() - 1
+            out.append(base + top)
+            mask ^= 1 << top
+        out.reverse()
+        return out
+    # dense: one pass over the binary digits at C speed
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(base, base + width), digits))
 
 
 def complete_graph(n: int, prefix: str = "v") -> Graph:
@@ -119,12 +174,22 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate vertex in induced_subgraph selection")
-    pos = {v: i for i, v in enumerate(keep)}
-    labels = [g.labels[v] for v in keep]
-    edges = [
-        (pos[i], pos[j]) for i, j in g.edges if i in pos and j in pos
-    ]
-    return Graph(labels, edges)
+    for v in keep:
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise ValueError(f"vertex {v!r} is not in the graph")
+    # one byte per kept vertex, plus a spare last byte for dropped ones
+    size = len(keep)
+    pos = [size] * g.n
+    for i, v in enumerate(keep):
+        pos[v] = i
+    rows = []
+    for v in keep:
+        row = bytearray(size + 1)
+        for u in _bits(g.adj[v]):
+            row[pos[u]] = 1
+        del row[size]
+        rows.append(_flags_to_row(row))
+    return Graph.from_rows([g.labels[v] for v in keep], rows)
 
 
 class Coloring:
@@ -200,9 +265,11 @@ def validate_coloring(g: Graph, coloring: Coloring):
     for v in a:
         if not 0 <= v < g.n:
             raise ValueError(f"coloring references vertex {v} outside the graph")
-    for i, j in sorted(g.edges):
-        if a[i] == a[j]:
-            return (i, j)
+    for i, row in enumerate(g.adj):
+        c = a[i]
+        for j in _bits(row >> (i + 1), i + 1):
+            if a[j] == c:
+                return (i, j)
     return None
 
 
@@ -426,7 +493,7 @@ def to_json(g: Graph) -> str:
     doc = {
         "format": GRAPH_FORMAT,
         "vertex_labels": list(g.labels),
-        "edges": [list(e) for e in g.sorted_edges],
+        "edges": [[i, j] for i, row in enumerate(g.adj) for j in _bits(row >> (i + 1), i + 1)],
     }
     return json.dumps(doc, separators=(",", ":"))
 

@@ -6,14 +6,31 @@ blocks as vertices, joined when one block of one partition is contained
 in a block of the other.  Partitions are canonicalized so that block_a
 is the block containing element 1; bitmasks carry the blocks (bit e-1
 set when element e is in block_a).
+
+Partition graphs are built row by row, without testing pairs.  For
+canonical masks a and c (both odd) with complements ~a and ~c, the four
+containments of ``nested`` read:
+
+- a <= c: c is a superset of a;
+- a <= ~c: never, since element 1 is in a and not in ~c;
+- ~a <= c: c is a superset of ~a | 1 (c is odd);
+- ~a <= ~c: c is a subset of a, and contains element 1.
+
+So the neighbours of a are the supersets of a, the proper subsets of a
+that contain element 1, and the supersets of ~a | 1, the full set
+excluded.  The families are disjoint: a common member of the first two
+would be a itself, of the first and third the full set, and no subset
+of a contains ~a.  Listing them costs 3^n steps over all vertices,
+where testing every pair costs 4^n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import Graph, induced_subgraph
+from .graphcore import Graph, _flags_to_row, induced_subgraph
 
 __all__ = [
     "TwoBlockPartition",
@@ -25,7 +42,12 @@ __all__ = [
     "spherelike_partitions",
 ]
 
-MAX_GROUND_SET = 24
+# Caps on what a CLI call may build, from timed runs (CHANGES.md): at
+# n = 15 `generate total-kneser` passes 1 GB of memory, mostly for the
+# JSON edge list, and so does kg(4000, 1), the densest kg with 4000
+# vertices.
+MAX_GROUND_SET = 14
+MAX_KG_VERTICES = 3500
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,11 @@ def kg(n: int, k: int) -> Graph:
         raise ValueError(f"k must be at least 1, got {k}")
     if n < 2 * k:
         raise ValueError(f"kg requires n >= 2k, got n={n}, k={k}")
+    if math.comb(n, k) > MAX_KG_VERTICES:
+        raise ValueError(
+            f"refusing kg({n}, {k}): C({n}, {k}) = {math.comb(n, k)} vertices "
+            f"exceeds {MAX_KG_VERTICES}"
+        )
     subsets = list(combinations(range(1, n + 1), k))
     labels = [" ".join(map(str, s)) for s in subsets]
     masks = [sum(1 << (e - 1) for e in s) for s in subsets]
@@ -150,19 +177,42 @@ def spherelike_partitions(n: int) -> list[TwoBlockPartition]:
     return [p for p in all_partitions(n) if p.min_block_size >= 2]
 
 
+def _submasks(m: int) -> list[int]:
+    """Every submask of m, 0 and m included."""
+    subs = [0]
+    while m:
+        low = m & -m
+        subs += [s | low for s in subs]
+        m ^= low
+    return subs
+
+
 def _partition_graph(parts: list[TwoBlockPartition], n: int) -> Graph:
+    """Nested-pair graph on canonical partitions, written as adjacency rows.
+
+    The neighbours of a come from the three families in the module
+    docstring, listed by submask enumeration; no pair of vertices is
+    tested.  A row is one byte per vertex plus a spare last byte, which
+    absorbs every family member that is not in ``parts`` (the full set,
+    or a partition the caller filtered out).
+    """
     full = (1 << n) - 1
-    masks = [p.mask for p in parts]
-    edges = []
-    for i in range(len(masks)):
-        a = masks[i]
-        b = a ^ full
-        for j in range(i + 1, len(masks)):
-            c = masks[j]
-            d = c ^ full
-            if not (a & ~c) or not (a & ~d) or not (b & ~c) or not (b & ~d):
-                edges.append((i, j))
-    return Graph([p.label for p in parts], edges)
+    size = len(parts)
+    index = [size] * (1 << n)
+    for v, p in enumerate(parts):
+        index[p.mask] = v
+    rows = []
+    for v, p in enumerate(parts):
+        a = p.mask
+        out = full ^ a
+        inner = _submasks(a ^ 1)
+        row = bytearray(size + 1)
+        for c in [a | s for s in _submasks(out)] + [1 | t for t in inner] + [out | 1 | t for t in inner]:
+            row[index[c]] = 1
+        row[v] = 0
+        del row[size]
+        rows.append(_flags_to_row(row))
+    return Graph.from_rows([p.label for p in parts], rows)
 
 
 def total_kneser(n: int) -> Graph:

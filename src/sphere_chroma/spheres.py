@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .graphcore import Coloring, Graph
+from .graphcore import Coloring, Graph, _bits
 from .kneser import (
     TwoBlockPartition,
     kg,
@@ -72,9 +72,14 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     rhs = remove_singleton_partitions(total_kneser(n))
     labels_equal = lhs.labels == rhs.labels
     if labels_equal:
-        name = lambda e: (lhs.labels[e[0]], lhs.labels[e[1]])
-        missing = tuple(sorted(name(e) for e in rhs.edges - lhs.edges))
-        extra = tuple(sorted(name(e) for e in lhs.edges - rhs.edges))
+        names = lhs.labels
+        missing_pairs, extra_pairs = [], []
+        for i, (x, y) in enumerate(zip(lhs.adj, rhs.adj)):
+            if x != y:
+                missing_pairs += [(names[i], names[j]) for j in _bits((y & ~x) >> (i + 1), i + 1)]
+                extra_pairs += [(names[i], names[j]) for j in _bits((x & ~y) >> (i + 1), i + 1)]
+        missing = tuple(sorted(missing_pairs))
+        extra = tuple(sorted(extra_pairs))
     else:
         lhs_named = {(lhs.labels[i], lhs.labels[j]) for i, j in lhs.edges}
         rhs_named = {(rhs.labels[i], rhs.labels[j]) for i, j in rhs.edges}

@@ -1,0 +1,95 @@
+"""Direct algorithms the package no longer runs, kept as test oracles.
+
+The partition graph tests every pair of vertices with ``nested``; lift
+classes sum the boundary copies of one block and reduce the sum; the
+properness report compares the full per-cover color tables on every
+edge.  Tests check the package against these on small sizes.
+"""
+
+from itertools import combinations
+
+from sphere_chroma.covercolor import (
+    ProperColoringReport,
+    cover_h2,
+    enumerate_double_covers,
+    homology_class,
+)
+from sphere_chroma.graphcore import Graph
+from sphere_chroma.kneser import nested, spherelike_partitions
+
+
+def pairwise_partition_graph(parts):
+    """Nested-pair graph by testing all V^2 / 2 pairs."""
+    edges = [
+        (i, j)
+        for (i, p), (j, q) in combinations(enumerate(parts), 2)
+        if nested(p, q)
+    ]
+    return Graph([p.label for p in parts], edges)
+
+
+def sheet_lift_bits(model, cover, p, s):
+    """Raw class of the sheet-s lift of p: sheet-s copies of the block_a boundaries."""
+    bits = 0
+    for j in p.block_a:
+        i = (j + 1) // 2
+        sheet = s if j % 2 else s ^ cover.phi[i - 1]
+        bits ^= 1 << (2 * (i - 1) + sheet)
+    return bits
+
+
+def color_tables(model, include_cut_spheres):
+    """(covers, labels, hom, tables): one frozenset of lift classes per cover."""
+    covers = enumerate_double_covers(model.r)
+    quotients = [cover_h2(model, cover) for cover in covers]
+    labels, hom, tables = [], [], []
+    for p in spherelike_partitions(model.n_boundary):
+        labels.append(p.label)
+        hom.append(homology_class(model, p).bits)
+        tables.append(tuple(
+            frozenset(q.canonical(sheet_lift_bits(model, cover, p, s)) for s in (0, 1))
+            for cover, q in zip(covers, quotients)
+        ))
+    if include_cut_spheres:
+        for i in range(1, model.r + 1):
+            labels.append(f"g{i}")
+            hom.append(1 << (i - 1))
+            tables.append(tuple(
+                frozenset(q.canonical(1 << (2 * (i - 1) + s)) for s in (0, 1))
+                for q in quotients
+            ))
+    return covers, labels, hom, tables
+
+
+def glued_graph(model, include_cut_spheres):
+    """Pairwise sphere graph of the 2r-holed sphere, cut spheres appended."""
+    g = pairwise_partition_graph(spherelike_partitions(model.n_boundary))
+    if not include_cut_spheres:
+        return g
+    n = g.n + model.r
+    cut_edges = [(u, v) for v in range(g.n, n) for u in range(v)]
+    labels = list(g.labels) + [f"g{i}" for i in range(1, model.r + 1)]
+    return Graph(labels, g.sorted_edges + cut_edges)
+
+
+def exhaustive_proper_report(model, include_cut_spheres=False):
+    """Properness report by comparing the color tables on every edge."""
+    g = glued_graph(model, include_cut_spheres)
+    covers, labels, hom, tables = color_tables(model, include_cut_spheres)
+    assert list(g.labels) == labels
+    violations = []
+    homologous = []
+    for i, j in g.sorted_edges:
+        if tables[i] == tables[j]:
+            violations.append((labels[i], labels[j]))
+            continue
+        if hom[i] == hom[j]:
+            witness = next(
+                covers[t].bitstring
+                for t in range(len(covers))
+                if tables[i][t] != tables[j][t]
+            )
+            homologous.append((labels[i], labels[j], witness))
+    return ProperColoringReport(
+        model.r, g.n, g.m, tuple(violations), tuple(homologous), not violations
+    )

@@ -1,10 +1,14 @@
 import io
 import json
-import shutil
+import os
+import shlex
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sphere_chroma
 from sphere_chroma import cli
 from sphere_chroma.graphcore import chromatic_number_exact, from_json
 from sphere_chroma.spheres import SphereKneserReport
@@ -204,6 +208,17 @@ class TestFlagHandling:
         code, _, err = run(["generate", "kneser", "--n", "3", "--k", "2"])
         assert code == 64 and "n >= 2k" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "kneser", "--n", "40", "--k", "20"],
+        ["generate", "sphere", "--n", "15"],
+        ["generate", "total-kneser", "--n", "15"],
+        ["verify", "proper", "--r", "8"],
+        ["color", "--r", "8"],
+    ])
+    def test_sizes_past_the_caps_exit_64(self, run, argv):
+        code, out, err = run(argv)
+        assert code == 64 and out == "" and "error" in err
+
     def test_threads_must_be_positive(self, run):
         code, _, err = run(["--threads", "0", "verify", "petersen"])
         assert code == 64 and "--threads" in err
@@ -225,33 +240,54 @@ class TestFlagHandling:
         assert a == b
 
 
-@pytest.mark.skipif(shutil.which("sphere-chroma") is None,
-                    reason="console script not on PATH")
+# the CLI as a separate process, started the way a shell would start it
+CLI = f"{shlex.quote(sys.executable)} -m sphere_chroma.cli"
+
+
+@pytest.fixture
+def cli_env():
+    src = str(Path(sphere_chroma.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestInstalledScript:
-    def test_shell_pipe(self):
+    def test_shell_pipe(self, cli_env):
         result = subprocess.run(
-            "sphere-chroma generate sphere --n 5 | sphere-chroma chi --exact",
-            shell=True, capture_output=True, text=True, timeout=60,
+            f"{CLI} generate sphere --n 5 | {CLI} chi --exact",
+            shell=True, capture_output=True, text=True, timeout=60, env=cli_env,
         )
         assert result.returncode == 0
         assert result.stdout == '{"chi":3}\n'
 
-    def test_verify_exit_code(self):
+    def test_verify_exit_code(self, cli_env):
         result = subprocess.run(
-            ["sphere-chroma", "verify", "lemma2", "--n", "7"],
-            capture_output=True, text=True, timeout=60,
+            [sys.executable, "-m", "sphere_chroma.cli", "verify", "lemma2", "--n", "7"],
+            capture_output=True, text=True, timeout=60, env=cli_env,
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["ok"] is True
 
-    def test_truncated_pipe_dies_quietly(self):
+    def test_truncated_pipe_dies_quietly(self, cli_env):
         # depth 12 emits far more than a pipe buffer holds, so the writer
         # is guaranteed to see the reader gone
         result = subprocess.run(
-            'sphere-chroma generate farey --depth 12 | head -c 1 >/dev/null;'
+            f'{CLI} generate farey --depth 12 | head -c 1 >/dev/null;'
             ' echo "${PIPESTATUS[0]}"',
             shell=True, capture_output=True, text=True, timeout=60,
-            executable="/bin/bash",
+            executable="/bin/bash", env=cli_env,
+        )
+        assert result.stdout.strip() == "141"
+        assert result.stderr == ""
+
+    def test_truncated_pipe_dies_quietly_unbuffered(self, cli_env):
+        # unbuffered stdout writes straight to the pipe, where a write can
+        # stop short once the reader is gone; that must still end in 141
+        result = subprocess.run(
+            f'{CLI} generate farey --depth 12 | head -c 1 >/dev/null;'
+            ' echo "${PIPESTATUS[0]}"',
+            shell=True, capture_output=True, text=True, timeout=60,
+            executable="/bin/bash", env={**cli_env, "PYTHONUNBUFFERED": "1"},
         )
         assert result.stdout.strip() == "141"
         assert result.stderr == ""

@@ -1,14 +1,18 @@
+import dataclasses
 import math
 from itertools import combinations
 
 import pytest
 
+import oracles
+from sphere_chroma import covercolor
 from sphere_chroma.covercolor import (
     CutSystemModel,
     DoubleCover,
     GF2Quotient,
     GF2Vector,
     class_label,
+    color_table,
     count_colors,
     cover_h2,
     enumerate_double_covers,
@@ -59,10 +63,10 @@ class TestModelAndCovers:
         assert CutSystemModel(3).n_boundary == 6
 
     def test_model_range(self):
-        with pytest.raises(ValueError):
-            CutSystemModel(1)
-        with pytest.raises(ValueError):
-            CutSystemModel(13)
+        assert CutSystemModel(7).r == 7
+        for r in (1, 8, 13):
+            with pytest.raises(ValueError):
+                CutSystemModel(r)
 
     def test_enumeration_order_r3(self):
         bitstrings = [c.bitstring for c in enumerate_double_covers(3)]
@@ -185,13 +189,11 @@ class TestLiftClasses:
                 assert len(lift_classes(model, cover, p, quot)) in (1, 2)
 
     def test_sheets_related_by_deck_swap(self):
-        from sphere_chroma.covercolor import _sheet_lift_bits
-
         model = CutSystemModel(3)
         for cover in enumerate_double_covers(3):
             for p in spherelike_partitions(6):
-                lift0 = _sheet_lift_bits(model, cover, p, 0)
-                lift1 = _sheet_lift_bits(model, cover, p, 1)
+                lift0 = oracles.sheet_lift_bits(model, cover, p, 0)
+                lift1 = oracles.sheet_lift_bits(model, cover, p, 1)
                 assert sheet_swap(lift0, model.r) == lift1
 
     def test_homologous_pair_collides_at_some_cover(self):
@@ -215,11 +217,43 @@ class TestLiftClasses:
         assert lp == {"G1,0+G2,1+G3,0+G3,1", "G1,1+G2,1"}
         assert lq == {"G1,0+G2,1", "G1,1+G2,1+G3,0+G3,1"}
 
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_lift_classes_match_direct_block_sum(self, r):
+        model = CutSystemModel(r)
+        for cover in enumerate_double_covers(r):
+            quot = cover_h2(model, cover)
+            for p in spherelike_partitions(2 * r):
+                direct = {quot.canonical(oracles.sheet_lift_bits(model, cover, p, s)) for s in (0, 1)}
+                assert lift_classes(model, cover, p, quot) == direct, (cover.bitstring, p.label)
+
     def test_sphere_color_entry_count(self):
         model = CutSystemModel(3)
         p = TwoBlockPartition.from_label("1 2 3|4 5 6")
         color = sphere_color(model, p)
         assert len(color.entries) == 2**3 - 1
+
+
+class TestColorTable:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cuts", [False, True])
+    def test_span_tables_match_direct_block_sums(self, r, cuts):
+        model = CutSystemModel(r)
+        covers, labels, hom, tables = oracles.color_tables(model, cuts)
+        table = color_table(model, cuts)
+        assert table.covers == tuple(covers)
+        assert table.labels == tuple(labels)
+        assert table.hom == tuple(hom)
+        assert [table.entries(v) for v in range(len(labels))] == tables
+
+    def test_vertex_order_matches_glued_graph(self):
+        model = CutSystemModel(3)
+        assert color_table(model, True).labels == glued_sphere_graph(model, True).labels
+
+    def test_sphere_color_reads_the_same_classes(self):
+        model = CutSystemModel(3)
+        table = color_table(model)
+        for v, p in enumerate(spherelike_partitions(6)):
+            assert sphere_color(model, p).entries == table.entries(v)
 
 
 class TestGluedGraph:
@@ -274,6 +308,45 @@ class TestProperness:
                              "homologous_pairs", "ok"]
         assert doc["r"] == 3 and doc["ok"] is True
         assert doc["vertices"] == 25 and doc["edges"] == 105
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("cuts", [False, True])
+    def test_matches_exhaustive_table_scan(self, r, cuts):
+        model = CutSystemModel(r)
+        assert verify_coloring_proper(model, cuts) == oracles.exhaustive_proper_report(model, cuts)
+
+    @pytest.mark.parametrize("corruption", ["copy-same-class", "flip-bit", "copy-other-class"])
+    def test_corrupted_lift_table_is_caught(self, monkeypatch, corruption):
+        model = CutSystemModel(3)
+        clean = color_table(model)
+        g = glued_sphere_graph(model)
+        hom = clean.hom
+        if corruption == "flip-bit":
+            v = 7
+            key = clean.keys[v] ^ 1
+        else:
+            want_same = corruption == "copy-same-class"
+            v, u = next(
+                (i, j) for i, j in g.sorted_edges if (hom[i] == hom[j]) == want_same
+            )
+            key = clean.keys[u]
+        keys = list(clean.keys)
+        keys[v] = key
+        monkeypatch.setattr(
+            covercolor, "color_table",
+            lambda *args: dataclasses.replace(clean, keys=tuple(keys)),
+        )
+        report = verify_coloring_proper(model)
+        assert not report.ok
+        if corruption == "copy-same-class":
+            assert report.projection_failures == ()
+            assert (clean.labels[v], clean.labels[u]) in report.violations
+        else:
+            assert report.projection_failures == (clean.labels[v],)
+            assert report.to_json_dict()["projection_failures"] == [clean.labels[v]]
+        if corruption == "copy-other-class":
+            # the failed vertex is compared across classes too
+            assert (clean.labels[v], clean.labels[u]) in report.violations
 
     def test_negative_control_fails(self):
         hits = homology_only_violations(CutSystemModel(3))

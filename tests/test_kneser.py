@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 
+import oracles
+from sphere_chroma import kneser
 from sphere_chroma.graphcore import complete_graph
 from sphere_chroma.kneser import (
     TwoBlockPartition,
@@ -12,6 +14,7 @@ from sphere_chroma.kneser import (
     spherelike_partitions,
     total_kneser,
 )
+from sphere_chroma.spheres import sphere_graph_holed
 
 
 class TestTwoBlockPartition:
@@ -118,6 +121,17 @@ class TestKneserGraphs:
         # count: each 2-subset is disjoint from C(4,2) others
         assert g.m == 15 * 6 // 2
 
+    def test_kg_refuses_huge_vertex_count(self):
+        # C(40, 20) ~ 1.4e11 subsets: refused before any is listed
+        with pytest.raises(ValueError, match="refusing"):
+            kg(40, 20)
+
+    def test_kg_cap_is_on_the_vertex_count(self, monkeypatch):
+        monkeypatch.setattr(kneser, "MAX_KG_VERTICES", 10)
+        assert kg(5, 2).n == 10
+        with pytest.raises(ValueError, match="C\\(6, 2\\) = 15 vertices"):
+            kg(6, 2)
+
     def test_kg_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             kg(3, 2)
@@ -131,8 +145,9 @@ class TestPartitionFamilies:
         assert len(all_partitions(n)) == 2 ** (n - 1) - 1
 
     def test_all_partitions_refuses_huge_ground_set(self):
-        with pytest.raises(ValueError, match="refusing"):
-            all_partitions(25)
+        for n in (15, 25):
+            with pytest.raises(ValueError, match="refusing"):
+                all_partitions(n)
 
     def test_all_partitions_distinct_and_canonical(self):
         parts = all_partitions(6)
@@ -160,3 +175,13 @@ class TestPartitionFamilies:
     def test_remove_singletons_matches_spherelike(self):
         g = remove_singleton_partitions(total_kneser(6))
         assert list(g.labels) == [p.label for p in spherelike_partitions(6)]
+
+
+class TestRowBuilder:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sphere_graph_matches_pairwise_nested(self, n):
+        assert sphere_graph_holed(n) == oracles.pairwise_partition_graph(spherelike_partitions(n))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_total_kneser_matches_pairwise_nested(self, n):
+        assert total_kneser(n) == oracles.pairwise_partition_graph(all_partitions(n))

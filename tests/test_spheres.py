@@ -1,6 +1,7 @@
 import pytest
 
-from sphere_chroma.graphcore import chromatic_number_exact, validate_coloring
+from sphere_chroma import spheres
+from sphere_chroma.graphcore import Graph, chromatic_number_exact, validate_coloring
 from sphere_chroma.kneser import remove_singleton_partitions, total_kneser
 from sphere_chroma.spheres import (
     load_reference_three_coloring,
@@ -43,6 +44,20 @@ class TestSphereKneserLemma:
             via_removal = remove_singleton_partitions(total_kneser(n))
             assert direct.labels == via_removal.labels
             assert direct.edges == via_removal.edges
+
+    def test_differences_named_from_the_rows(self, monkeypatch):
+        # drop one sphere-graph edge and add one non-edge: the report names
+        # each as a label pair
+        g = sphere_graph_holed(6)
+        dropped = g.sorted_edges[3]
+        added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in g.edges)
+        edges = [e for e in g.sorted_edges if e != dropped] + [added]
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: Graph(g.labels, edges))
+        report = verify_lemma_sphere_kneser(6)
+        assert not report.ok and report.label_lists_equal
+        name = lambda e: (g.labels[e[0]], g.labels[e[1]])
+        assert report.missing_edges == (name(dropped),)
+        assert report.extra_edges == (name(added),)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
