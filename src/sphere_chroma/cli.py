@@ -4,7 +4,7 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 verification failure, 3 chromatic number undecided within budget,
 64 bad flags, 74 input could not be read or parsed, 141 when the
 output pipe closes early.  Identical invocations produce
-byte-identical output; --threads and --timing never change stdout.
+byte-identical output; --timing never changes stdout.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="sphere-chroma", description=__doc__.splitlines()[0])
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker count; results are identical for every value")
     p.add_argument("--timing", action="store_true",
                    help="print elapsed wall time to stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -263,9 +261,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
-    if args.threads < 1:
-        sys.stderr.write("sphere-chroma: error: --threads must be at least 1\n")
-        return USAGE_EXIT
     t0 = time.monotonic()
     try:
         if args.command == "generate":

@@ -41,7 +41,6 @@ from .kneser import TwoBlockPartition, spherelike_partitions
 __all__ = [
     "CutSystemModel",
     "DoubleCover",
-    "GF2Vector",
     "GF2Quotient",
     "SphereColor",
     "ProperColoringReport",
@@ -87,32 +86,6 @@ class CutSystemModel:
 
 
 @dataclass(frozen=True)
-class GF2Vector:
-    """Vector over GF(2) in a labeled basis, stored as a bitmask."""
-
-    dim: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits >> self.dim:
-            raise ValueError(f"bits {self.bits:#x} out of range for dim {self.dim}")
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return GF2Vector(self.dim, self.bits ^ other.bits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __str__(self):
-        if not self.bits:
-            return "0"
-        return "+".join(f"g{i + 1}" for i in range(self.dim) if self.bits >> i & 1)
-
-
-@dataclass(frozen=True)
 class DoubleCover:
     """Connected double cover, indexed by nonzero phi in GF(2)^r."""
 
@@ -146,6 +119,13 @@ def enumerate_double_covers(r: int) -> list[DoubleCover]:
 def _gen(i: int, s: int) -> int:
     # generator index of G_{i,s} in the cover basis, i is 1-based
     return 2 * (i - 1) + s
+
+
+def _hom_label(bits: int, r: int) -> str:
+    """Human-readable form of a class over g_1..g_r, "g1+g3" style."""
+    if not bits:
+        return "0"
+    return "+".join(f"g{i + 1}" for i in range(r) if bits >> i & 1)
 
 
 def class_label(bits: int, r: int) -> str:
@@ -219,8 +199,9 @@ def cover_h2(model: CutSystemModel, cover: DoubleCover) -> GF2Quotient:
     return GF2Quotient.from_relations(2 * model.r, rel)
 
 
-def homology_class(model: CutSystemModel, p: TwoBlockPartition) -> GF2Vector:
-    """Class of the glued image of sphere p: sum of g_{ceil(j/2)} over a block.
+def homology_class(model: CutSystemModel, p: TwoBlockPartition) -> int:
+    """Class of the glued image of sphere p: sum of g_{ceil(j/2)} over a block,
+    as bits over g_1..g_r (bit i - 1 for g_i).
 
     The complementary block gives the same class (the full sum hits every
     g_i twice), and the class is zero exactly when every pair (2i-1, 2i)
@@ -231,7 +212,7 @@ def homology_class(model: CutSystemModel, p: TwoBlockPartition) -> GF2Vector:
     bits = 0
     for j in p.block_a:
         bits ^= 1 << ((j - 1) // 2)
-    return GF2Vector(model.r, bits)
+    return bits
 
 
 def _boundary_lifts(model: CutSystemModel, cover: DoubleCover, s: int) -> list[int]:
@@ -485,7 +466,7 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     same_class = _class_rows(table.hom)
     out = []
     for i, row in enumerate(g.adj):
-        name = str(GF2Vector(model.r, table.hom[i]))
+        name = _hom_label(table.hom[i], model.r)
         for j in _bits((row & same_class[table.hom[i]]) >> (i + 1), i + 1):
             out.append((table.labels[i], table.labels[j], name))
     return out

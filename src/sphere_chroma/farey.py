@@ -26,7 +26,9 @@ __all__ = [
     "PARITY_CLASS_IDS",
 ]
 
-MAX_DEPTH = 16
+# `generate farey --depth 15 --fins` peaks at 691 MB; depth 16 with fins
+# passes 1.3 GB, since every row spans to the last vertex (CHANGES.md)
+MAX_DEPTH = 15
 
 # fixed ids for the three parity classes of reduced fractions
 PARITY_CLASS_IDS = {(0, 1): 0, (1, 0): 1, (1, 1): 2}

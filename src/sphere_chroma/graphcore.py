@@ -265,11 +265,15 @@ def validate_coloring(g: Graph, coloring: Coloring):
     for v in a:
         if not 0 <= v < g.n:
             raise ValueError(f"coloring references vertex {v} outside the graph")
+    # one vertex bitmask per color; a row's hits inside its own class above
+    # the diagonal are the violating edges, the lowest hit the least one
+    class_mask: dict[int, int] = {}
+    for v in range(g.n):
+        class_mask[a[v]] = class_mask.get(a[v], 0) | 1 << v
     for i, row in enumerate(g.adj):
-        c = a[i]
-        for j in _bits(row >> (i + 1), i + 1):
-            if a[j] == c:
-                return (i, j)
+        hit = (row & class_mask[a[i]]) >> (i + 1)
+        if hit:
+            return (i, i + (hit & -hit).bit_length())
     return None
 
 
@@ -518,14 +522,10 @@ def from_json(text: str) -> Graph:
     if not isinstance(edges, list):
         raise SchemaError("field 'edges': expected a list of [i, j] pairs")
     n = len(labels)
-    seen = set()
-    parsed = []
+    adj = [0] * n
     for idx, e in enumerate(edges):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
+        # json.loads yields exact types, so type() tests suffice and reject bool
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise SchemaError(f"field 'edges'[{idx}]: expected a pair of ints, got {e!r}")
         i, j = e
         if i == j:
@@ -534,8 +534,8 @@ def from_json(text: str) -> Graph:
             raise SchemaError(f"field 'edges'[{idx}]: endpoints must satisfy i < j, got [{i},{j}]")
         if not (0 <= i and j < n):
             raise SchemaError(f"field 'edges'[{idx}]: [{i},{j}] out of range for {n} vertices")
-        if (i, j) in seen:
+        if adj[i] >> j & 1:
             raise SchemaError(f"field 'edges'[{idx}]: duplicate edge [{i},{j}]")
-        seen.add((i, j))
-        parsed.append((i, j))
-    return Graph(labels, parsed)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph.from_rows(labels, adj)

@@ -2,10 +2,44 @@
 
 Two-watched-literal propagation, first-UIP learning, exponential moving
 variable activity, and Luby restarts.  Used as the conforming solver for
-the coloring-export checks; small instances only.
+the coloring-export checks, on both the satisfiable and the unsatisfiable
+side; small instances only.
 """
 
 from __future__ import annotations
+
+
+def parse_dimacs(text):
+    """Return (num_vars, clauses) where clauses are tuples of nonzero ints."""
+    num_vars = None
+    num_clauses = None
+    clauses = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad header: {line!r}")
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            continue
+        lits = [int(tok) for tok in line.split()]
+        if lits[-1] != 0:
+            raise ValueError(f"clause not zero-terminated: {line!r}")
+        clause = tuple(lits[:-1])
+        if not clause:
+            raise ValueError("empty clause in input")
+        clauses.append(clause)
+    if num_vars is None:
+        raise ValueError("missing p cnf header")
+    if num_clauses != len(clauses):
+        raise ValueError(f"header says {num_clauses} clauses, found {len(clauses)}")
+    for cl in clauses:
+        for lit in cl:
+            if not 1 <= abs(lit) <= num_vars:
+                raise ValueError(f"literal {lit} out of range")
+    return num_vars, clauses
 
 
 def luby(i):
@@ -218,10 +252,26 @@ class Solver:
 
 
 def solve_dimacs(text, conflict_cap=2_000_000):
-    from dpll import parse_dimacs
-
     num_vars, clauses = parse_dimacs(text)
     solver = Solver(num_vars, clauses)
     if solver.solve(conflict_cap):
         return solver.model()
     return None
+
+
+def decode_coloring(model, n_vertices, k):
+    """Map a model of the coloring CNF back to {vertex: color}.
+
+    Variable v*k + c + 1 true means vertex v gets color c.  When the model
+    sets several colors true for one vertex (the encoding has no at-most-one
+    clauses) the lowest color wins; unassigned variables count as False.
+    """
+    out = {}
+    for v in range(n_vertices):
+        for c in range(k):
+            if model.get(v * k + c + 1, False):
+                out[v] = c
+                break
+        else:
+            raise ValueError(f"model leaves vertex {v} uncolored")
+    return out

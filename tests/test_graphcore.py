@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from sphere_chroma.graphcore import (
     ChiCertificate,
     ChiUndecided,
@@ -312,13 +313,19 @@ class TestJsonFormat:
     def test_edge_pair_shape(self):
         base = {"format": "sphere-chroma-graph-v1", "vertex_labels": ["a", "b"]}
         for bad in ([[0]], [[0, 1, 2]], [0], [[0, "x"]], [[True, 1]]):
-            with pytest.raises(SchemaError):
+            with pytest.raises(SchemaError, match=r"'edges'\[0\]: expected a pair of ints"):
                 from_json(json.dumps({**base, "edges": bad}))
 
     def test_edge_order_and_loops_rejected(self):
         base = {"format": "sphere-chroma-graph-v1", "vertex_labels": ["a", "b"]}
-        for bad in ([[1, 0]], [[0, 0]], [[0, 1], [0, 1]], [[0, 5]]):
-            with pytest.raises(SchemaError):
+        for bad, message in (
+            ([[1, 0]], r"'edges'\[0\]: endpoints must satisfy i < j, got \[1,0\]"),
+            ([[0, 0]], r"'edges'\[0\]: self-loop \[0,0\]"),
+            ([[0, 1], [0, 1]], r"'edges'\[1\]: duplicate edge \[0,1\]"),
+            ([[0, 5]], r"'edges'\[0\]: \[0,5\] out of range for 2 vertices"),
+            ([[-1, 1]], r"'edges'\[0\]: \[-1,1\] out of range for 2 vertices"),
+        ):
+            with pytest.raises(SchemaError, match=message):
                 from_json(json.dumps({**base, "edges": bad}))
 
 
@@ -362,6 +369,15 @@ class TestProperties:
             keep = set()
         h = induced_subgraph(g, sorted(keep))
         assert chromatic_number_exact(h).chi <= chromatic_number_exact(g).chi
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(graphs(max_n=12), st.data())
+    def test_validate_matches_edge_walk(self, g, data):
+        # arbitrary colorings, mostly improper with so few colors
+        colors = data.draw(st.lists(st.integers(min_value=-1, max_value=3),
+                                    min_size=g.n, max_size=g.n))
+        c = Coloring(colors)
+        assert validate_coloring(g, c) == oracles.edge_walk_violation(g, c)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graphs())
