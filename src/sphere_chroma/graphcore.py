@@ -226,10 +226,17 @@ class Coloring:
 
 @dataclass(frozen=True)
 class InfeasibilityEvidence:
-    """Record that a full search ruled out a smaller palette."""
+    """Record that a full search ruled out a smaller palette.
+
+    ``nodes_explored`` counts the nodes of the last refutation, the one
+    for ``colors_ruled_out`` colors; ``refutation_nodes`` has one count
+    per refuted palette size, from the clique bound up, so its last entry
+    is ``nodes_explored``.
+    """
 
     colors_ruled_out: int
     nodes_explored: int
+    refutation_nodes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -278,25 +285,54 @@ def validate_coloring(g: Graph, coloring: Coloring):
 
 
 def greedy_dsatur(g: Graph) -> Coloring:
-    """Greedy coloring in saturation order; ties broken by least vertex index."""
+    """Greedy coloring in saturation order; ties broken by least vertex index.
+
+    ``buckets[s]`` masks the uncolored vertices that see exactly s distinct
+    neighbour colors, so the next vertex is the lowest bit of the highest
+    nonempty bucket.  ``seen[c]`` masks the vertices with a neighbour of
+    color c; coloring a vertex c lifts only its neighbours outside
+    ``seen[c]``, one bucket at a time.  With c colors that is O(V * c)
+    big-int operations and no per-vertex scan.
+    """
     n = g.n
+    adj = g.adj
     color = [-1] * n
-    sat = [0] * n  # bitmask of colors seen on neighbors
+    uncolored = (1 << n) - 1
+    buckets = [uncolored]
+    seen: list[int] = []
+    top = 0
     for _ in range(n):
-        best, best_sat = -1, -1
-        for v in range(n):
-            if color[v] < 0:
-                s = sat[v].bit_count()
-                if s > best_sat:
-                    best, best_sat = v, s
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top]
+        low = b & -b
+        buckets[top] = b ^ low
+        uncolored ^= low
+        best = low.bit_length() - 1
         c = 0
-        while sat[best] >> c & 1:
+        while c < len(seen) and seen[c] & low:
             c += 1
+        if c == len(seen):
+            seen.append(0)
         color[best] = c
-        bit = 1 << c
-        for u in g.neighbors(best):
-            if color[u] < 0:
-                sat[u] |= bit
+        row = adj[best]
+        grow = row & uncolored & ~seen[c]
+        seen[c] |= row
+        if not grow:
+            continue
+        if top + 1 == len(buckets):
+            buckets.append(0)
+        # top down, so a vertex lifted into bucket s + 1 is not lifted again
+        for s in range(top, -1, -1):
+            moved = buckets[s] & grow
+            if moved:
+                buckets[s] ^= moved
+                buckets[s + 1] |= moved
+                grow ^= moved
+                if not grow:
+                    break
+        if buckets[top + 1]:
+            top += 1
     return _canonical_coloring(color)
 
 
@@ -312,27 +348,33 @@ def _canonical_coloring(color: list[int]) -> Coloring:
 
 
 def clique_lower_bound(g: Graph) -> int:
-    """Size of a clique found by a deterministic greedy pass (0 on no vertices)."""
+    """Size of a clique found by a deterministic greedy pass (0 on no vertices).
+
+    From each seed vertex, repeatedly add the candidate of highest degree,
+    ties broken by least index.  The vertices are grouped into one mask
+    per distinct degree, highest first, so each pick is the lowest bit of
+    the first class that meets the candidates: at most one AND per
+    distinct degree, not one step per candidate.
+    """
     n = g.n
     if n == 0:
         return 0
-    deg = [g.degree(v) for v in range(n)]
+    adj = g.adj
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
     best = 1
-    for seed in range(n):
+    for cand in adj:
         size = 1
-        cand = g.adj[seed]
         while cand:
-            pick, key = -1, None
-            m = cand
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                k = (deg[u], -u)
-                if key is None or k > key:
-                    pick, key = u, k
+            for cls in classes:
+                hit = cand & cls
+                if hit:
+                    break
             size += 1
-            cand &= g.adj[pick]
+            cand &= adj[(hit & -hit).bit_length() - 1]
         if size > best:
             best = size
     return best
@@ -432,7 +474,7 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     nbrs = [g.neighbors(v) for v in range(n)]
     deg = [g.degree(v) for v in range(n)]
     spent = 0
-    last_refutation = None
+    refutations: list[int] = []
     for k in range(lb, ub):
         cap = None if budget is None else budget - spent
         status, col, nodes = _k_colorable(g.adj, nbrs, deg, n, k, cap)
@@ -440,12 +482,14 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
         if status == "sat":
             evidence = None
             if k > lb:
-                evidence = InfeasibilityEvidence(k - 1, last_refutation)
+                evidence = InfeasibilityEvidence(k - 1, refutations[-1], tuple(refutations))
             return ChiCertificate(k, _canonical_coloring(col), lb, evidence)
         if status == "budget":
             return ChiUndecided(k, ub, ub_col, spent)
-        last_refutation = nodes
-    return ChiCertificate(ub, ub_col, lb, InfeasibilityEvidence(ub - 1, last_refutation))
+        refutations.append(nodes)
+    return ChiCertificate(
+        ub, ub_col, lb, InfeasibilityEvidence(ub - 1, refutations[-1], tuple(refutations))
+    )
 
 
 def export_dimacs_kcolor(g: Graph, k: int) -> str:

@@ -3,8 +3,10 @@
 The partition graph tests every pair of vertices with ``nested``; lift
 classes sum the boundary copies of one block and reduce the sum; the
 properness report compares the full per-cover color tables on every
-edge; a coloring is validated by walking the edges in sorted order.
-Tests check the package against these on small sizes.
+edge; a coloring is validated by walking the edges in sorted order;
+DSATUR and the greedy clique bound scan every vertex, or every
+candidate, at each step.  Tests check the package against these on
+small sizes.
 """
 
 from itertools import combinations
@@ -15,7 +17,7 @@ from sphere_chroma.covercolor import (
     enumerate_double_covers,
     homology_class,
 )
-from sphere_chroma.graphcore import Graph
+from sphere_chroma.graphcore import Coloring, Graph, _canonical_coloring
 from sphere_chroma.kneser import nested, spherelike_partitions
 
 
@@ -103,3 +105,53 @@ def edge_walk_violation(g, coloring):
         if a[i] == a[j]:
             return (i, j)
     return None
+
+
+def greedy_dsatur(g: Graph) -> Coloring:
+    """Greedy coloring in saturation order; ties broken by least vertex index."""
+    n = g.n
+    color = [-1] * n
+    sat = [0] * n  # bitmask of colors seen on neighbors
+    for _ in range(n):
+        best, best_sat = -1, -1
+        for v in range(n):
+            if color[v] < 0:
+                s = sat[v].bit_count()
+                if s > best_sat:
+                    best, best_sat = v, s
+        c = 0
+        while sat[best] >> c & 1:
+            c += 1
+        color[best] = c
+        bit = 1 << c
+        for u in g.neighbors(best):
+            if color[u] < 0:
+                sat[u] |= bit
+    return _canonical_coloring(color)
+
+
+def clique_lower_bound(g: Graph) -> int:
+    """Size of a clique found by a deterministic greedy pass (0 on no vertices)."""
+    n = g.n
+    if n == 0:
+        return 0
+    deg = [g.degree(v) for v in range(n)]
+    best = 1
+    for seed in range(n):
+        size = 1
+        cand = g.adj[seed]
+        while cand:
+            pick, key = -1, None
+            m = cand
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                m ^= low
+                k = (deg[u], -u)
+                if key is None or k > key:
+                    pick, key = u, k
+            size += 1
+            cand &= g.adj[pick]
+        if size > best:
+            best = size
+    return best

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -195,6 +196,18 @@ class TestExport:
         assert code == 74
 
 
+# address-space limit for a CLI child that must fail fast: a cap set one
+# step too high then dies in the child instead of building the oversize
+# graph in the test process
+CHILD_AS_BYTES = 1300 * 2**20
+
+
+def _limit_child_memory():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = CHILD_AS_BYTES if hard == resource.RLIM_INFINITY else min(CHILD_AS_BYTES, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 class TestFlagHandling:
     def test_unknown_command(self, run):
         code, _, err = run(["frobnicate"])
@@ -216,9 +229,13 @@ class TestFlagHandling:
         ["color", "--r", "8"],
         ["generate", "farey", "--depth", "16", "--fins"],
     ])
-    def test_sizes_past_the_caps_exit_64(self, run, argv):
-        code, out, err = run(argv)
-        assert code == 64 and out == "" and "error" in err
+    def test_sizes_past_the_caps_exit_64(self, cli_env, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "sphere_chroma.cli", *argv],
+            capture_output=True, text=True, timeout=30, env=cli_env,
+            preexec_fn=_limit_child_memory,
+        )
+        assert result.returncode == 64 and result.stdout == "" and "error" in result.stderr
 
     def test_threads_is_an_unknown_flag(self, run):
         code, out, err = run(["--threads", "1", "verify", "petersen"])

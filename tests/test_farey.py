@@ -135,5 +135,7 @@ class TestChi:
         assert chi_farey_ball(10).chi == 3
 
     def test_depth_capped(self):
-        with pytest.raises(ValueError):
-            chi_farey_ball(11)
+        # no cap beyond the ball's own: depth 11 and up are in range
+        assert chi_farey_ball(11, fins=True).chi == 3
+        with pytest.raises(ValueError, match=f"0..{MAX_DEPTH}"):
+            chi_farey_ball(MAX_DEPTH + 1)

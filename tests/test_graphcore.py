@@ -1,9 +1,12 @@
 import json
+import random
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from sphere_chroma.farey import add_fins, farey_ball
 from sphere_chroma.graphcore import (
     ChiCertificate,
     ChiUndecided,
@@ -21,6 +24,8 @@ from sphere_chroma.graphcore import (
     to_json,
     validate_coloring,
 )
+from sphere_chroma.kneser import kg, total_kneser
+from sphere_chroma.spheres import sphere_graph_holed
 
 
 def cycle(n):
@@ -211,10 +216,70 @@ class TestChromaticNumberExact:
     def test_budget_large_enough_still_exact(self):
         assert chromatic_number_exact(cycle(5), budget=10_000).chi == 3
 
+    def test_one_refutation_count_per_k(self):
+        g = sphere_graph_holed(8)
+        cert = chromatic_number_exact(g)
+        ev = cert.infeasibility
+        assert (cert.chi, cert.clique_bound) == (9, 5)
+        assert len(ev.refutation_nodes) == cert.chi - cert.clique_bound
+        assert ev.refutation_nodes[-1] == ev.nodes_explored == 3853
+        # the refutations of k = 5..8 are every node the search spends
+        # before it reaches k = 9: one node fewer leaves k = 8 open
+        spent = sum(ev.refutation_nodes)
+        reached = chromatic_number_exact(g, budget=spent)
+        assert (reached.lower, reached.nodes_explored) == (9, spent)
+        assert chromatic_number_exact(g, budget=spent - 1).lower == 8
+
     def test_deterministic(self):
         a = chromatic_number_exact(petersen())
         b = chromatic_number_exact(petersen())
         assert a.chi == b.chi and a.witness == b.witness
+
+
+ORACLE_GRAPHS = [
+    *[pytest.param(partial(sphere_graph_holed, n), id=f"S{n}") for n in range(5, 11)],
+    *[pytest.param(partial(total_kneser, n), id=f"TK{n}") for n in range(5, 10)],
+    pytest.param(partial(kg, 10, 4), id="kg(10,4)"),
+    pytest.param(lambda: add_fins(farey_ball(9)), id="farey9-fins"),
+]
+
+
+@st.composite
+def varied_graphs(draw):
+    """Random graphs of any density, or threshold graphs with many distinct
+    degrees, with isolated vertices mixed into a drawn vertex order."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]))
+        edges = [e for e in pairs if rng.random() < p]
+    else:
+        # i ~ j when i + j >= n: about n / 2 distinct degrees
+        edges = [(i, j) for i, j in pairs if i + j >= n]
+    order = list(range(n + draw(st.integers(min_value=0, max_value=5))))
+    rng.shuffle(order)
+    return Graph([f"v{v}" for v in range(len(order))], [(order[i], order[j]) for i, j in edges])
+
+
+class TestSelectionMatchesScan:
+    """The bucketed DSATUR pick and the degree-class clique pick choose the
+    same vertex at every step as the per-vertex scans in oracles."""
+
+    @pytest.mark.parametrize("build", ORACLE_GRAPHS)
+    def test_fixed_graphs(self, build):
+        g = build()
+        assert greedy_dsatur(g) == oracles.greedy_dsatur(g)
+        assert clique_lower_bound(g) == oracles.clique_lower_bound(g)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(varied_graphs())
+    @example(Graph([]))
+    @example(Graph(["a", "b", "c"]))
+    @example(complete_graph(6))
+    def test_random_graphs(self, g):
+        assert greedy_dsatur(g) == oracles.greedy_dsatur(g)
+        assert clique_lower_bound(g) == oracles.clique_lower_bound(g)
 
 
 class TestDimacsExport:
