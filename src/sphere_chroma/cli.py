@@ -127,7 +127,7 @@ def _read_graph(path: str | None) -> graphcore.Graph:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read input: {e}") from None
     try:
         return graphcore.from_json(text)
@@ -213,8 +213,6 @@ def _cmd_verify(args) -> int:
     # farey-parity: validate the parity coloring on the ball and on the
     # finned ball; report exact chi of the finned ball for small depths
     depth = args.depth
-    if not 0 <= depth <= 12:
-        raise ValueError(f"farey-parity allows depth 0..12, got {depth}")
     ball = farey.farey_ball(depth)
     finned = farey.add_fins(ball)
     ok = True

@@ -1,11 +1,15 @@
 """Exact graph coloring over small labeled graphs.
 
 Vertices are indices into a label list; edges are unordered index pairs.
-Adjacency is kept as dense bit rows (one int per vertex), which keeps the
-search loops allocation-free.  The exact engine is a branch-and-bound over
-color classes in DSATUR order with the first branched vertex pinned to
-color 0; when a node budget runs out it reports an explicit undecided
-outcome instead of guessing.
+Adjacency is kept as dense bit rows (one int per vertex).  The exact
+engine is a branch-and-bound over color classes in DSATUR order with the
+first branched vertex pinned to color 0.  Its state is a handful of
+vertex masks: the uncolored vertices, one "has a neighbour of color c"
+mask per color, and a saturation counter sliced into bit planes, so a
+node costs a few big-int operations per color and per plane, not one
+step per neighbour.  Each node saves a snapshot of the masks it changes
+and backtracking restores it.  When a node budget runs out the engine
+reports an explicit undecided outcome instead of guessing.
 """
 
 from __future__ import annotations
@@ -249,12 +253,18 @@ class ChiCertificate:
 
 @dataclass(frozen=True)
 class ChiUndecided:
-    """Budget ran out: chi lies in [lower, upper], witness achieves upper."""
+    """Budget ran out: chi lies in [lower, upper], witness achieves upper.
+
+    ``nodes_explored`` counts every node the call spent; ``refutation_nodes``
+    has one count per palette size refuted before the budget ran out, from
+    the clique bound up to ``lower - 1``.
+    """
 
     lower: int
     upper: int
     witness: Coloring
     nodes_explored: int
+    refutation_nodes: tuple[int, ...]
 
 
 def validate_coloring(g: Graph, coloring: Coloring):
@@ -347,6 +357,15 @@ def _canonical_coloring(color: list[int]) -> Coloring:
     return Coloring(out)
 
 
+def _degree_classes(adj) -> list[int]:
+    """One vertex mask per distinct degree, highest degree first."""
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    return [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
 def clique_lower_bound(g: Graph) -> int:
     """Size of a clique found by a deterministic greedy pass (0 on no vertices).
 
@@ -360,11 +379,7 @@ def clique_lower_bound(g: Graph) -> int:
     if n == 0:
         return 0
     adj = g.adj
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    classes = _degree_classes(adj)
     best = 1
     for cand in adj:
         size = 1
@@ -380,78 +395,93 @@ def clique_lower_bound(g: Graph) -> int:
     return best
 
 
-def _k_colorable(adj, nbrs, deg, n, k, node_cap):
+def _k_colorable(adj, classes, n, k, node_cap):
     """Backtracking search for a proper k-coloring.
 
     Returns (status, coloring or None, nodes) with status "sat", "unsat"
-    or "budget".  Vertices are picked in saturation order (ties: degree,
-    then least index); at each node the usable colors are those already in
-    use plus at most one fresh color, so the first vertex always takes
-    color 0 and color classes are explored in canonical order.
+    or "budget".  Vertices are picked in saturation order (ties: the first
+    of ``classes``, the degree classes of ``_degree_classes``, then least
+    index); at each node the usable colors are those already in use plus
+    at most one fresh color, so the first vertex always takes color 0 and
+    color classes are explored in canonical order.
+
+    The state is a few big-int masks: ``uncolored``; ``seen[c]``, the
+    vertices with a neighbour colored c; and a bit-sliced saturation
+    counter, where plane p holds bit p of each vertex's count of distinct
+    neighbour colors.  Coloring v with c adds one, by ripple carry, to
+    each uncolored neighbour of v outside ``seen[c]``.  The select walks
+    the planes from the top to find the uncolored vertices of highest
+    count; a count of k leaves some vertex no color, a dead node.  Each
+    frame saves (c, old seen[c], planes, uncolored) before it assigns,
+    and undo restores that snapshot, so neither the assignment nor the
+    undo loops over neighbours.
     """
     if n == 0:
         return "sat", [], 0
     if k <= 0:
         return "unsat", None, 0
-    full = (1 << k) - 1
-    color = [-1] * n
-    sat = [0] * n
+    top = k.bit_length() - 1
+    planes = [0] * (top + 1)
+    seen = [0] * k
+    uncolored = (1 << n) - 1
     nodes = 0
-    max_used = 0
-
-    def select():
-        # (vertex, dead). dead means some uncolored vertex has no color left.
-        v, bs, bd = -1, -1, -1
-        for u in range(n):
-            if color[u] < 0:
-                s = sat[u]
-                if s == full:
-                    return u, True
-                sc = s.bit_count()
-                # ascending scan keeps the least index on full ties
-                if sc > bs or (sc == bs and deg[u] > bd):
-                    v, bs, bd = u, sc, deg[u]
-        return v, False
-
-    v0, _ = select()
-    # frame: [vertex, untried candidate mask, max_used before assigning, trail]
-    frames = [[v0, (1 << min(max_used + 1, k)) - 1 & ~sat[v0], max_used, None]]
+    # with every count 0 the pick is the lowest vertex of highest degree
+    first = classes[0] & -classes[0]
+    # frame: [vertex, its bit, next color to try, color limit,
+    #         max_used before assigning, snapshot or None]
+    frames = [[first.bit_length() - 1, first, 0, 1, 0, None]]
     while frames:
         fr = frames[-1]
-        v, trail = fr[0], fr[3]
-        if trail is not None:
-            bit = 1 << color[v]
-            for u in trail:
-                sat[u] ^= bit
-            color[v] = -1
-            max_used = fr[2]
-            fr[3] = None
-        cand = fr[1]
-        if not cand:
+        v, vbit, c, limit, max_used, snap = fr
+        if snap is not None:
+            seen[snap[0]] = snap[1]
+            planes = snap[2]
+            uncolored = snap[3]
+        while c < limit and seen[c] & vbit:
+            c += 1
+        if c == limit:
             frames.pop()
             continue
-        low = cand & -cand
-        c = low.bit_length() - 1
-        fr[1] = cand ^ low
+        fr[2] = c + 1
         nodes += 1
         if node_cap is not None and nodes > node_cap:
             return "budget", None, nodes - 1
-        color[v] = c
-        bit = 1 << c
-        trail = []
-        for u in nbrs[v]:
-            if color[u] < 0 and not sat[u] & bit:
-                sat[u] |= bit
-                trail.append(u)
-        fr[3] = trail
-        if c + 1 > max_used:
-            max_used = c + 1
-        nxt, dead = select()
-        if dead:
+        row = adj[v]
+        old = seen[c]
+        fr[5] = (c, old, planes, uncolored)
+        uncolored ^= vbit
+        carry = row & uncolored & ~old
+        seen[c] = old | row
+        if carry:
+            # a fresh list, so the snapshot keeps the old planes
+            planes = planes[:]
+            for p in range(top + 1):
+                t = planes[p] & carry
+                planes[p] ^= carry
+                carry = t
+                if not carry:
+                    break
+        if c == max_used:
+            max_used += 1
+        if not uncolored:
+            color = [0] * n
+            for f in frames:
+                color[f[0]] = f[2] - 1
+            return "sat", color, nodes
+        best, count = uncolored, 0
+        for p in range(top, -1, -1):
+            t = best & planes[p]
+            if t:
+                best = t
+                count |= 1 << p
+        if count == k:
             continue
-        if nxt < 0:
-            return "sat", color[:], nodes
-        frames.append([nxt, (1 << min(max_used + 1, k)) - 1 & ~sat[nxt], max_used, None])
+        for cls in classes:
+            hit = best & cls
+            if hit:
+                break
+        low = hit & -hit
+        frames.append([low.bit_length() - 1, low, 0, min(max_used + 1, k), max_used, None])
     return "unsat", None, nodes
 
 
@@ -471,13 +501,12 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     lb = clique_lower_bound(g)
     if lb == ub:
         return ChiCertificate(ub, ub_col, lb, None)
-    nbrs = [g.neighbors(v) for v in range(n)]
-    deg = [g.degree(v) for v in range(n)]
+    classes = _degree_classes(g.adj)
     spent = 0
     refutations: list[int] = []
     for k in range(lb, ub):
         cap = None if budget is None else budget - spent
-        status, col, nodes = _k_colorable(g.adj, nbrs, deg, n, k, cap)
+        status, col, nodes = _k_colorable(g.adj, classes, n, k, cap)
         spent += nodes
         if status == "sat":
             evidence = None
@@ -485,7 +514,7 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
                 evidence = InfeasibilityEvidence(k - 1, refutations[-1], tuple(refutations))
             return ChiCertificate(k, _canonical_coloring(col), lb, evidence)
         if status == "budget":
-            return ChiUndecided(k, ub, ub_col, spent)
+            return ChiUndecided(k, ub, ub_col, spent, tuple(refutations))
         refutations.append(nodes)
     return ChiCertificate(
         ub, ub_col, lb, InfeasibilityEvidence(ub - 1, refutations[-1], tuple(refutations))

@@ -5,8 +5,10 @@ classes sum the boundary copies of one block and reduce the sum; the
 properness report compares the full per-cover color tables on every
 edge; a coloring is validated by walking the edges in sorted order;
 DSATUR and the greedy clique bound scan every vertex, or every
-candidate, at each step.  Tests check the package against these on
-small sizes.
+candidate, at each step; the exact k-coloring search scans every vertex
+for its select and keeps a per-vertex saturation list with a trail of
+the neighbours each assignment touched.  Tests check the package
+against these on small sizes.
 """
 
 from itertools import combinations
@@ -155,3 +157,78 @@ def clique_lower_bound(g: Graph) -> int:
         if size > best:
             best = size
     return best
+
+
+def _k_colorable(adj, nbrs, deg, n, k, node_cap):
+    """Backtracking search for a proper k-coloring.
+
+    Returns (status, coloring or None, nodes) with status "sat", "unsat"
+    or "budget".  Vertices are picked in saturation order (ties: degree,
+    then least index); at each node the usable colors are those already in
+    use plus at most one fresh color, so the first vertex always takes
+    color 0 and color classes are explored in canonical order.
+    """
+    if n == 0:
+        return "sat", [], 0
+    if k <= 0:
+        return "unsat", None, 0
+    full = (1 << k) - 1
+    color = [-1] * n
+    sat = [0] * n
+    nodes = 0
+    max_used = 0
+
+    def select():
+        # (vertex, dead). dead means some uncolored vertex has no color left.
+        v, bs, bd = -1, -1, -1
+        for u in range(n):
+            if color[u] < 0:
+                s = sat[u]
+                if s == full:
+                    return u, True
+                sc = s.bit_count()
+                # ascending scan keeps the least index on full ties
+                if sc > bs or (sc == bs and deg[u] > bd):
+                    v, bs, bd = u, sc, deg[u]
+        return v, False
+
+    v0, _ = select()
+    # frame: [vertex, untried candidate mask, max_used before assigning, trail]
+    frames = [[v0, (1 << min(max_used + 1, k)) - 1 & ~sat[v0], max_used, None]]
+    while frames:
+        fr = frames[-1]
+        v, trail = fr[0], fr[3]
+        if trail is not None:
+            bit = 1 << color[v]
+            for u in trail:
+                sat[u] ^= bit
+            color[v] = -1
+            max_used = fr[2]
+            fr[3] = None
+        cand = fr[1]
+        if not cand:
+            frames.pop()
+            continue
+        low = cand & -cand
+        c = low.bit_length() - 1
+        fr[1] = cand ^ low
+        nodes += 1
+        if node_cap is not None and nodes > node_cap:
+            return "budget", None, nodes - 1
+        color[v] = c
+        bit = 1 << c
+        trail = []
+        for u in nbrs[v]:
+            if color[u] < 0 and not sat[u] & bit:
+                sat[u] |= bit
+                trail.append(u)
+        fr[3] = trail
+        if c + 1 > max_used:
+            max_used = c + 1
+        nxt, dead = select()
+        if dead:
+            continue
+        if nxt < 0:
+            return "sat", color[:], nodes
+        frames.append([nxt, (1 << min(max_used + 1, k)) - 1 & ~sat[nxt], max_used, None])
+    return "unsat", None, nodes

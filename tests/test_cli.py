@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,12 +7,15 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sphere_chroma
 from sphere_chroma import cli
-from sphere_chroma.graphcore import chromatic_number_exact, from_json
+from sphere_chroma.farey import MAX_DEPTH
+from sphere_chroma.graphcore import Graph, chromatic_number_exact, from_json, to_json
 from sphere_chroma.spheres import SphereKneserReport
 
 
@@ -140,7 +144,7 @@ class TestVerify:
         assert "not decided here" in parsed["open_question"]
 
     def test_farey_parity_depth_capped(self, run):
-        code, _, err = run(["verify", "farey-parity", "--depth", "13"])
+        code, _, err = run(["verify", "farey-parity", "--depth", str(MAX_DEPTH + 1)])
         assert code == 64 and "depth" in err
 
 
@@ -228,6 +232,7 @@ class TestFlagHandling:
         ["verify", "proper", "--r", "8"],
         ["color", "--r", "8"],
         ["generate", "farey", "--depth", "16", "--fins"],
+        ["verify", "farey-parity", "--depth", "16"],
     ])
     def test_sizes_past_the_caps_exit_64(self, cli_env, argv):
         result = subprocess.run(
@@ -251,6 +256,109 @@ class TestFlagHandling:
         a = run(["generate", "glued", "--r", "3"])
         b = run(["generate", "glued", "--r", "3"])
         assert a == b
+
+
+# every documented command, "#" marking a size; sizes stay small so that
+# each drawn call is cheap (the cap tests above cover the large ones).
+# The commands that read a graph from stdin are drawn half the time.
+STDIN_TEMPLATES = [
+    "chi --exact --budget #",
+    "chi --bounds --input -",
+    "chi",
+    "export dot --input -",
+    "export dimacs --k #",
+]
+OTHER_TEMPLATES = [
+    "generate kneser --n # --k #",
+    "generate total-kneser --n #",
+    "generate sphere --n #",
+    "generate glued --r # --with-cut-spheres",
+    "generate farey --depth # --fins",
+    "color --r # --with-cut-spheres",
+    "verify lemma2 --n #",
+    "verify petersen",
+    "verify proper --r # --with-cut-spheres",
+    "verify farey-parity --depth #",
+    "count --r # --rank-mode paper",
+    "count --r # --rank-mode computed",
+]
+SIZES = st.integers(min_value=-2, max_value=5).map(str)
+# no digits or slashes: a random token is never a large size or a path
+# outside the working directory
+TOKENS = st.one_of(
+    SIZES,
+    st.sampled_from([
+        "--timing", "--exact", "--bounds", "--budget", "--input", "-", "--fins",
+        "--with-cut-spheres", "--n", "--k", "--r", "--depth", "--rank-mode",
+        "--help", "sphere", "chi", "verify", "",
+    ]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz-=_.", max_size=8),
+)
+DOCUMENTED_EXITS = {0, 2, 3, 64, 74, 141}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A documented command line, then up to three token edits."""
+    template = draw(st.sampled_from(STDIN_TEMPLATES) | st.sampled_from(OTHER_TEMPLATES))
+    argv = [draw(SIZES) if w == "#" else w for w in template.split()]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(min_value=0, max_value=len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            argv.insert(at, draw(TOKENS))
+        elif at < len(argv):
+            if edit == "delete":
+                del argv[at]
+            else:
+                argv[at] = draw(TOKENS)
+    return argv
+
+
+@st.composite
+def fuzz_stdin(draw):
+    """Random bytes, or a graph document of at most 12 vertices, maybe mangled."""
+    kind = draw(st.sampled_from(["bytes", "graph", "mangled"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    doc = to_json(Graph([f"v{i}" for i in range(n)], edges)).encode()
+    if kind == "mangled":
+        at = draw(st.integers(min_value=0, max_value=len(doc) - 1))
+        doc = doc[:at] + draw(st.binary(max_size=3)) + doc[at + 1:]
+    return doc
+
+
+def run_in_process(argv, data):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fuzz_argv(), fuzz_stdin())
+    @example(["chi", "--exact"], b"\xff\xfe{")
+    @example(["chi", "--exact", "--budget", "0"], to_json(
+        Graph(list("abcde"), [(i, (i + 1) % 5) for i in range(5)])).encode())
+    @example(["export", "dot"], b"")
+    @example(["verify", "farey-parity", "--depth", "-1"], b"")
+    def test_exit_codes_documented_and_no_traceback(self, argv, data):
+        code, _, err = run_in_process(argv, data)
+        assert code in DOCUMENTED_EXITS, (argv, code, err)
+        assert "Traceback" not in err
+
+    def test_undecodable_input_exits_74(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe{")
+        for argv, data in ((["chi"], path.read_bytes()), (["chi", "--input", str(path)], b"")):
+            code, out, err = run_in_process(argv, data)
+            assert code == 74 and out == "" and "cannot read input" in err
 
 
 # the CLI as a separate process, started the way a shell would start it

@@ -23,6 +23,8 @@ from sphere_chroma.graphcore import (
     induced_subgraph,
     to_json,
     validate_coloring,
+    _degree_classes,
+    _k_colorable,
 )
 from sphere_chroma.kneser import kg, total_kneser
 from sphere_chroma.spheres import sphere_graph_holed
@@ -212,6 +214,9 @@ class TestChromaticNumberExact:
         assert validate_coloring(petersen(), result.witness) is None
         assert result.witness.size == result.upper
         assert result.nodes_explored >= 1
+        # the budget ran out inside the first palette size tried
+        assert result.lower == clique_lower_bound(petersen())
+        assert result.refutation_nodes == ()
 
     def test_budget_large_enough_still_exact(self):
         assert chromatic_number_exact(cycle(5), budget=10_000).chi == 3
@@ -230,6 +235,13 @@ class TestChromaticNumberExact:
         assert (reached.lower, reached.nodes_explored) == (9, spent)
         assert chromatic_number_exact(g, budget=spent - 1).lower == 8
 
+    def test_undecided_keeps_one_refutation_count_per_k(self):
+        result = chromatic_number_exact(sphere_graph_holed(9), budget=50_000)
+        assert isinstance(result, ChiUndecided)
+        assert (result.lower, result.upper, result.nodes_explored) == (10, 18, 50_000)
+        # k = 6..9 refuted, then k = 10 ran out of budget
+        assert result.refutation_nodes == (9, 22, 84, 1178)
+
     def test_deterministic(self):
         a = chromatic_number_exact(petersen())
         b = chromatic_number_exact(petersen())
@@ -245,10 +257,10 @@ ORACLE_GRAPHS = [
 
 
 @st.composite
-def varied_graphs(draw):
+def varied_graphs(draw, max_n=40):
     """Random graphs of any density, or threshold graphs with many distinct
     degrees, with isolated vertices mixed into a drawn vertex order."""
-    n = draw(st.integers(min_value=0, max_value=40))
+    n = draw(st.integers(min_value=0, max_value=max_n))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if draw(st.booleans()):
@@ -280,6 +292,61 @@ class TestSelectionMatchesScan:
     def test_random_graphs(self, g):
         assert greedy_dsatur(g) == oracles.greedy_dsatur(g)
         assert clique_lower_bound(g) == oracles.clique_lower_bound(g)
+
+
+def search_both(g, k, cap):
+    """(bitset kernel, per-vertex scan oracle) results for one k."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    deg = [g.degree(v) for v in range(n)]
+    got = _k_colorable(g.adj, _degree_classes(g.adj), n, k, cap)
+    want = oracles._k_colorable(g.adj, nbrs, deg, n, k, cap)
+    return got, want
+
+
+SEARCH_GRAPHS = [
+    pytest.param(petersen, id="petersen"),
+    *[pytest.param(partial(sphere_graph_holed, n), id=f"S{n}") for n in range(5, 9)],
+    *[pytest.param(partial(total_kneser, n), id=f"TK{n}") for n in range(5, 9)],
+    pytest.param(partial(kg, 10, 4), id="kg(10,4)"),
+]
+
+
+class TestSearchMatchesScan:
+    """The bitset k-coloring search returns the same (status, coloring,
+    nodes) as the per-vertex scan in oracles: the same search tree."""
+
+    @pytest.mark.parametrize("build", SEARCH_GRAPHS)
+    def test_every_k_between_the_bounds(self, build):
+        g = build()
+        for k in range(clique_lower_bound(g), greedy_dsatur(g).size + 1):
+            got, want = search_both(g, k, None)
+            assert got == want, k
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(partial(sphere_graph_holed, 9), id="S9"),
+        pytest.param(partial(total_kneser, 9), id="TK9"),
+    ])
+    def test_budgeted_on_n9(self, build):
+        g = build()
+        for k in range(clique_lower_bound(g), greedy_dsatur(g).size + 1):
+            got, want = search_both(g, k, 5_000)
+            assert got == want, k
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        varied_graphs(max_n=14),
+        st.integers(min_value=0, max_value=6),
+        st.one_of(st.none(), st.just(1), st.integers(min_value=0, max_value=40)),
+    )
+    @example(Graph([]), 0, None)
+    @example(Graph([]), 3, 0)
+    @example(complete_graph(6), 5, None)
+    @example(complete_graph(6), 6, None)
+    @example(complete_graph(6), 6, 3)
+    def test_random_graphs(self, g, k, cap):
+        got, want = search_both(g, k, cap)
+        assert got == want
 
 
 class TestDimacsExport:
