@@ -31,7 +31,6 @@ from .covercolor import (
     glued_sphere_graph,
     homology_class,
     lift_classes,
-    sphere_color,
     used_color_count,
     verify_coloring_proper,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "enumerate_double_covers",
     "cover_h2",
     "lift_classes",
-    "sphere_color",
     "verify_coloring_proper",
     "count_colors",
     "used_color_count",

@@ -36,23 +36,20 @@ import math
 from dataclasses import dataclass
 
 from .graphcore import Graph, _bits
-from .kneser import TwoBlockPartition, spherelike_partitions
+from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
 
 __all__ = [
     "CutSystemModel",
     "DoubleCover",
     "GF2Quotient",
-    "SphereColor",
     "ProperColoringReport",
     "ColorTable",
     "CountReport",
-    "LiftClassSet",
     "glued_sphere_graph",
     "homology_class",
     "enumerate_double_covers",
     "cover_h2",
     "lift_classes",
-    "sphere_color",
     "color_table",
     "sheet_swap",
     "class_label",
@@ -62,12 +59,9 @@ __all__ = [
     "used_color_count",
 ]
 
-# r = 7 is the 14-holed sphere, the largest ground set kneser admits;
+# the 2r-holed sphere must fit kneser's ground-set cap (r = 7 at 14);
 # `color --r 8` also passes 1 GB of memory (CHANGES.md)
-MAX_R_ENUMERATE = 7
-
-# a lift class set is a frozenset of canonical class bitmasks (1 or 2 of them)
-LiftClassSet = frozenset
+MAX_R_ENUMERATE = MAX_GROUND_SET // 2
 
 
 @dataclass(frozen=True)
@@ -161,13 +155,11 @@ class GF2Quotient:
     """GF(2) space on 2r generators modulo a list of relations."""
 
     dim: int
-    relations: tuple[int, ...]
     rows: tuple[int, ...]
 
     @classmethod
     def from_relations(cls, dim: int, relations) -> "GF2Quotient":
-        relations = tuple(relations)
-        return cls(dim, relations, _gf2_rref(relations, dim))
+        return cls(dim, _gf2_rref(relations, dim))
 
     @property
     def rank(self) -> int:
@@ -239,8 +231,8 @@ def lift_classes(
     cover: DoubleCover,
     p: TwoBlockPartition,
     quotient: GF2Quotient | None = None,
-) -> LiftClassSet:
-    """Set of the (1 or 2) classes of the two lifts of p in the cover."""
+) -> frozenset:
+    """Set of the (1 or 2) canonical classes of the two lifts of p in the cover."""
     if quotient is None:
         quotient = cover_h2(model, cover)
     out = []
@@ -251,23 +243,6 @@ def lift_classes(
                 bits ^= b
         out.append(quotient.canonical(bits))
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class SphereColor:
-    """The color f_a: one LiftClassSet per connected double cover, in
-    canonical cover order."""
-
-    r: int
-    entries: tuple[frozenset, ...]
-
-
-def sphere_color(model: CutSystemModel, p: TwoBlockPartition) -> SphereColor:
-    covers = enumerate_double_covers(model.r)
-    return SphereColor(
-        model.r,
-        tuple(lift_classes(model, cover, p) for cover in covers),
-    )
 
 
 def sheet_swap(bits: int, r: int) -> int:
@@ -319,8 +294,9 @@ class ColorTable:
     def width(self) -> int:
         return 2 * self.r
 
-    def entries(self, v: int) -> tuple[LiftClassSet, ...]:
-        """f(v) as one LiftClassSet per cover, in canonical cover order."""
+    def entries(self, v: int) -> tuple[frozenset, ...]:
+        """f(v) as one set of (1 or 2) lift classes per cover, in canonical
+        cover order."""
         w = self.width
         field = (1 << w) - 1
         key = self.keys[v]
@@ -518,7 +494,5 @@ def count_colors(r: int, rank_mode: str = "paper") -> CountReport:
 
 
 def used_color_count(model: CutSystemModel) -> int:
-    """Number of distinct f values over the sphere vertices (r <= 5)."""
-    if model.r > 5:
-        raise ValueError(f"used_color_count is exhaustive; r <= 5 required, got {model.r}")
+    """Number of distinct f values over the sphere vertices."""
     return len(set(color_table(model).keys))

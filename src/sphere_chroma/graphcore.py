@@ -48,12 +48,12 @@ class SchemaError(ValueError):
 class Graph:
     """Immutable undirected graph; the label list fixes the vertex order.
 
-    Adjacency bit rows are the only stored structure: bit j of ``adj[i]``
-    is set when i and j are adjacent.  ``edges`` and ``sorted_edges`` are
-    views derived from the rows on first use.
+    The labels and the adjacency bit rows are all it stores: bit j of
+    ``adj[i]`` is set when i and j are adjacent.  ``sorted_edges`` lists
+    the edges afresh from the rows on each call.
     """
 
-    __slots__ = ("labels", "adj", "_edge_list", "_edge_set")
+    __slots__ = ("labels", "adj")
 
     def __init__(self, labels, edges=()):
         labels = _checked_labels(labels)
@@ -71,7 +71,6 @@ class Graph:
             adj[j] |= 1 << i
         self.labels = labels
         self.adj = tuple(adj)
-        self._edge_list = self._edge_set = None
 
     @classmethod
     def from_rows(cls, labels, rows) -> "Graph":
@@ -83,7 +82,6 @@ class Graph:
         g = cls.__new__(cls)
         g.labels = _checked_labels(labels)
         g.adj = tuple(rows)
-        g._edge_list = g._edge_set = None
         n = len(g.labels)
         if len(g.adj) != n:
             raise ValueError(f"{len(g.adj)} adjacency rows for {n} vertices")
@@ -103,17 +101,7 @@ class Graph:
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Edges (i, j) with i < j, ascending; read off the rows in order."""
-        if self._edge_list is None:
-            self._edge_list = tuple(
-                (i, j) for i, row in enumerate(self.adj) for j in _bits(row >> (i + 1), i + 1)
-            )
-        return list(self._edge_list)
-
-    @property
-    def edges(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.sorted_edges)
-        return self._edge_set
+        return [(i, j) for i, row in enumerate(self.adj) for j in _bits(row >> (i + 1), i + 1)]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -491,8 +479,11 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     Tries k = clique bound, clique bound + 1, ... until a k-coloring is
     found; each completed failed search exhausts the whole (symmetry
     reduced) space for that k, so the result is exact.  ``budget`` caps
-    the total number of branch nodes across the call.
+    the total number of branch nodes across the call; a negative budget
+    is a ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be a non-negative node count, got {budget}")
     n = g.n
     if n == 0:
         return ChiCertificate(0, Coloring({}), 0, None)
@@ -570,7 +561,7 @@ def to_json(g: Graph) -> str:
     doc = {
         "format": GRAPH_FORMAT,
         "vertex_labels": list(g.labels),
-        "edges": [[i, j] for i, row in enumerate(g.adj) for j in _bits(row >> (i + 1), i + 1)],
+        "edges": g.sorted_edges,
     }
     return json.dumps(doc, separators=(",", ":"))
 

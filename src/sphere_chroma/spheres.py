@@ -26,7 +26,6 @@ from .kneser import (
 )
 
 __all__ = [
-    "SphereVertex",
     "SphereKneserReport",
     "PetersenIsoReport",
     "sphere_graph_holed",
@@ -35,10 +34,6 @@ __all__ = [
     "load_reference_three_coloring",
     "reference_coloring_on",
 ]
-
-# a sphere vertex is a two-block partition with both blocks of size >= 2
-SphereVertex = TwoBlockPartition
-
 
 def sphere_graph_holed(n: int) -> Graph:
     """Sphere graph of the n-holed 3-sphere (empty for n < 4)."""
@@ -63,11 +58,15 @@ class SphereKneserReport:
 def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
-    The two sides are built by separate code paths; the report carries the
-    symmetric difference of the edge sets (as label pairs) when they differ.
+    Both sides build their edges with ``kneser._partition_graph``; they
+    differ only in how they reach the vertex list (spherelike partitions
+    directly, or all partitions with the singletons removed afterwards).
+    The engine independent of it is the pair-by-pair nesting test
+    ``pairwise_partition_graph`` in ``tests/oracles.py``, which
+    ``tests/test_kneser.py`` compares against.  ``kneser.all_partitions``
+    caps n at ``MAX_GROUND_SET``.  The report carries the symmetric
+    difference of the edge sets (as label pairs) when they differ.
     """
-    if not 2 <= n <= 12:
-        raise ValueError(f"n must be in 2..12, got {n}")
     lhs = sphere_graph_holed(n)
     rhs = remove_singleton_partitions(total_kneser(n))
     labels_equal = lhs.labels == rhs.labels
@@ -81,8 +80,8 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
         missing = tuple(sorted(missing_pairs))
         extra = tuple(sorted(extra_pairs))
     else:
-        lhs_named = {(lhs.labels[i], lhs.labels[j]) for i, j in lhs.edges}
-        rhs_named = {(rhs.labels[i], rhs.labels[j]) for i, j in rhs.edges}
+        lhs_named = {(lhs.labels[i], lhs.labels[j]) for i, j in lhs.sorted_edges}
+        rhs_named = {(rhs.labels[i], rhs.labels[j]) for i, j in rhs.sorted_edges}
         missing = tuple(sorted(rhs_named - lhs_named))
         extra = tuple(sorted(lhs_named - rhs_named))
     ok = labels_equal and not missing and not extra
@@ -115,12 +114,12 @@ def verify_petersen_isomorphism(corrupt_edge: tuple[int, int] | None = None) -> 
     index_of = {label: i for i, label in enumerate(big.labels)}
     if sorted(image.values()) != sorted(big.labels):
         return PetersenIsoReport(False, None, "vertex map is not a bijection")
-    big_edges = set(big.edges)
+    big_edges = set(big.sorted_edges)
     if corrupt_edge is not None:
         e = tuple(sorted(corrupt_edge))
         big_edges ^= {e}
     mapped = set()
-    for i, j in small.edges:
+    for i, j in small.sorted_edges:
         a, b = index_of[image[i]], index_of[image[j]]
         e = (a, b) if a < b else (b, a)
         mapped.add(e)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sphere_chroma
-from sphere_chroma import cli
+from sphere_chroma import cli, farey
 from sphere_chroma.farey import MAX_DEPTH
-from sphere_chroma.graphcore import Graph, chromatic_number_exact, from_json, to_json
+from sphere_chroma.graphcore import Coloring, Graph, chromatic_number_exact, from_json, to_json
 from sphere_chroma.spheres import SphereKneserReport
 
 
@@ -101,6 +101,13 @@ class TestChi:
         assert parsed["undecided"] is True
         assert parsed["lower"] <= parsed["upper"]
 
+    def test_negative_budget_exits_64(self, run):
+        _, doc, _ = run(["generate", "sphere", "--n", "6"])
+        code, out, err = run(["chi", "--exact", "--budget", "-5"], stdin_text=doc)
+        assert code == 64 and out == "" and "budget" in err and "-5" in err
+        code, out, _ = run(["chi", "--exact", "--budget", "0"], stdin_text=doc)
+        assert code == 3 and json.loads(out)["undecided"] is True
+
     def test_missing_file_exits_74(self, run, tmp_path):
         code, out, err = run(["chi", "--input", str(tmp_path / "absent.json")])
         assert code == 74 and out == "" and "cannot read" in err
@@ -142,6 +149,20 @@ class TestVerify:
         parsed = json.loads(out)
         assert parsed["ok"] is True and parsed["chi"] == 3
         assert "not decided here" in parsed["open_question"]
+
+    def test_farey_parity_improper_exits_2(self, run, monkeypatch):
+        # give 1/1 the color of its neighbour 0/1: the check on the finned
+        # ball must see the Farey edge between them
+        real = farey.parity_coloring
+
+        def broken(g):
+            a = real(g).assignment
+            a[g.labels.index("1/1")] = a[g.labels.index("0/1")]
+            return Coloring(a)
+
+        monkeypatch.setattr(farey, "parity_coloring", broken)
+        code, out, _ = run(["verify", "farey-parity", "--depth", "4"])
+        assert code == 2 and json.loads(out)["ok"] is False
 
     def test_farey_parity_depth_capped(self, run):
         code, _, err = run(["verify", "farey-parity", "--depth", str(MAX_DEPTH + 1)])
@@ -233,6 +254,7 @@ class TestFlagHandling:
         ["color", "--r", "8"],
         ["generate", "farey", "--depth", "16", "--fins"],
         ["verify", "farey-parity", "--depth", "16"],
+        ["verify", "lemma2", "--n", "15"],
     ])
     def test_sizes_past_the_caps_exit_64(self, cli_env, argv):
         result = subprocess.run(

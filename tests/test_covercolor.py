@@ -21,7 +21,6 @@ from sphere_chroma.covercolor import (
     lift_classes,
     sheet_relation,
     sheet_swap,
-    sphere_color,
     used_color_count,
     verify_coloring_proper,
 )
@@ -234,9 +233,9 @@ class TestLiftClasses:
 
     def test_sphere_color_entry_count(self):
         model = CutSystemModel(3)
-        p = TwoBlockPartition.from_label("1 2 3|4 5 6")
-        color = sphere_color(model, p)
-        assert len(color.entries) == 2**3 - 1
+        table = color_table(model)
+        v = table.labels.index("1 2 3|4 5 6")
+        assert len(table.entries(v)) == 2**3 - 1
 
 
 class TestColorTable:
@@ -258,8 +257,9 @@ class TestColorTable:
     def test_sphere_color_reads_the_same_classes(self):
         model = CutSystemModel(3)
         table = color_table(model)
+        covers = enumerate_double_covers(3)
         for v, p in enumerate(spherelike_partitions(6)):
-            assert sphere_color(model, p).entries == table.entries(v)
+            assert tuple(lift_classes(model, c, p) for c in covers) == table.entries(v)
 
 
 class TestGluedGraph:
@@ -366,11 +366,11 @@ class TestProperness:
         parts = spherelike_partitions(6)
         g = glued_sphere_graph(model)
         hom = [homology_class(model, p) for p in parts]
-        colors = [sphere_color(model, p) for p in parts]
+        table = color_table(model)
         for i, j in g.sorted_edges:
             if hom[i] != hom[j]:
                 assert all(
-                    a != b for a, b in zip(colors[i].entries, colors[j].entries)
+                    a != b for a, b in zip(table.entries(i), table.entries(j))
                 )
 
 
@@ -424,8 +424,10 @@ class TestCounting:
         assert used_color_count(CutSystemModel(3)) == 22
 
     def test_used_color_count_capped(self):
+        # the model's own cap (r <= 7) is the only one
+        assert used_color_count(CutSystemModel(6)) == 1945
         with pytest.raises(ValueError):
-            used_color_count(CutSystemModel(6))
+            used_color_count(CutSystemModel(8))
 
     def test_used_well_below_available(self):
         assert used_color_count(CutSystemModel(3)) < count_colors(3, "computed").x

@@ -38,7 +38,7 @@ class TestFareyBall:
         # adjacent p/q, r/s always satisfy |ps - qr| = 1
         g = farey_ball(7)
         fracs = [tuple(map(int, label.split("/"))) for label in g.labels]
-        for i, j in g.edges:
+        for i, j in g.sorted_edges:
             (p, q), (r, s) = fracs[i], fracs[j]
             assert abs(p * s - q * r) == 1
 
@@ -71,9 +71,10 @@ class TestFins:
     def test_fins_create_triangles(self):
         g = farey_ball(2)
         finned = add_fins(g)
+        edges = set(finned.sorted_edges)
         for v in range(g.n, finned.n):
             a, b = finned.neighbors(v)
-            assert (a, b) in finned.edges
+            assert (a, b) in edges
 
 
 class TestParityColoring:

@@ -218,6 +218,10 @@ class TestChromaticNumberExact:
         assert result.lower == clique_lower_bound(petersen())
         assert result.refutation_nodes == ()
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="-1"):
+            chromatic_number_exact(petersen(), budget=-1)
+
     def test_budget_large_enough_still_exact(self):
         assert chromatic_number_exact(cycle(5), budget=10_000).chi == 3
 

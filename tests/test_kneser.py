@@ -112,7 +112,7 @@ class TestKneserGraphs:
 
     def test_kg_n1_is_complete(self):
         g = kg(3, 1)
-        assert g.edges == complete_graph(3).edges
+        assert g.sorted_edges == complete_graph(3).sorted_edges
 
     def test_kg_edges_are_disjoint_pairs(self):
         g = kg(6, 2)

@@ -2,7 +2,7 @@ import pytest
 
 from sphere_chroma import spheres
 from sphere_chroma.graphcore import Graph, chromatic_number_exact, validate_coloring
-from sphere_chroma.kneser import remove_singleton_partitions, total_kneser
+from sphere_chroma.kneser import MAX_GROUND_SET, remove_singleton_partitions, total_kneser
 from sphere_chroma.spheres import (
     load_reference_three_coloring,
     reference_coloring_on,
@@ -43,14 +43,15 @@ class TestSphereKneserLemma:
             direct = sphere_graph_holed(n)
             via_removal = remove_singleton_partitions(total_kneser(n))
             assert direct.labels == via_removal.labels
-            assert direct.edges == via_removal.edges
+            assert direct.sorted_edges == via_removal.sorted_edges
 
     def test_differences_named_from_the_rows(self, monkeypatch):
         # drop one sphere-graph edge and add one non-edge: the report names
         # each as a label pair
         g = sphere_graph_holed(6)
+        present = set(g.sorted_edges)
         dropped = g.sorted_edges[3]
-        added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in g.edges)
+        added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in present)
         edges = [e for e in g.sorted_edges if e != dropped] + [added]
         monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: Graph(g.labels, edges))
         report = verify_lemma_sphere_kneser(6)
@@ -63,7 +64,7 @@ class TestSphereKneserLemma:
         with pytest.raises(ValueError):
             verify_lemma_sphere_kneser(1)
         with pytest.raises(ValueError):
-            verify_lemma_sphere_kneser(13)
+            verify_lemma_sphere_kneser(MAX_GROUND_SET + 1)
 
 
 class TestPetersenIsomorphism:
@@ -82,11 +83,12 @@ class TestPetersenIsomorphism:
 
     def test_added_edge_detected(self):
         g = sphere_graph_holed(5)
+        present = set(g.sorted_edges)
         absent = next(
             (i, j)
             for i in range(g.n)
             for j in range(i + 1, g.n)
-            if (i, j) not in g.edges
+            if (i, j) not in present
         )
         report = verify_petersen_isomorphism(corrupt_edge=absent)
         assert not report.ok
