@@ -155,6 +155,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    if args.bounds and args.budget is not None:
+        raise ValueError("--budget limits only the exact search; drop it or --bounds")
     g = _read_graph(args.input)
     if args.bounds:
         _emit({

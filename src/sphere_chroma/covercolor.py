@@ -232,7 +232,11 @@ def lift_classes(
     p: TwoBlockPartition,
     quotient: GF2Quotient | None = None,
 ) -> frozenset:
-    """Set of the (1 or 2) canonical classes of the two lifts of p in the cover."""
+    """Set of the (1 or 2) canonical classes of the two lifts of p in the cover.
+
+    This is the per-vertex reference that ``color_table``'s span-table
+    reads are tested against; no CLI path runs it.
+    """
     if quotient is None:
         quotient = cover_h2(model, cover)
     out = []

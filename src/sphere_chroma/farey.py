@@ -104,7 +104,7 @@ def parity_coloring(g: Graph) -> Coloring:
     return Coloring(assignment)
 
 
-def chi_farey_ball(depth: int, fins: bool = False, budget: int | None = None):
+def chi_farey_ball(depth: int, fins: bool = False):
     """Exact chromatic number of the depth-ball, optionally with fins.
 
     Depths are capped by ``farey_ball`` alone: on the finned depth-15 ball
@@ -114,4 +114,4 @@ def chi_farey_ball(depth: int, fins: bool = False, budget: int | None = None):
     g = farey_ball(depth)
     if fins:
         g = add_fins(g)
-    return chromatic_number_exact(g, budget)
+    return chromatic_number_exact(g)

@@ -27,7 +27,6 @@ __all__ = [
     "SchemaError",
     "GRAPH_FORMAT",
     "complete_graph",
-    "induced_subgraph",
     "validate_coloring",
     "greedy_dsatur",
     "clique_lower_bound",
@@ -155,33 +154,10 @@ def _bits(mask: int, base: int = 0) -> list[int]:
     return list(compress(range(base, base + width), digits))
 
 
-def complete_graph(n: int, prefix: str = "v") -> Graph:
-    labels = [f"{prefix}{i}" for i in range(n)]
+def complete_graph(n: int) -> Graph:
+    labels = [f"v{i}" for i in range(n)]
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(labels, edges)
-
-
-def induced_subgraph(g: Graph, keep) -> Graph:
-    """Subgraph on the given vertex indices, preserving their relative order."""
-    keep = list(keep)
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate vertex in induced_subgraph selection")
-    for v in keep:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise ValueError(f"vertex {v!r} is not in the graph")
-    # one byte per kept vertex, plus a spare last byte for dropped ones
-    size = len(keep)
-    pos = [size] * g.n
-    for i, v in enumerate(keep):
-        pos[v] = i
-    rows = []
-    for v in keep:
-        row = bytearray(size + 1)
-        for u in _bits(g.adj[v]):
-            row[pos[u]] = 1
-        del row[size]
-        rows.append(_flags_to_row(row))
-    return Graph.from_rows([g.labels[v] for v in keep], rows)
 
 
 class Coloring:
@@ -194,8 +170,6 @@ class Coloring:
     __slots__ = ("assignment",)
 
     def __init__(self, assignment):
-        if isinstance(assignment, Coloring):
-            assignment = assignment.assignment
         if not isinstance(assignment, dict):
             assignment = dict(enumerate(assignment))
         for v, c in assignment.items():

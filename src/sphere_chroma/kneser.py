@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import Graph, _flags_to_row, induced_subgraph
+from .graphcore import Graph, _flags_to_row
 
 __all__ = [
     "TwoBlockPartition",
@@ -222,10 +222,19 @@ def total_kneser(n: int) -> Graph:
 
 
 def remove_singleton_partitions(g: Graph) -> Graph:
-    """Induced subgraph on the partition labels whose blocks both have >= 2 elements."""
-    keep = []
-    for v, label in enumerate(g.labels):
-        p = TwoBlockPartition.from_label(label)
-        if p.min_block_size >= 2:
-            keep.append(v)
-    return induced_subgraph(g, keep)
+    """g without the partition vertices that have a one-element block.
+
+    Each such vertex v is deleted where it stands, highest index first,
+    so the indices still to visit do not move.  Its label and row go, and
+    every other row loses bit v: with ``low = (1 << v) - 1`` the bits
+    below v stay (``row & low``) and the bits above it move down one
+    (``row >> 1 & ~low``).  The remaining vertices keep their order.
+    """
+    labels = list(g.labels)
+    rows = list(g.adj)
+    for v in range(len(labels) - 1, -1, -1):
+        if TwoBlockPartition.from_label(labels[v]).min_block_size < 2:
+            del labels[v], rows[v]
+            low = (1 << v) - 1
+            rows = [row & low | row >> 1 & ~low for row in rows]
+    return Graph.from_rows(labels, rows)

@@ -98,13 +98,9 @@ class PetersenIsoReport:
         return self.ok
 
 
-def verify_petersen_isomorphism(corrupt_edge: tuple[int, int] | None = None) -> PetersenIsoReport:
+def verify_petersen_isomorphism() -> PetersenIsoReport:
     """Check that 2-subset -> (2-subset | complement) maps kg(5, 2) onto
-    sphere_graph_holed(5) edge for edge.
-
-    ``corrupt_edge`` (an index pair) toggles one sphere-graph edge first;
-    it exists so tests can watch the check fail.
-    """
+    sphere_graph_holed(5) edge for edge."""
     small = kg(5, 2)
     big = sphere_graph_holed(5)
     image = {}
@@ -115,9 +111,6 @@ def verify_petersen_isomorphism(corrupt_edge: tuple[int, int] | None = None) -> 
     if sorted(image.values()) != sorted(big.labels):
         return PetersenIsoReport(False, None, "vertex map is not a bijection")
     big_edges = set(big.sorted_edges)
-    if corrupt_edge is not None:
-        e = tuple(sorted(corrupt_edge))
-        big_edges ^= {e}
     mapped = set()
     for i, j in small.sorted_edges:
         a, b = index_of[image[i]], index_of[image[j]]

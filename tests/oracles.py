@@ -1,6 +1,7 @@
 """Direct algorithms the package no longer runs, kept as test oracles.
 
-The partition graph tests every pair of vertices with ``nested``; lift
+The partition graph tests every pair of vertices with ``nested``; an
+induced subgraph is rebuilt from the kept ends of the edge list; lift
 classes sum the boundary copies of one block and reduce the sum; the
 properness report compares the full per-cover color tables on every
 edge; a coloring is validated by walking the edges in sorted order;
@@ -31,6 +32,13 @@ def pairwise_partition_graph(parts):
         if nested(p, q)
     ]
     return Graph([p.label for p in parts], edges)
+
+
+def induced_subgraph(g, keep):
+    """Subgraph on the vertex indices in keep, in that order, from g's edge list."""
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = [(pos[i], pos[j]) for i, j in g.sorted_edges if i in pos and j in pos]
+    return Graph([g.labels[v] for v in keep], edges)
 
 
 def sheet_lift_bits(model, cover, p, s):

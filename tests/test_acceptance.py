@@ -10,7 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import cdcl
-from sphere_chroma import cli
+from sphere_chroma import cli, spheres
 from sphere_chroma.covercolor import (
     CutSystemModel,
     count_colors,
@@ -105,11 +105,14 @@ def test_criterion_1_sphere_kneser_lemma():
           "CLI emits the documented verdict line")
 
 
-def test_criterion_2_petersen_reproduction():
+def test_criterion_2_petersen_reproduction(monkeypatch):
     g = sphere_graph_holed(5)
     shape_ok = g.n == 10 and g.m == 15 and all(g.degree(v) == 3 for v in range(10))
     iso_ok = verify_petersen_isomorphism().ok
-    corrupted = verify_petersen_isomorphism(corrupt_edge=g.sorted_edges[0])
+    with monkeypatch.context() as m:
+        dropped = Graph(g.labels, g.sorted_edges[1:])
+        m.setattr(spheres, "sphere_graph_holed", lambda n: dropped)
+        corrupted = verify_petersen_isomorphism()
     corrupt_ok = not corrupted.ok and corrupted.witness_edge is not None
     ref = reference_coloring_on(g)
     ref_ok = validate_coloring(g, ref) is None and ref.size == 3

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sphere_chroma
-from sphere_chroma import cli, farey
+from sphere_chroma import cli, farey, spheres
 from sphere_chroma.farey import MAX_DEPTH
 from sphere_chroma.graphcore import Coloring, Graph, chromatic_number_exact, from_json, to_json
+from sphere_chroma.kneser import TwoBlockPartition
 from sphere_chroma.spheres import SphereKneserReport
 
 
@@ -108,6 +109,12 @@ class TestChi:
         code, out, _ = run(["chi", "--exact", "--budget", "0"], stdin_text=doc)
         assert code == 3 and json.loads(out)["undecided"] is True
 
+    def test_bounds_refuses_budget(self, run):
+        _, doc, _ = run(["generate", "sphere", "--n", "6"])
+        for budget in ("100", "-5"):
+            code, out, err = run(["chi", "--bounds", "--budget", budget], stdin_text=doc)
+            assert code == 64 and out == "" and "--budget" in err
+
     def test_missing_file_exits_74(self, run, tmp_path):
         code, out, err = run(["chi", "--input", str(tmp_path / "absent.json")])
         assert code == 74 and out == "" and "cannot read" in err
@@ -136,6 +143,21 @@ class TestVerify:
     def test_petersen(self, run):
         code, out, _ = run(["verify", "petersen"])
         assert code == 0 and json.loads(out) == {"check": "petersen", "ok": True}
+
+    def test_petersen_failure_exits_2(self, run, monkeypatch):
+        g = spheres.sphere_graph_holed(5)
+        i, j = g.sorted_edges[0]
+        toggled = Graph(g.labels, set(g.sorted_edges) ^ {(i, j)})
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: toggled)
+        code, out, _ = run(["verify", "petersen"])
+        assert code == 2
+        parsed = json.loads(out)
+        assert parsed["ok"] is False and parsed["reason"]
+        # the dropped edge's preimage, named by its kg(5, 2) labels
+        assert len(parsed["witness_edge"]) == 2
+        images = {TwoBlockPartition.from_block(5, map(int, x.split())).label
+                  for x in parsed["witness_edge"]}
+        assert images == {g.labels[i], g.labels[j]}
 
     def test_proper(self, run):
         code, out, _ = run(["verify", "proper", "--r", "3"])

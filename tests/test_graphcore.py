@@ -20,7 +20,6 @@ from sphere_chroma.graphcore import (
     export_dot,
     from_json,
     greedy_dsatur,
-    induced_subgraph,
     to_json,
     validate_coloring,
     _degree_classes,
@@ -77,16 +76,6 @@ class TestGraph:
         g = complete_graph(4)
         assert g.n == 4 and g.m == 6
         assert g.labels == ("v0", "v1", "v2", "v3")
-
-    def test_induced_subgraph_keeps_selection_order(self):
-        g = cycle(5)
-        h = induced_subgraph(g, [4, 0, 1])
-        assert h.labels == ("c4", "c0", "c1")
-        assert h.sorted_edges == [(0, 1), (1, 2)]
-
-    def test_induced_subgraph_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            induced_subgraph(cycle(3), [0, 0])
 
 
 class TestColoring:
@@ -503,7 +492,7 @@ class TestProperties:
                                  max_size=g.n))
         if g.n == 0:
             keep = set()
-        h = induced_subgraph(g, sorted(keep))
+        h = oracles.induced_subgraph(g, sorted(keep))
         assert chromatic_number_exact(h).chi <= chromatic_number_exact(g).chi
 
     @settings(max_examples=100, deadline=None, derandomize=True)

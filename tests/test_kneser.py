@@ -185,3 +185,9 @@ class TestRowBuilder:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_total_kneser_matches_pairwise_nested(self, n):
         assert total_kneser(n) == oracles.pairwise_partition_graph(all_partitions(n))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_remove_singletons_matches_induced_subgraph(self, n):
+        tk = total_kneser(n)
+        keep = [v for v, p in enumerate(all_partitions(n)) if p.min_block_size >= 2]
+        assert remove_singleton_partitions(tk) == oracles.induced_subgraph(tk, keep)

@@ -28,8 +28,12 @@ class TestSphereGraph:
             assert len(a.split()) >= 2 and len(b.split()) >= 2
 
 
+def with_edge_toggled(g, edge):
+    return Graph(g.labels, set(g.sorted_edges) ^ {edge})
+
+
 class TestSphereKneserLemma:
-    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("n", [*range(3, 10), 12, 13])
     def test_holds(self, n):
         report = verify_lemma_sphere_kneser(n)
         assert report.ok
@@ -60,6 +64,29 @@ class TestSphereKneserLemma:
         assert report.missing_edges == (name(dropped),)
         assert report.extra_edges == (name(added),)
 
+    def test_label_mismatch_named_by_edge_sets(self, monkeypatch):
+        # swap the labels of vertices 0 and 1 on the total-Kneser route: the
+        # label lists differ, so the report compares label-pair edge sets
+        real = spheres.remove_singleton_partitions
+
+        def swapped(g):
+            h = real(g)
+            labels = list(h.labels)
+            labels[0], labels[1] = labels[1], labels[0]
+            return Graph.from_rows(labels, h.adj)
+
+        monkeypatch.setattr(spheres, "remove_singleton_partitions", swapped)
+        g = sphere_graph_holed(5)
+        labels = list(g.labels)
+        named = {(labels[i], labels[j]) for i, j in g.sorted_edges}
+        labels[0], labels[1] = labels[1], labels[0]
+        relabeled = {(labels[i], labels[j]) for i, j in g.sorted_edges}
+        report = verify_lemma_sphere_kneser(5)
+        assert not report.ok and not report.label_lists_equal
+        assert report.missing_edges == tuple(sorted(relabeled - named))
+        assert report.extra_edges == tuple(sorted(named - relabeled))
+        assert report.missing_edges and report.extra_edges
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             verify_lemma_sphere_kneser(1)
@@ -73,15 +100,17 @@ class TestPetersenIsomorphism:
         assert report.ok and bool(report)
         assert report.witness_edge is None
 
-    def test_corrupt_edge_detected(self):
+    def test_corrupt_edge_detected(self, monkeypatch):
         g = sphere_graph_holed(5)
         present = next(iter(g.sorted_edges))
-        report = verify_petersen_isomorphism(corrupt_edge=present)
+        corrupted = with_edge_toggled(g, present)
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: corrupted)
+        report = verify_petersen_isomorphism()
         assert not report.ok
         assert report.witness_edge is not None
         assert report.reason
 
-    def test_added_edge_detected(self):
+    def test_added_edge_detected(self, monkeypatch):
         g = sphere_graph_holed(5)
         present = set(g.sorted_edges)
         absent = next(
@@ -90,9 +119,20 @@ class TestPetersenIsomorphism:
             for j in range(i + 1, g.n)
             if (i, j) not in present
         )
-        report = verify_petersen_isomorphism(corrupt_edge=absent)
+        corrupted = with_edge_toggled(g, absent)
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: corrupted)
+        report = verify_petersen_isomorphism()
         assert not report.ok
         assert "not hit" in report.reason
+
+    def test_vertex_map_not_a_bijection(self, monkeypatch):
+        # relabel one vertex as a singleton partition, which no 2-subset maps to
+        g = sphere_graph_holed(5)
+        labels = ["1 2 3 4|5", *g.labels[1:]]
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: Graph.from_rows(labels, g.adj))
+        report = verify_petersen_isomorphism()
+        assert not report.ok and report.witness_edge is None
+        assert report.reason == "vertex map is not a bijection"
 
 
 class TestReferenceColoring:
