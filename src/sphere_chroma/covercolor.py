@@ -48,6 +48,7 @@ __all__ = [
     "glued_sphere_graph",
     "homology_class",
     "enumerate_double_covers",
+    "sheet_relation",
     "cover_h2",
     "lift_classes",
     "color_table",

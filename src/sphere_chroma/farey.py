@@ -87,7 +87,7 @@ def _parse_fraction(label: str) -> tuple[int, int]:
 
 def parity_coloring(g: Graph) -> Coloring:
     """3-coloring: Farey vertices by (p mod 2, q mod 2), fins by elimination."""
-    assignment: dict[int, int] = {}
+    colors: list[int | None] = [None] * g.n
     fins = []
     for v, label in enumerate(g.labels):
         if _is_fin(label):
@@ -97,11 +97,11 @@ def parity_coloring(g: Graph) -> Coloring:
         cls = (p % 2, q % 2)
         if cls == (0, 0):
             raise ValueError(f"label {label!r} is not a reduced fraction")
-        assignment[v] = PARITY_CLASS_IDS[cls]
+        colors[v] = PARITY_CLASS_IDS[cls]
     for v in fins:
-        used = {assignment[u] for u in g.neighbors(v)}
-        assignment[v] = min(set(PARITY_CLASS_IDS.values()) - used)
-    return Coloring(assignment)
+        used = {colors[u] for u in g.neighbors(v)}
+        colors[v] = min(set(PARITY_CLASS_IDS.values()) - used)
+    return Coloring(colors)
 
 
 def chi_farey_ball(depth: int, fins: bool = False):

@@ -15,6 +15,7 @@ reports an explicit undecided outcome instead of guessing.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -60,7 +61,7 @@ class Graph:
         adj = [0] * n
         for e in edges:
             i, j = e
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (type(i) is int and type(j) is int):
                 raise ValueError(f"edge {e!r} has non-integer endpoints")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge {e!r} out of range for {n} vertices")
@@ -161,33 +162,36 @@ def complete_graph(n: int) -> Graph:
 
 
 class Coloring:
-    """Assignment of integer color ids to vertex indices.
+    """Color ids by vertex index: ``colors[v]`` is the color of vertex v.
 
-    Accepts either a mapping {vertex: color} or a sequence indexed by
-    vertex.  ``size`` is the number of distinct colors actually used.
+    Built from a sequence of ints (not a mapping), one per vertex of the
+    graph it colors; ``validate_coloring`` rejects a coloring of another
+    length.  ``size`` is the number of distinct colors actually used.
     """
 
-    __slots__ = ("assignment",)
+    __slots__ = ("colors",)
 
-    def __init__(self, assignment):
-        if not isinstance(assignment, dict):
-            assignment = dict(enumerate(assignment))
-        for v, c in assignment.items():
-            if not (isinstance(v, int) and isinstance(c, int)):
-                raise ValueError(f"coloring entry {v!r}: {c!r} is not int: int")
-        self.assignment = dict(assignment)
+    def __init__(self, colors):
+        if not isinstance(colors, Sequence):
+            raise TypeError(f"coloring needs a sequence, got {type(colors).__name__}")
+        colors = tuple(colors)
+        for v, c in enumerate(colors):
+            # type() rather than isinstance, so bool is refused as in from_json
+            if type(c) is not int:
+                raise ValueError(f"color {c!r} of vertex {v} is not an int")
+        self.colors = colors
 
     @property
     def size(self) -> int:
-        return len(set(self.assignment.values()))
+        return len(set(self.colors))
 
     def __eq__(self, other):
         if not isinstance(other, Coloring):
             return NotImplemented
-        return self.assignment == other.assignment
+        return self.colors == other.colors
 
     def __repr__(self):
-        return f"Coloring({self.assignment!r})"
+        return f"Coloring({self.colors!r})"
 
 
 @dataclass(frozen=True)
@@ -232,25 +236,19 @@ class ChiUndecided:
 def validate_coloring(g: Graph, coloring: Coloring):
     """Return None if proper, else the lexicographically least violating edge.
 
-    A partial assignment is a domain error naming the first uncolored vertex.
+    The coloring must have one color per vertex of g; a coloring of any
+    other length is a ValueError naming both counts.
     """
-    a = coloring.assignment
-    for v in range(g.n):
-        if v not in a:
-            raise ValueError(
-                f"vertex {v} ({g.labels[v]!r}) is uncolored; "
-                "validate_coloring needs a total assignment"
-            )
-    for v in a:
-        if not 0 <= v < g.n:
-            raise ValueError(f"coloring references vertex {v} outside the graph")
+    colors = coloring.colors
+    if len(colors) != g.n:
+        raise ValueError(f"coloring has {len(colors)} colors for a graph of {g.n} vertices")
     # one vertex bitmask per color; a row's hits inside its own class above
     # the diagonal are the violating edges, the lowest hit the least one
     class_mask: dict[int, int] = {}
-    for v in range(g.n):
-        class_mask[a[v]] = class_mask.get(a[v], 0) | 1 << v
+    for v, c in enumerate(colors):
+        class_mask[c] = class_mask.get(c, 0) | 1 << v
     for i, row in enumerate(g.adj):
-        hit = (row & class_mask[a[i]]) >> (i + 1)
+        hit = (row & class_mask[colors[i]]) >> (i + 1)
         if hit:
             return (i, i + (hit & -hit).bit_length())
     return None
@@ -311,12 +309,7 @@ def greedy_dsatur(g: Graph) -> Coloring:
 def _canonical_coloring(color: list[int]) -> Coloring:
     # dense ids 0..size-1, in order of first appearance by vertex index
     remap: dict[int, int] = {}
-    out = {}
-    for v, c in enumerate(color):
-        if c not in remap:
-            remap[c] = len(remap)
-        out[v] = remap[c]
-    return Coloring(out)
+    return Coloring([remap.setdefault(c, len(remap)) for c in color])
 
 
 def _degree_classes(adj) -> list[int]:
@@ -460,7 +453,7 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
         raise ValueError(f"budget must be a non-negative node count, got {budget}")
     n = g.n
     if n == 0:
-        return ChiCertificate(0, Coloring({}), 0, None)
+        return ChiCertificate(0, Coloring(()), 0, None)
     ub_col = greedy_dsatur(g)
     ub = ub_col.size
     lb = clique_lower_bound(g)
@@ -523,7 +516,7 @@ def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
         if coloring is None:
             lines.append(f"{q};")
         else:
-            lines.append(f"{q} [color={coloring.assignment[v]}];")
+            lines.append(f"{q} [color={coloring.colors[v]}];")
     for i, j in g.sorted_edges:
         lines.append(f"{_dot_quote(g.labels[i])} -- {_dot_quote(g.labels[j])};")
     lines.append("}")

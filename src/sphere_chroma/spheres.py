@@ -100,7 +100,8 @@ class PetersenIsoReport:
 
 def verify_petersen_isomorphism() -> PetersenIsoReport:
     """Check that 2-subset -> (2-subset | complement) maps kg(5, 2) onto
-    sphere_graph_holed(5) edge for edge."""
+    sphere_graph_holed(5) edge for edge; on failure ``witness_edge`` is a
+    pair of partition labels, whichever side the edge is missing from."""
     small = kg(5, 2)
     big = sphere_graph_holed(5)
     image = {}
@@ -118,9 +119,7 @@ def verify_petersen_isomorphism() -> PetersenIsoReport:
         mapped.add(e)
         if e not in big_edges:
             return PetersenIsoReport(
-                False,
-                (small.labels[i], small.labels[j]),
-                "edge of kg(5,2) has no nested image",
+                False, (image[i], image[j]), "edge of kg(5,2) has no nested image"
             )
     for e in big_edges - mapped:
         return PetersenIsoReport(
@@ -150,16 +149,19 @@ def load_reference_three_coloring() -> list[dict]:
 
 
 def reference_coloring_on(g: Graph) -> Coloring:
-    """Reference coloring mapped onto g's vertices; color ids by first appearance."""
+    """Reference coloring on g as a tuple of color ids by vertex index, the
+    ids in order of first appearance in the records.  A record naming a
+    label g lacks, or a vertex of g that no record colors, is a ValueError."""
     records = load_reference_three_coloring()
     index_of = {label: i for i, label in enumerate(g.labels)}
     ids: dict[str, int] = {}
-    assignment = {}
+    colors: list[int | None] = [None] * g.n
     for rec in records:
         label, color = rec["partition"], rec["color"]
         if label not in index_of:
             raise ValueError(f"reference coloring names unknown vertex {label!r}")
-        if color not in ids:
-            ids[color] = len(ids)
-        assignment[index_of[label]] = ids[color]
-    return Coloring(assignment)
+        colors[index_of[label]] = ids.setdefault(color, len(ids))
+    if None in colors:
+        v = colors.index(None)
+        raise ValueError(f"reference coloring leaves vertex {v} ({g.labels[v]!r}) uncolored")
+    return Coloring(colors)

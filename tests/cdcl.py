@@ -260,17 +260,17 @@ def solve_dimacs(text, conflict_cap=2_000_000):
 
 
 def decode_coloring(model, n_vertices, k):
-    """Map a model of the coloring CNF back to {vertex: color}.
+    """Map a model of the coloring CNF back to a list of colors by vertex.
 
     Variable v*k + c + 1 true means vertex v gets color c.  When the model
     sets several colors true for one vertex (the encoding has no at-most-one
     clauses) the lowest color wins; unassigned variables count as False.
     """
-    out = {}
+    out = []
     for v in range(n_vertices):
         for c in range(k):
             if model.get(v * k + c + 1, False):
-                out[v] = c
+                out.append(c)
                 break
         else:
             raise ValueError(f"model leaves vertex {v} uncolored")

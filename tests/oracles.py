@@ -110,7 +110,7 @@ def exhaustive_proper_report(model, include_cut_spheres=False):
 
 def edge_walk_violation(g, coloring):
     """Least monochromatic edge (i, j) in sorted edge order, or None."""
-    a = coloring.assignment
+    a = coloring.colors
     for i, j in g.sorted_edges:
         if a[i] == a[j]:
             return (i, j)

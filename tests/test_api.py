@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -10,9 +11,20 @@ MODULES = [sphere_chroma] + [
     for info in pkgutil.iter_modules(sphere_chroma.__path__)
     if not info.ispkg
 ]
+EXPORTING = [m for m in MODULES if hasattr(m, "__all__")]
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
-                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
+def test_every_public_definition_exported(module):
+    defined = [
+        name for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert [name for name in defined if name not in module.__all__] == []

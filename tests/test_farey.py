@@ -96,16 +96,16 @@ class TestParityColoring:
     def test_recolored_fin_is_the_violation(self):
         ball = farey_ball(8)
         g = add_fins(ball)
-        base = parity_coloring(g).assignment
+        base = parity_coloring(g).colors
         for fin in range(ball.n, g.n, 97):
             u = g.neighbors(fin)[0]
-            c = Coloring({**base, fin: base[u]})
+            c = Coloring(base[:fin] + (base[u],) + base[fin + 1:])
             assert validate_coloring(g, c) == oracles.edge_walk_violation(g, c) == (u, fin)
 
     def test_parity_assignment_values(self):
         g = farey_ball(1)  # 0/1, 1/0, 1/1
         c = parity_coloring(g)
-        assert c.assignment == {0: 0, 1: 1, 2: 2}
+        assert c.colors == (0, 1, 2)
 
     def test_three_classes_exhausted_at_depth_two(self):
         assert parity_coloring(farey_ball(2)).size == 3

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from sphere_chroma import graphcore
 from sphere_chroma.farey import add_fins, farey_ball
 from sphere_chroma.graphcore import (
     ChiCertificate,
@@ -54,6 +55,11 @@ class TestGraph:
         with pytest.raises(ValueError, match="self-loop"):
             Graph(["a", "b"], [(1, 1)])
 
+    def test_bool_endpoints_rejected(self):
+        # from_json refuses [false,true]; the constructor agrees
+        with pytest.raises(ValueError, match="non-integer"):
+            Graph(["a", "b"], [(False, True)])
+
     def test_edge_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(["a", "b"], [(0, 2)])
@@ -79,15 +85,22 @@ class TestGraph:
 
 
 class TestColoring:
-    def test_from_sequence_and_dict(self):
-        assert Coloring([0, 1, 0]) == Coloring({0: 0, 1: 1, 2: 0})
+    def test_stores_tuple_and_refuses_mapping(self):
+        assert Coloring([0, 1, 0]).colors == (0, 1, 0)
+        assert Coloring([0, 1, 0]) == Coloring((0, 1, 0))
+        with pytest.raises(TypeError, match="sequence"):
+            Coloring({0: 0, 1: 1, 2: 0})
 
     def test_size_counts_distinct_colors(self):
         assert Coloring([0, 5, 5, 0]).size == 2
 
     def test_non_int_entries_rejected(self):
         with pytest.raises(ValueError):
-            Coloring({0: "red"})
+            Coloring([0, "red"])
+
+    def test_bool_colors_rejected(self):
+        with pytest.raises(ValueError, match="not an int"):
+            Coloring([True, False])
 
     def test_validate_proper(self):
         g = cycle(4)
@@ -98,19 +111,16 @@ class TestColoring:
         assert validate_coloring(g, Coloring([0, 0, 0])) == (0, 1)
         assert validate_coloring(g, Coloring([0, 1, 1])) == (1, 2)
 
-    def test_validate_partial_assignment_raises(self):
-        with pytest.raises(ValueError, match="uncolored"):
-            validate_coloring(cycle(3), Coloring({0: 0, 1: 1}))
-
-    def test_validate_unknown_vertex_raises(self):
-        with pytest.raises(ValueError, match="outside"):
-            validate_coloring(cycle(3), Coloring({0: 0, 1: 1, 2: 2, 7: 0}))
+    def test_validate_wrong_length_raises(self):
+        for colors in ([0, 1], [0, 1, 2, 0]):
+            with pytest.raises(ValueError, match=f"{len(colors)} colors .* 3 vertices"):
+                validate_coloring(cycle(3), Coloring(colors))
 
 
 class TestGreedyDsatur:
     def test_empty_graph(self):
         c = greedy_dsatur(Graph([]))
-        assert c.assignment == {} and c.size == 0
+        assert c.colors == () and c.size == 0
 
     def test_cycle_odd(self):
         g = cycle(5)
@@ -133,7 +143,7 @@ class TestGreedyDsatur:
     def test_canonical_color_ids(self):
         # colors are renumbered by first appearance, so vertex 0 gets 0
         c = greedy_dsatur(complete_graph(3))
-        assert c.assignment == {0: 0, 1: 1, 2: 2}
+        assert c.colors == (0, 1, 2)
 
     def test_deterministic(self):
         g = petersen()
@@ -160,7 +170,7 @@ class TestCliqueLowerBound:
 class TestChromaticNumberExact:
     def test_empty_graph(self):
         cert = chromatic_number_exact(Graph([]))
-        assert cert.chi == 0 and cert.witness.assignment == {}
+        assert cert.chi == 0 and cert.witness.colors == ()
 
     def test_single_vertex(self):
         assert chromatic_number_exact(Graph(["a"])).chi == 1
@@ -234,6 +244,23 @@ class TestChromaticNumberExact:
         assert (result.lower, result.upper, result.nodes_explored) == (10, 18, 50_000)
         # k = 6..9 refuted, then k = 10 ran out of budget
         assert result.refutation_nodes == (9, 22, 84, 1178)
+
+    @pytest.mark.parametrize("n, k, nodes, pushes", [(7, 6, 379, 313), (8, 8, 3853, 3326)])
+    def test_dead_nodes_push_no_frame(self, monkeypatch, n, k, nodes, pushes):
+        # a node that leaves some uncolored vertex no color pushes no child
+        # frame; without that shortcut the child is pushed only to find no
+        # color, which keeps the node count and adds one push per dead node.
+        # Every push after the first frame takes its color limit from min().
+        calls = []
+
+        def counting_min(*args):
+            calls.append(args)
+            return min(*args)
+
+        monkeypatch.setattr(graphcore, "min", counting_min, raising=False)
+        g = sphere_graph_holed(n)
+        status, _, explored = _k_colorable(g.adj, _degree_classes(g.adj), g.n, k, None)
+        assert (status, explored, len(calls)) == ("unsat", nodes, pushes)
 
     def test_deterministic(self):
         a = chromatic_number_exact(petersen())

@@ -102,13 +102,14 @@ class TestPetersenIsomorphism:
 
     def test_corrupt_edge_detected(self, monkeypatch):
         g = sphere_graph_holed(5)
-        present = next(iter(g.sorted_edges))
-        corrupted = with_edge_toggled(g, present)
+        i, j = g.sorted_edges[0]
+        corrupted = with_edge_toggled(g, (i, j))
         monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: corrupted)
         report = verify_petersen_isomorphism()
         assert not report.ok
-        assert report.witness_edge is not None
-        assert report.reason
+        assert report.reason == "edge of kg(5,2) has no nested image"
+        # the witness is the dropped edge, named by its partition labels
+        assert report.witness_edge == (g.labels[i], g.labels[j]) == ("1 2|3 4 5", "1 2 3|4 5")
 
     def test_added_edge_detected(self, monkeypatch):
         g = sphere_graph_holed(5)
@@ -159,9 +160,16 @@ class TestReferenceColoring:
         g = sphere_graph_holed(5)
         c = reference_coloring_on(g)
         idx = {label: i for i, label in enumerate(g.labels)}
-        shades = {c.assignment[idx[f"1 {x}|" + " ".join(
+        shades = {c.colors[idx[f"1 {x}|" + " ".join(
             str(y) for y in range(2, 6) if y != x)]] for x in range(2, 6)}
         assert len(shades) == 1
+
+    def test_missing_record_rejected(self, monkeypatch):
+        records = load_reference_three_coloring()
+        monkeypatch.setattr(spheres, "load_reference_three_coloring", lambda: records[1:])
+        with pytest.raises(ValueError, match="uncolored") as err:
+            reference_coloring_on(sphere_graph_holed(5))
+        assert repr(records[0]["partition"]) in str(err.value)
 
     def test_wrong_graph_rejected(self):
         with pytest.raises(ValueError, match="unknown vertex"):
