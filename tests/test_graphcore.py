@@ -111,10 +111,15 @@ class TestColoring:
         assert validate_coloring(g, Coloring([0, 0, 0])) == (0, 1)
         assert validate_coloring(g, Coloring([0, 1, 1])) == (1, 2)
 
-    def test_validate_wrong_length_raises(self):
-        for colors in ([0, 1], [0, 1, 2, 0]):
-            with pytest.raises(ValueError, match=f"{len(colors)} colors .* 3 vertices"):
-                validate_coloring(cycle(3), Coloring(colors))
+    def test_validate_partial_assignment_raises(self):
+        # a coloring shorter than the graph leaves its last vertices uncolored
+        with pytest.raises(ValueError, match="2 colors .* 3 vertices"):
+            validate_coloring(cycle(3), Coloring([0, 1]))
+
+    def test_validate_unknown_vertex_raises(self):
+        # a coloring longer than the graph colors a vertex outside it
+        with pytest.raises(ValueError, match="4 colors .* 3 vertices"):
+            validate_coloring(cycle(3), Coloring([0, 1, 2, 0]))
 
 
 class TestGreedyDsatur:
