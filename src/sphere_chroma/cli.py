@@ -51,16 +51,22 @@ def _build_parser() -> _Parser:
     g = gsub.add_parser("kneser")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
+    g.set_defaults(run=_cmd_generate, build=lambda a: kneser.kg(a.n, a.k))
     g = gsub.add_parser("total-kneser")
     g.add_argument("--n", type=int, required=True)
+    g.set_defaults(run=_cmd_generate, build=lambda a: kneser.total_kneser(a.n))
     g = gsub.add_parser("sphere")
     g.add_argument("--n", type=int, required=True)
+    g.set_defaults(run=_cmd_generate, build=lambda a: spheres.sphere_graph_holed(a.n))
     g = gsub.add_parser("glued")
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--with-cut-spheres", action="store_true")
+    g.set_defaults(run=_cmd_generate, build=lambda a: covercolor.glued_sphere_graph(
+        covercolor.CutSystemModel(a.r), a.with_cut_spheres))
     g = gsub.add_parser("farey")
     g.add_argument("--depth", type=int, required=True)
     g.add_argument("--fins", action="store_true")
+    g.set_defaults(run=_cmd_generate, build=_farey_ball)
 
     c = sub.add_parser("chi", help="chromatic number of a graph read from --input or stdin")
     c.add_argument("--input", default=None, metavar="PATH")
@@ -68,33 +74,42 @@ def _build_parser() -> _Parser:
     mode.add_argument("--exact", action="store_true", default=False)
     mode.add_argument("--bounds", action="store_true")
     c.add_argument("--budget", type=int, default=None, metavar="NODES")
+    c.set_defaults(run=_cmd_chi)
 
     c = sub.add_parser("color", help="per-cover lift-class color table for the glued model")
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--with-cut-spheres", action="store_true")
+    c.set_defaults(run=_cmd_color)
 
     v = sub.add_parser("verify", help="run a built-in check")
     vsub = v.add_subparsers(dest="check", required=True)
     g = vsub.add_parser("lemma2")
     g.add_argument("--n", type=int, required=True)
-    vsub.add_parser("petersen")
+    g.set_defaults(run=_verify_lemma2)
+    vsub.add_parser("petersen").set_defaults(run=_verify_petersen)
     g = vsub.add_parser("proper")
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--with-cut-spheres", action="store_true")
+    g.set_defaults(run=_verify_proper)
     g = vsub.add_parser("farey-parity")
     g.add_argument("--depth", type=int, required=True)
+    g.set_defaults(run=_verify_farey_parity)
 
     c = sub.add_parser("count", help="size of the cover-color space")
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--rank-mode", choices=("paper", "computed"), required=True)
+    c.set_defaults(run=_cmd_count)
 
     e = sub.add_parser("export", help="emit DOT or DIMACS text for a graph")
     esub = e.add_subparsers(dest="fmt", required=True)
     g = esub.add_parser("dot")
     g.add_argument("--input", default=None, metavar="PATH")
+    g.set_defaults(run=_cmd_export, export=lambda a, graph: graphcore.export_dot(graph))
     g = esub.add_parser("dimacs")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--input", default=None, metavar="PATH")
+    g.set_defaults(run=_cmd_export,
+                   export=lambda a, graph: graphcore.export_dimacs_kcolor(graph, a.k))
     return p
 
 
@@ -136,22 +151,13 @@ def _read_graph(path: str | None) -> graphcore.Graph:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "kneser":
-        g = kneser.kg(args.n, args.k)
-    elif args.family == "total-kneser":
-        g = kneser.total_kneser(args.n)
-    elif args.family == "sphere":
-        g = spheres.sphere_graph_holed(args.n)
-    elif args.family == "glued":
-        g = covercolor.glued_sphere_graph(
-            covercolor.CutSystemModel(args.r), args.with_cut_spheres
-        )
-    else:
-        g = farey.farey_ball(args.depth)
-        if args.fins:
-            g = farey.add_fins(g)
-    _write(graphcore.to_json(g) + "\n")
+    _write(graphcore.to_json(args.build(args)) + "\n")
     return 0
+
+
+def _farey_ball(args) -> graphcore.Graph:
+    g = farey.farey_ball(args.depth)
+    return farey.add_fins(g) if args.fins else g
 
 
 def _cmd_chi(args) -> int:
@@ -189,32 +195,38 @@ def _cmd_color(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    if args.check == "lemma2":
-        rep = spheres.verify_lemma_sphere_kneser(args.n)
-        doc = {"lemma": "sphere-kneser", "n": args.n, "ok": rep.ok}
-        if not rep.ok:
-            doc["missing_edges"] = [list(e) for e in rep.missing_edges]
-            doc["extra_edges"] = [list(e) for e in rep.extra_edges]
-        _emit(doc)
-        return 0 if rep.ok else VERIFY_FAIL_EXIT
-    if args.check == "petersen":
-        rep = spheres.verify_petersen_isomorphism()
-        doc = {"check": "petersen", "ok": rep.ok}
-        if not rep.ok:
-            doc["witness_edge"] = list(rep.witness_edge or ())
-            doc["reason"] = rep.reason
-        _emit(doc)
-        return 0 if rep.ok else VERIFY_FAIL_EXIT
-    if args.check == "proper":
-        rep = covercolor.verify_coloring_proper(
-            covercolor.CutSystemModel(args.r), args.with_cut_spheres
-        )
-        _emit(rep.to_json_dict())
-        return 0 if rep.ok else VERIFY_FAIL_EXIT
-    # farey-parity: validate the parity coloring on the finned ball; the
-    # ball is its induced subgraph on the same leading labels, so that one
-    # check covers every ball edge too.  Exact chi only for small depths.
+def _verify_lemma2(args) -> int:
+    rep = spheres.verify_lemma_sphere_kneser(args.n)
+    doc = {"lemma": "sphere-kneser", "n": args.n, "ok": rep.ok}
+    if not rep.ok:
+        doc["missing_edges"] = [list(e) for e in rep.missing_edges]
+        doc["extra_edges"] = [list(e) for e in rep.extra_edges]
+    _emit(doc)
+    return 0 if rep.ok else VERIFY_FAIL_EXIT
+
+
+def _verify_petersen(args) -> int:
+    rep = spheres.verify_petersen_isomorphism()
+    doc = {"check": "petersen", "ok": rep.ok}
+    if not rep.ok:
+        doc["witness_edge"] = list(rep.witness_edge or ())
+        doc["reason"] = rep.reason
+    _emit(doc)
+    return 0 if rep.ok else VERIFY_FAIL_EXIT
+
+
+def _verify_proper(args) -> int:
+    rep = covercolor.verify_coloring_proper(
+        covercolor.CutSystemModel(args.r), args.with_cut_spheres
+    )
+    _emit(rep.to_json_dict())
+    return 0 if rep.ok else VERIFY_FAIL_EXIT
+
+
+def _verify_farey_parity(args) -> int:
+    # validate the parity coloring on the finned ball; the ball is its
+    # induced subgraph on the same leading labels, so that one check
+    # covers every ball edge too.  Exact chi only for small depths.
     depth = args.depth
     finned = farey.add_fins(farey.farey_ball(depth))
     ok = graphcore.validate_coloring(finned, farey.parity_coloring(finned)) is None
@@ -243,11 +255,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    g = _read_graph(args.input)
-    if args.fmt == "dot":
-        _write(graphcore.export_dot(g))
-    else:
-        _write(graphcore.export_dimacs_kcolor(g, args.k))
+    _write(args.export(args, _read_graph(args.input)))
     return 0
 
 
@@ -259,18 +267,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
     t0 = time.monotonic()
     try:
-        if args.command == "generate":
-            code = _cmd_generate(args)
-        elif args.command == "chi":
-            code = _cmd_chi(args)
-        elif args.command == "color":
-            code = _cmd_color(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        elif args.command == "count":
-            code = _cmd_count(args)
-        else:
-            code = _cmd_export(args)
+        code = args.run(args)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); die quietly like grep does.
         # stdout's fd must point somewhere writable or the interpreter's final

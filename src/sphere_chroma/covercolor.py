@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from .graphcore import Graph, _bits
 from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
+from .spheres import sphere_graph_holed
 
 __all__ = [
     "CutSystemModel",
@@ -174,12 +175,23 @@ class GF2Quotient:
         return bits
 
 
-def sheet_relation(model: CutSystemModel, cover: DoubleCover, s: int) -> int:
-    """Boundary relation of sheet s: sum over i of G_{i,s} + G_{i, s xor phi_i}."""
-    bits = 0
+def _boundary_lifts(model: CutSystemModel, cover: DoubleCover, s: int) -> list[int]:
+    # raw class of the sheet-s lift of each one-boundary block {j}, index j - 1:
+    # the sheet-s copy of boundary 2i-1 is glued into G_{i,s}, that of
+    # boundary 2i into G_{i, s xor phi_i}
+    out = []
     for i in range(1, model.r + 1):
-        bits ^= 1 << _gen(i, s)
-        bits ^= 1 << _gen(i, s ^ cover.phi[i - 1])
+        out.append(1 << _gen(i, s))
+        out.append(1 << _gen(i, s ^ cover.phi[i - 1]))
+    return out
+
+
+def sheet_relation(model: CutSystemModel, cover: DoubleCover, s: int) -> int:
+    """Boundary relation of sheet s: the xor of its 2r boundary lifts,
+    sum over i of G_{i,s} + G_{i, s xor phi_i}."""
+    bits = 0
+    for b in _boundary_lifts(model, cover, s):
+        bits ^= b
     return bits
 
 
@@ -206,17 +218,6 @@ def homology_class(model: CutSystemModel, p: TwoBlockPartition) -> int:
     for j in p.block_a:
         bits ^= 1 << ((j - 1) // 2)
     return bits
-
-
-def _boundary_lifts(model: CutSystemModel, cover: DoubleCover, s: int) -> list[int]:
-    # raw class of the sheet-s lift of each one-boundary block {j}, index j - 1:
-    # the sheet-s copy of boundary 2i-1 is glued into G_{i,s}, that of
-    # boundary 2i into G_{i, s xor phi_i}
-    out = []
-    for i in range(1, model.r + 1):
-        out.append(1 << _gen(i, s))
-        out.append(1 << _gen(i, s ^ cover.phi[i - 1]))
-    return out
 
 
 def _span_table(basis: list[int]) -> list[int]:
@@ -267,8 +268,6 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
     r cut spheres are appended as vertices g1..gr, adjacent to every
     partition vertex and to each other (all disjoint by construction).
     """
-    from .spheres import sphere_graph_holed
-
     g = sphere_graph_holed(model.n_boundary)
     if not include_cut_spheres:
         return g
@@ -400,7 +399,8 @@ def verify_coloring_proper(
         )
     g = glued_sphere_graph(model, include_cut_spheres)
     table = color_table(model, include_cut_spheres)
-    assert g.labels == table.labels
+    if g.labels != table.labels:
+        raise RuntimeError("color table and glued graph list different vertices")
     labels, hom, keys = table.labels, table.hom, table.keys
     covers = len(table.covers)
     w = table.width
@@ -467,14 +467,15 @@ class CountReport:
     note: str
 
 
-def count_colors(r: int, rank_mode: str = "paper") -> CountReport:
+def count_colors(r: int, rank_mode: str) -> CountReport:
     """Size of the color space: t = 2^r - 1 covers, per cover the sets of
     size 1 or 2 drawn from 2^m classes, f ranging over x^t functions.
 
     rank_mode "paper" takes the declared per-cover rank m = 4r - 2 and
     checks log2 |F| <= 9 r 2^r; rank_mode "computed" takes m = 2r - 1,
     the rank cover_h2 actually produces.  The modes disagree; the note
-    field says so.
+    field says so.  A failed bound is reported as ok False in either
+    mode (the CLI prints "ok":false and exits 2); it holds for r = 2..16.
     """
     if not 2 <= r <= 16:
         raise ValueError(f"r must be in 2..16, got {r}")
@@ -487,10 +488,6 @@ def count_colors(r: int, rank_mode: str = "paper") -> CountReport:
     log2_f = t * math.log2(x)
     bound = 9 * r * 2**r
     ok = log2_f <= bound
-    if rank_mode == "paper" and not ok:
-        raise RuntimeError(
-            f"count bound failed at r={r}: log2_f={log2_f} > {bound}"
-        )
     note = (
         f"rank modes disagree: paper mode uses m=4r-2={4 * r - 2}, "
         f"computed cover homology gives m=2r-1={2 * r - 1}"

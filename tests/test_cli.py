@@ -1,19 +1,21 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sphere_chroma
-from sphere_chroma import cli, farey, spheres
+from sphere_chroma import cli, covercolor, farey, spheres
 from sphere_chroma.farey import MAX_DEPTH
 from sphere_chroma.graphcore import Coloring, Graph, chromatic_number_exact, from_json, to_json
 from sphere_chroma.spheres import SphereKneserReport
@@ -207,6 +209,16 @@ class TestCount:
     def test_bad_mode_exits_64(self, run):
         code, _, _ = run(["count", "--r", "3", "--rank-mode", "guessed"])
         assert code == 64
+
+    @pytest.mark.parametrize("mode", ["paper", "computed"])
+    def test_failed_bound_exits_2(self, run, monkeypatch, mode):
+        # the bound holds for every r the command takes, so fake a log2
+        # that breaks it: both modes report it the same way
+        fake = SimpleNamespace(comb=math.comb, log2=lambda x: 1e6)
+        monkeypatch.setattr(covercolor, "math", fake)
+        assert covercolor.count_colors(3, mode).ok is False
+        code, out, _ = run(["count", "--r", "3", "--rank-mode", mode])
+        assert code == 2 and '"ok":false' in out
 
 
 class TestColor:
