@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphcore import Graph, _bits
+from .graphcore import Graph, _bits, _class_masks
 from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
 from .spheres import sphere_graph_holed
 
@@ -344,14 +344,6 @@ def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> Col
     )
 
 
-def _class_rows(hom) -> dict[int, int]:
-    # homology class -> bitmask of the vertices in it
-    rows: dict[int, int] = {}
-    for v, h in enumerate(hom):
-        rows[h] = rows.get(h, 0) | 1 << v
-    return rows
-
-
 @dataclass(frozen=True)
 class ProperColoringReport:
     r: int
@@ -411,7 +403,7 @@ def verify_coloring_proper(
     every_field = sum(1 << f * w for f in range(2 * covers))
     bad = [v for v in range(g.n) if (keys[v] ^ keys[v] >> 1) & even != spread[hom[v]] * every_field]
     bad_mask = sum(1 << v for v in bad)
-    same_class = _class_rows(hom)
+    same_class = _class_masks(hom)
     violations = []
     homologous = []
     for i, row in enumerate(g.adj):
@@ -444,7 +436,7 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     """
     g = glued_sphere_graph(model)
     table = color_table(model)
-    same_class = _class_rows(table.hom)
+    same_class = _class_masks(table.hom)
     out = []
     for i, row in enumerate(g.adj):
         name = _hom_label(table.hom[i], model.r)

@@ -138,6 +138,21 @@ def _flags_to_row(flags: bytearray) -> int:
     return int(flags[::-1].translate(_DIGITS), 2)
 
 
+def _class_masks(keys) -> dict:
+    """Mask of the vertices v with ``keys[v] == k``, per distinct k; each made
+    once from a flag byte per vertex of its span, not an OR per vertex."""
+    members: dict = {}
+    for v, k in enumerate(keys):
+        members.setdefault(k, []).append(v)
+    masks = {}
+    for k, vs in members.items():
+        flags = bytearray(vs[-1] - vs[0] + 1)
+        for v in vs:
+            flags[v - vs[0]] = 1
+        masks[k] = _flags_to_row(flags) << vs[0]
+    return masks
+
+
 def _bits(mask: int, base: int = 0) -> list[int]:
     """Positions of the set bits of mask, ascending, each plus base."""
     width = mask.bit_length()
@@ -242,11 +257,9 @@ def validate_coloring(g: Graph, coloring: Coloring):
     colors = coloring.colors
     if len(colors) != g.n:
         raise ValueError(f"coloring has {len(colors)} colors for a graph of {g.n} vertices")
-    # one vertex bitmask per color; a row's hits inside its own class above
-    # the diagonal are the violating edges, the lowest hit the least one
-    class_mask: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        class_mask[c] = class_mask.get(c, 0) | 1 << v
+    # a row's hits inside its own color class above the diagonal are the
+    # violating edges, the lowest hit the least one
+    class_mask = _class_masks(colors)
     for i, row in enumerate(g.adj):
         hit = (row & class_mask[colors[i]]) >> (i + 1)
         if hit:
@@ -314,10 +327,7 @@ def _canonical_coloring(color: list[int]) -> Coloring:
 
 def _degree_classes(adj) -> list[int]:
     """One vertex mask per distinct degree, highest degree first."""
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    by_degree = _class_masks([row.bit_count() for row in adj])
     return [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
 
@@ -524,13 +534,16 @@ def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
 
 
 def to_json(g: Graph) -> str:
-    """Canonical one-line JSON; edges sorted lexicographically."""
-    doc = {
-        "format": GRAPH_FORMAT,
-        "vertex_labels": list(g.labels),
-        "edges": g.sorted_edges,
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """Canonical one-line JSON, edges sorted: the bytes of compact ``json.dumps``,
+    written row by row from a table of "j]" tails, with no edge list."""
+    tail = [f"{j}]" for j in range(g.n)]
+    edges = [
+        f"[{i}," + f",[{i},".join(map(tail.__getitem__, _bits(row >> (i + 1), i + 1)))
+        for i, row in enumerate(g.adj)
+        if row >> (i + 1)
+    ]
+    labels = json.dumps(list(g.labels), separators=(",", ":"))
+    return f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{labels},"edges":[{",".join(edges)}]}}'
 
 
 def from_json(text: str) -> Graph:

@@ -20,8 +20,10 @@ So the neighbours of a are the supersets of a, the proper subsets of a
 that contain element 1, and the supersets of ~a | 1, the full set
 excluded.  The families are disjoint: a common member of the first two
 would be a itself, of the first and third the full set, and no subset
-of a contains ~a.  Listing them costs 3^n steps over all vertices,
-where testing every pair costs 4^n.
+of a contains ~a.  Over positions h = c >> 1, with F = 2^(n-1) - 1 the
+full set and A = a >> 1, they are Sup(A), Sub(A) and Sup(F ^ A): bit
+indicators that n - 1 shift-or steps grow from one bit, so a row costs
+O(n) big-int steps, where a pair scan tests every other vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import Graph, _flags_to_row
+from .graphcore import Graph
 
 __all__ = [
     "TwoBlockPartition",
@@ -42,10 +44,10 @@ __all__ = [
     "spherelike_partitions",
 ]
 
-# Caps on what a CLI call may build, from timed runs (CHANGES.md): at
-# n = 15 `generate total-kneser` passes 1 GB of memory, mostly for the
-# JSON edge list, and so does kg(4000, 1), the densest kg with 4000
-# vertices.
+# Caps on what a CLI call may build (CHANGES.md): `generate total-kneser
+# --n 14` takes 1.4 s at 109 MB peak RSS, n = 15 4.0 s and 321 MB for
+# 91 MB of JSON (in-process); `generate kneser --n 3500 --k 1`, the
+# densest kg at the cap, 6.0 s at 628 MB, mostly kg's own edge list.
 MAX_GROUND_SET = 14
 MAX_KG_VERTICES = 3500
 
@@ -177,41 +179,34 @@ def spherelike_partitions(n: int) -> list[TwoBlockPartition]:
     return [p for p in all_partitions(n) if p.min_block_size >= 2]
 
 
-def _submasks(m: int) -> list[int]:
-    """Every submask of m, 0 and m included."""
-    subs = [0]
-    while m:
-        low = m & -m
-        subs += [s | low for s in subs]
-        m ^= low
-    return subs
-
-
 def _partition_graph(parts: list[TwoBlockPartition], n: int) -> Graph:
-    """Nested-pair graph on canonical partitions, written as adjacency rows.
+    """Nested-pair graph on ``parts``, strictly ascending by mask, as bit rows.
 
-    The neighbours of a come from the three families in the module
-    docstring, listed by submask enumeration; no pair of vertices is
-    tested.  A row is one byte per vertex plus a spare last byte, which
-    absorbs every family member that is not in ``parts`` (the full set,
-    or a partition the caller filtered out).
+    A row is the module docstring's three families less bits A and F,
+    with each position not in ``parts`` then deleted, highest first, as
+    in ``remove_singleton_partitions``, so that bit v is vertex v.
     """
-    full = (1 << n) - 1
-    size = len(parts)
-    index = [size] * (1 << n)
-    for v, p in enumerate(parts):
-        index[p.mask] = v
+    pos = [p.mask >> 1 for p in parts]
+    if any(x >= y for x, y in zip(pos, pos[1:])):
+        raise ValueError("partitions must be strictly ascending by mask")
+    full = (1 << (n - 1)) - 1
+    keep = set(pos)
+    lows = [(1 << h) - 1 for h in range(full - 1, -1, -1) if h not in keep]
+    steps = [1 << i for i in range(n - 1)]
     rows = []
-    for v, p in enumerate(parts):
-        a = p.mask
-        out = full ^ a
-        inner = _submasks(a ^ 1)
-        row = bytearray(size + 1)
-        for c in [a | s for s in _submasks(out)] + [1 | t for t in inner] + [out | 1 | t for t in inner]:
-            row[index[c]] = 1
-        row[v] = 0
-        del row[size]
-        rows.append(_flags_to_row(row))
+    for h in pos:
+        sup = sub = 1 << h
+        sup_out = 1 << (full ^ h)
+        for s in steps:
+            if h & s:
+                sub |= sub >> s
+                sup_out |= sup_out << s
+            else:
+                sup |= sup << s
+        row = (sup | sub | sup_out) & ~(1 << h | 1 << full)
+        for low in lows:
+            row = row & low | row >> 1 & ~low
+        rows.append(row)
     return Graph.from_rows([p.label for p in parts], rows)
 
 

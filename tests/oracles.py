@@ -1,6 +1,7 @@
 """Direct algorithms the package no longer runs, kept as test oracles.
 
-The partition graph tests every pair of vertices with ``nested``; an
+The partition graph tests every pair of vertices with ``nested``; graph
+JSON is one ``json.dumps`` of the document with its edge list; an
 induced subgraph is rebuilt from the kept ends of the edge list; lift
 classes sum the boundary copies of one block and reduce the sum; the
 properness report compares the full per-cover color tables on every
@@ -12,6 +13,7 @@ the neighbours each assignment touched.  Tests check the package
 against these on small sizes.
 """
 
+import json
 from itertools import combinations
 
 from sphere_chroma.covercolor import (
@@ -20,7 +22,7 @@ from sphere_chroma.covercolor import (
     enumerate_double_covers,
     homology_class,
 )
-from sphere_chroma.graphcore import Coloring, Graph, _canonical_coloring
+from sphere_chroma.graphcore import GRAPH_FORMAT, Coloring, Graph, _canonical_coloring
 from sphere_chroma.kneser import nested, spherelike_partitions
 
 
@@ -32,6 +34,16 @@ def pairwise_partition_graph(parts):
         if nested(p, q)
     ]
     return Graph([p.label for p in parts], edges)
+
+
+def graph_json(g):
+    """Canonical graph JSON from one json.dumps of the whole document."""
+    doc = {
+        "format": GRAPH_FORMAT,
+        "vertex_labels": list(g.labels),
+        "edges": g.sorted_edges,
+    }
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def induced_subgraph(g, keep):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +25,7 @@ from sphere_chroma.graphcore import (
     greedy_dsatur,
     to_json,
     validate_coloring,
+    _class_masks,
     _degree_classes,
     _k_colorable,
 )
@@ -444,6 +447,15 @@ class TestJsonFormat:
         assert to_json(from_json(text)) == text
         assert from_json(text) == g
 
+    def test_benchmark_sizes_match_pin_and_dumped_document(self):
+        # bench/pins.json is only read here: the pin is the sha256 of
+        # `generate sphere --n 12` stdout, recorded from the json.dumps writer
+        pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json").read_text())
+        text = to_json(sphere_graph_holed(12)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == pins["generate-sphere-12"]
+        tk = total_kneser(12)
+        assert to_json(tk) == oracles.graph_json(tk)
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(SchemaError, match="line 1 column"):
             from_json("{nope")
@@ -497,6 +509,17 @@ def graphs(max_n=9):
     return build()
 
 
+@st.composite
+def labeled_graphs(draw):
+    """Graphs of 0..30 vertices with any text as labels, from empty to complete."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    labels = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < density]
+    return Graph(labels, edges)
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graphs())
@@ -535,6 +558,25 @@ class TestProperties:
                                     min_size=g.n, max_size=g.n))
         c = Coloring(colors)
         assert validate_coloring(g, c) == oracles.edge_walk_violation(g, c)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(labeled_graphs())
+    @example(Graph([]))
+    @example(Graph(["a", "b", "c"]))
+    @example(complete_graph(12))
+    @example(Graph(['"q"', "back\\slash", "é", "雪", "\n", "\x00"],
+                   [(i, 5) for i in range(5)]))
+    def test_rows_match_dumped_document(self, g):
+        # dense and sparse rows, rows reaching the last vertex, escaped labels
+        assert to_json(g) == oracles.graph_json(g)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=60))
+    def test_class_masks_match_or_per_vertex(self, keys):
+        expected: dict[int, int] = {}
+        for v, k in enumerate(keys):
+            expected[k] = expected.get(k, 0) | 1 << v
+        assert _class_masks(keys) == expected
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graphs())

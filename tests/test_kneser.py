@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sphere_chroma import kneser
@@ -185,6 +186,26 @@ class TestRowBuilder:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_total_kneser_matches_pairwise_nested(self, n):
         assert total_kneser(n) == oracles.pairwise_partition_graph(all_partitions(n))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=8), st.data())
+    def test_filtered_lists_match_pairwise_nested(self, n, data):
+        # any ascending sub-list, so any set of positions gets deleted
+        parts = all_partitions(n)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+        parts = [p for p, k in zip(parts, keep) if k]
+        assert kneser._partition_graph(parts, n) == oracles.pairwise_partition_graph(parts)
+
+    @pytest.mark.parametrize("order", ["descending", "repeated", "swapped"])
+    def test_unsorted_list_refused(self, order):
+        parts = spherelike_partitions(6)
+        bad = {
+            "descending": parts[::-1],
+            "repeated": parts[:3] + parts[2:],
+            "swapped": [parts[1], parts[0]] + parts[2:],
+        }[order]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            kneser._partition_graph(bad, 6)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_remove_singletons_matches_induced_subgraph(self, n):
