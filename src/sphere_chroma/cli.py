@@ -66,12 +66,13 @@ def _build_parser() -> _Parser:
     g = gsub.add_parser("farey")
     g.add_argument("--depth", type=int, required=True)
     g.add_argument("--fins", action="store_true")
-    g.set_defaults(run=_cmd_generate, build=_farey_ball)
+    g.set_defaults(run=_generate_farey)
 
     c = sub.add_parser("chi", help="chromatic number of a graph read from --input or stdin")
     c.add_argument("--input", default=None, metavar="PATH")
     mode = c.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=False)
+    mode.add_argument("--exact", action="store_true",
+                      help="exact search, the default mode; the flag only spells it out")
     mode.add_argument("--bounds", action="store_true")
     c.add_argument("--budget", type=int, default=None, metavar="NODES")
     c.set_defaults(run=_cmd_chi)
@@ -155,9 +156,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _farey_ball(args) -> graphcore.Graph:
-    g = farey.farey_ball(args.depth)
-    return farey.add_fins(g) if args.fins else g
+def _generate_farey(args) -> int:
+    _, labels, upper = farey.farey_lists(args.depth, args.fins)
+    _write(graphcore.to_json_rows(labels, upper) + "\n")
+    return 0
 
 
 def _cmd_chi(args) -> int:
@@ -224,16 +226,15 @@ def _verify_proper(args) -> int:
 
 
 def _verify_farey_parity(args) -> int:
-    # validate the parity coloring on the finned ball; the ball is its
-    # induced subgraph on the same leading labels, so that one check
-    # covers every ball edge too.  Exact chi only for small depths.
+    # the parity check on the finned ball's neighbour lists covers every
+    # ball edge too; a Graph, for exact chi, only at small depths
     depth = args.depth
-    finned = farey.add_fins(farey.farey_ball(depth))
-    ok = graphcore.validate_coloring(finned, farey.parity_coloring(finned)) is None
+    fractions, _, upper = farey.farey_lists(depth, fins=True)
+    classes = farey.parity_classes(fractions, upper)
+    ok = farey.parity_violation(fractions, upper, classes) is None
     doc = {"check": "farey-parity", "depth": depth, "ok": ok}
     if depth <= 8:
-        result = graphcore.chromatic_number_exact(finned)
-        doc["chi"] = result.chi
+        doc["chi"] = farey.chi_farey_ball(depth, fins=True).chi
     doc["open_question"] = FAREY_OPEN_QUESTION
     _emit(doc)
     return 0 if ok else VERIFY_FAIL_EXIT

@@ -35,6 +35,7 @@ __all__ = [
     "export_dimacs_kcolor",
     "export_dot",
     "to_json",
+    "to_json_rows",
     "from_json",
 ]
 
@@ -534,16 +535,22 @@ def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
 
 
 def to_json(g: Graph) -> str:
-    """Canonical one-line JSON, edges sorted: the bytes of compact ``json.dumps``,
-    written row by row from a table of "j]" tails, with no edge list."""
-    tail = [f"{j}]" for j in range(g.n)]
+    """Canonical one-line JSON of g, edges sorted (see ``to_json_rows``)."""
+    return to_json_rows(g.labels, (_bits(row >> (i + 1), i + 1) for i, row in enumerate(g.adj)))
+
+
+def to_json_rows(labels, upper) -> str:
+    """Canonical graph JSON from labels and, per vertex i, the ascending
+    neighbours j > i: the bytes of compact ``json.dumps`` with a sorted edge
+    list, written row by row from a table of "j]" tails."""
+    tail = [f"{j}]" for j in range(len(labels))]
     edges = [
-        f"[{i}," + f",[{i},".join(map(tail.__getitem__, _bits(row >> (i + 1), i + 1)))
-        for i, row in enumerate(g.adj)
-        if row >> (i + 1)
+        f"[{i}," + f",[{i},".join(map(tail.__getitem__, row))
+        for i, row in enumerate(upper)
+        if row
     ]
-    labels = json.dumps(list(g.labels), separators=(",", ":"))
-    return f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{labels},"edges":[{",".join(edges)}]}}'
+    text = json.dumps(labels, separators=(",", ":"))
+    return f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":[{",".join(edges)}]}}'
 
 
 def from_json(text: str) -> Graph:

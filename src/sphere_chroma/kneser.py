@@ -28,9 +28,10 @@ O(n) big-int steps, where a pair scan tests every other vertex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .graphcore import Graph
 
@@ -50,6 +51,17 @@ __all__ = [
 # densest kg at the cap, 6.0 s at 628 MB, mostly kg's own edge list.
 MAX_GROUND_SET = 14
 MAX_KG_VERTICES = 3500
+
+
+# mask digits ("0"/"1", element 1 first) to 0/1 flags for each block
+_IN_BLOCK_A = bytes.maketrans(b"01", b"\x00\x01")
+_IN_BLOCK_B = bytes.maketrans(b"01", b"\x01\x00")
+
+
+@functools.cache
+def _element_names(n: int) -> tuple[str, ...]:
+    """Digit string of each element of {1..n}, element e at index e - 1."""
+    return tuple(map(str, range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -119,9 +131,12 @@ class TwoBlockPartition:
 
     @property
     def label(self) -> str:
-        return "{}|{}".format(
-            " ".join(map(str, self.block_a)), " ".join(map(str, self.block_b))
-        )
+        """"1 2|3 4 5" form: block_a, then block_b, each ascending."""
+        names = _element_names(self.n)
+        digits = f"{self.mask:0{self.n}b}".encode()[::-1]  # element 1 first
+        a = " ".join(compress(names, digits.translate(_IN_BLOCK_A)))
+        b = " ".join(compress(names, digits.translate(_IN_BLOCK_B)))
+        return f"{a}|{b}"
 
     def __str__(self):
         return self.label

@@ -1,7 +1,9 @@
 """Direct algorithms the package no longer runs, kept as test oracles.
 
-The partition graph tests every pair of vertices with ``nested``; graph
-JSON is one ``json.dumps`` of the document with its edge list; an
+The partition graph tests every pair of vertices with ``nested``; a
+partition label joins the block_a and block_b element tuples; a Farey
+ball and its fins come from an edge list grown by mediant insertion;
+graph JSON is one ``json.dumps`` of the document with its edge list; an
 induced subgraph is rebuilt from the kept ends of the edge list; lift
 classes sum the boundary copies of one block and reduce the sum; the
 properness report compares the full per-cover color tables on every
@@ -36,6 +38,11 @@ def pairwise_partition_graph(parts):
     return Graph([p.label for p in parts], edges)
 
 
+def partition_label(p):
+    """"1 2|3 4 5" label from the block_a and block_b element tuples."""
+    return "{}|{}".format(" ".join(map(str, p.block_a)), " ".join(map(str, p.block_b)))
+
+
 def graph_json(g):
     """Canonical graph JSON from one json.dumps of the whole document."""
     doc = {
@@ -44,6 +51,34 @@ def graph_json(g):
         "edges": g.sorted_edges,
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def farey_ball(depth):
+    """Farey ball as a Graph built from an edge list grown by mediant insertion."""
+    verts = [(0, 1), (1, 0)]
+    edges = [(0, 1)]
+    frontier = [(0, 1)]
+    for _ in range(depth):
+        next_frontier = []
+        for i, j in frontier:
+            (p, q), (r, s) = verts[i], verts[j]
+            k = len(verts)
+            verts.append((p + r, q + s))
+            edges += [(i, k), (j, k)]
+            next_frontier += [(i, k), (j, k)]
+        frontier = next_frontier
+    return Graph([f"{p}/{q}" for p, q in verts], edges)
+
+
+def add_fins(g):
+    """g plus one fin per edge of its sorted edge list, joined to both ends."""
+    labels = list(g.labels)
+    edges = g.sorted_edges
+    for i, j in g.sorted_edges:
+        k = len(labels)
+        labels.append(f"fin({g.labels[i]},{g.labels[j]})")
+        edges += [(i, k), (j, k)]
+    return Graph(labels, edges)
 
 
 def induced_subgraph(g, keep):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import sphere_chroma
 from sphere_chroma import cli, covercolor, farey, spheres
 from sphere_chroma.farey import MAX_DEPTH
-from sphere_chroma.graphcore import Coloring, Graph, chromatic_number_exact, from_json, to_json
+from sphere_chroma.graphcore import Graph, chromatic_number_exact, from_json, to_json
 from sphere_chroma.spheres import SphereKneserReport
 
 
@@ -173,16 +174,23 @@ class TestVerify:
     def test_farey_parity_improper_exits_2(self, run, monkeypatch):
         # give 1/1 the color of its neighbour 0/1: the check on the finned
         # ball must see the Farey edge between them
-        real = farey.parity_coloring
+        real = farey.parity_classes
 
-        def broken(g):
-            a = list(real(g).colors)
-            a[g.labels.index("1/1")] = a[g.labels.index("0/1")]
-            return Coloring(a)
+        def broken(fractions, upper):
+            a = real(fractions, upper)
+            a[fractions.index((1, 1))] = a[fractions.index((0, 1))]
+            return a
 
-        monkeypatch.setattr(farey, "parity_coloring", broken)
+        monkeypatch.setattr(farey, "parity_classes", broken)
         code, out, _ = run(["verify", "farey-parity", "--depth", "4"])
         assert code == 2 and json.loads(out)["ok"] is False
+
+    def test_farey_12_fins_matches_benchmark_pin(self, run):
+        # bench/pins.json is only read here; the pin is stdout's sha256
+        pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json").read_text())
+        code, out, err = run(["generate", "farey", "--depth", "12", "--fins"])
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == pins["generate-farey-12-fins"]
 
     def test_farey_parity_depth_capped(self, run):
         code, _, err = run(["verify", "farey-parity", "--depth", str(MAX_DEPTH + 1)])
@@ -257,9 +265,9 @@ class TestExport:
 CHILD_AS_BYTES = 1300 * 2**20
 
 
-def _limit_child_memory():
+def _limit_child_memory(limit=CHILD_AS_BYTES):
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    soft = CHILD_AS_BYTES if hard == resource.RLIM_INFINITY else min(CHILD_AS_BYTES, hard)
+    soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
@@ -293,6 +301,12 @@ class TestFlagHandling:
             preexec_fn=_limit_child_memory,
         )
         assert result.returncode == 64 and result.stdout == "" and "error" in result.stderr
+
+    def test_exact_help_names_the_default_mode(self, run):
+        code, out, _ = run(["chi", "--help"])
+        assert code == 0 and "the default mode" in out
+        doc = to_json(Graph(["a", "b"], [(0, 1)]))
+        assert run(["chi"], doc) == run(["chi", "--exact"], doc) == (0, '{"chi":2}\n', "")
 
     def test_threads_is_an_unknown_flag(self, run):
         code, out, err = run(["--threads", "1", "verify", "petersen"])
@@ -422,6 +436,34 @@ def cli_env():
     src = str(Path(sphere_chroma.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+# address space for the depth-14 Farey calls below: they need about 43 MB
+# (generate --fins) and 33 MB (verify) from neighbour lists, against about
+# 195 MB for both when every vertex had a bit row spanning the whole ball
+FAREY_AS_BYTES = 100 * 2**20
+
+
+class TestFareyMemory:
+    def _run_limited(self, cli_env, argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sphere_chroma.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=cli_env,
+            preexec_fn=lambda: _limit_child_memory(FAREY_AS_BYTES),
+        )
+
+    def test_generate_depth_14_fins_fits(self, cli_env):
+        result = self._run_limited(cli_env, ["generate", "farey", "--depth", "14", "--fins"])
+        assert result.returncode == 0 and result.stderr == ""
+        doc = json.loads(result.stdout)
+        ball_edges = 2**15 - 1
+        assert len(doc["vertex_labels"]) == 2**14 + 1 + ball_edges
+        assert len(doc["edges"]) == 3 * ball_edges
+
+    def test_verify_parity_depth_14_fits(self, cli_env):
+        result = self._run_limited(cli_env, ["verify", "farey-parity", "--depth", "14"])
+        assert result.returncode == 0 and result.stderr == ""
+        assert json.loads(result.stdout)["ok"] is True
 
 
 class TestInstalledScript:

@@ -9,9 +9,12 @@ from sphere_chroma.farey import (
     add_fins,
     chi_farey_ball,
     farey_ball,
+    farey_lists,
+    parity_classes,
     parity_coloring,
+    parity_violation,
 )
-from sphere_chroma.graphcore import Coloring, Graph, validate_coloring
+from sphere_chroma.graphcore import Coloring, Graph, to_json_rows, validate_coloring
 
 
 class TestFareyBall:
@@ -75,6 +78,91 @@ class TestFins:
         for v in range(g.n, finned.n):
             a, b = finned.neighbors(v)
             assert (a, b) in edges
+
+
+class TestNeighbourLists:
+    @pytest.mark.parametrize("fins", [False, True], ids=["plain", "fins"])
+    @pytest.mark.parametrize("depth", range(0, 13))
+    def test_writer_matches_dumped_graph(self, depth, fins):
+        _, labels, upper = farey_lists(depth, fins)
+        g = add_fins(farey_ball(depth)) if fins else farey_ball(depth)
+        assert to_json_rows(labels, upper) == oracles.graph_json(g)
+
+    @pytest.mark.parametrize("depth", range(0, 11))
+    def test_graphs_match_edge_list_builder(self, depth):
+        ball = oracles.farey_ball(depth)
+        assert farey_ball(depth) == ball
+        assert add_fins(farey_ball(depth)) == oracles.add_fins(ball)
+
+    @pytest.mark.parametrize("depth", [0, 1, 5, 12])
+    def test_lists_ascending_above_their_vertex(self, depth):
+        fractions, labels, upper = farey_lists(depth, fins=True)
+        assert len(fractions) == 2**depth + 1
+        assert len(labels) == len(upper) == len(fractions) + 2 ** (depth + 1) - 1
+        for i, row in enumerate(upper):
+            assert all(a < b for a, b in zip([i] + row, row))
+
+    def test_depth_bounds(self):
+        for depth in (-1, MAX_DEPTH + 1):
+            with pytest.raises(ValueError, match=f"0..{MAX_DEPTH}"):
+                farey_lists(depth, fins=True)
+
+
+def _fin_ends(upper, n_ball, fin):
+    return [i for i in range(n_ball) if fin in upper[i]]
+
+
+class TestListParityCheck:
+    @pytest.mark.parametrize("depth", range(0, 13))
+    def test_finned_balls_pass(self, depth):
+        fractions, _, upper = farey_lists(depth, fins=True)
+        classes = parity_classes(fractions, upper)
+        assert parity_violation(fractions, upper, classes) is None
+        assert set(classes) <= set(PARITY_CLASS_IDS.values())
+
+    @pytest.mark.parametrize("depth", range(0, 9))
+    def test_classes_match_graph_coloring(self, depth):
+        fractions, _, upper = farey_lists(depth, fins=True)
+        finned = add_fins(farey_ball(depth))
+        assert tuple(parity_classes(fractions, upper)) == parity_coloring(finned).colors
+
+    def test_fin_given_an_endpoint_class_is_reported(self):
+        fractions, _, upper = farey_lists(8, fins=True)
+        classes = parity_classes(fractions, upper)
+        n_ball = len(fractions)
+        for fin in range(n_ball, len(upper), 97):
+            a, b = _fin_ends(upper, n_ball, fin)
+            for end in (a, b):
+                bad = classes[:fin] + [classes[end]] + classes[fin + 1:]
+                assert parity_violation(fractions, upper, bad) == (end, fin)
+
+    def test_rewired_edge_is_reported(self):
+        # 0/1 -- 3/2 joins two classes but has |ps - qr| = 3
+        fractions, _, upper = farey_lists(6)
+        far = fractions.index((3, 2))
+        assert far not in upper[0]
+        rewired = [list(row) for row in upper]
+        rewired[0] = sorted(rewired[0][:-1] + [far])
+        classes = parity_classes(fractions, rewired)
+        assert classes[0] != classes[far]
+        assert parity_violation(fractions, rewired, classes) == (0, far)
+
+    def test_monochromatic_ball_edge_is_reported(self):
+        fractions, _, upper = farey_lists(4, fins=True)
+        classes = parity_classes(fractions, upper)
+        one = fractions.index((1, 1))
+        classes[one] = classes[0]
+        assert parity_violation(fractions, upper, classes) == (0, one)
+
+    def test_unreduced_fraction_rejected(self):
+        with pytest.raises(ValueError, match="reduced"):
+            parity_classes([(2, 4)], [[]])
+
+    def test_fin_without_a_free_class_rejected(self):
+        # a fin joined to 0/1, 1/0 and 1/1 sees all three classes
+        fractions = [(0, 1), (1, 0), (1, 1)]
+        with pytest.raises(ValueError, match="all three classes"):
+            parity_classes(fractions, [[3], [3], [3], []])
 
 
 class TestParityColoring:

@@ -31,6 +31,13 @@ class TestTwoBlockPartition:
         p = TwoBlockPartition.from_block(5, [2, 4, 5])
         assert p.label == "1 3|2 4 5"
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_label_matches_block_tuples_for_every_mask(self, n):
+        # every mask, canonical or not, including the two-digit elements 10..12
+        labels = [TwoBlockPartition(n, m).label for m in range(1, (1 << n) - 1)]
+        assert labels == [oracles.partition_label(TwoBlockPartition(n, m))
+                          for m in range(1, (1 << n) - 1)]
+
     def test_from_label_round_trip(self):
         for text in ("1|2 3", "1 3|2 4 5", "1 2 3|4 5"):
             p = TwoBlockPartition.from_label(text)
