@@ -2,8 +2,8 @@
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 verification failure, 3 chromatic number undecided within budget,
-64 bad flags, 74 input could not be read or parsed, 141 when the
-output pipe closes early.  Identical invocations produce
+64 bad flags, 71 out of memory, 74 input could not be read or parsed,
+141 when the output pipe closes early.  Identical invocations produce
 byte-identical output; --timing never changes stdout.
 """
 
@@ -17,11 +17,12 @@ import os
 import sys
 import time
 
-from . import covercolor, farey, graphcore, kneser, spheres
+from . import graphcore
 
 USAGE_EXIT = 64
 VERIFY_FAIL_EXIT = 2
 UNDECIDED_EXIT = 3
+OS_EXIT = 71
 IO_EXIT = 74
 
 FAREY_OPEN_QUESTION = (
@@ -51,18 +52,17 @@ def _build_parser() -> _Parser:
     g = gsub.add_parser("kneser")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.set_defaults(run=_cmd_generate, build=lambda a: kneser.kg(a.n, a.k))
+    g.set_defaults(run=_generate_kneser)
     g = gsub.add_parser("total-kneser")
     g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_cmd_generate, build=lambda a: kneser.total_kneser(a.n))
+    g.set_defaults(run=_generate_total_kneser)
     g = gsub.add_parser("sphere")
     g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_cmd_generate, build=lambda a: spheres.sphere_graph_holed(a.n))
+    g.set_defaults(run=_generate_sphere)
     g = gsub.add_parser("glued")
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--with-cut-spheres", action="store_true")
-    g.set_defaults(run=_cmd_generate, build=lambda a: covercolor.glued_sphere_graph(
-        covercolor.CutSystemModel(a.r), a.with_cut_spheres))
+    g.set_defaults(run=_generate_glued)
     g = gsub.add_parser("farey")
     g.add_argument("--depth", type=int, required=True)
     g.add_argument("--fins", action="store_true")
@@ -151,12 +151,38 @@ def _read_graph(path: str | None) -> graphcore.Graph:
         raise _InputError(f"input is not a graph document: {e}") from None
 
 
-def _cmd_generate(args) -> int:
-    _write(graphcore.to_json(args.build(args)) + "\n")
+# every command runs graphcore, imported above; each handler imports the
+# one other library module it runs, so a call loads no module it does not use
+
+
+def _write_graph(g: graphcore.Graph) -> int:
+    _write(graphcore.to_json(g) + "\n")
     return 0
 
 
+def _generate_kneser(args) -> int:
+    from . import kneser
+    return _write_graph(kneser.kg(args.n, args.k))
+
+
+def _generate_total_kneser(args) -> int:
+    from . import kneser
+    return _write_graph(kneser.total_kneser(args.n))
+
+
+def _generate_sphere(args) -> int:
+    from . import spheres
+    return _write_graph(spheres.sphere_graph_holed(args.n))
+
+
+def _generate_glued(args) -> int:
+    from . import covercolor
+    return _write_graph(covercolor.glued_sphere_graph(
+        covercolor.CutSystemModel(args.r), args.with_cut_spheres))
+
+
 def _generate_farey(args) -> int:
+    from . import farey
     _, labels, upper = farey.farey_lists(args.depth, args.fins)
     _write(graphcore.to_json_rows(labels, upper) + "\n")
     return 0
@@ -181,6 +207,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from . import covercolor
     model = covercolor.CutSystemModel(args.r)
     table = covercolor.color_table(model, args.with_cut_spheres)
     name = functools.cache(lambda bits: covercolor.class_label(bits, model.r))
@@ -198,6 +225,7 @@ def _cmd_color(args) -> int:
 
 
 def _verify_lemma2(args) -> int:
+    from . import spheres
     rep = spheres.verify_lemma_sphere_kneser(args.n)
     doc = {"lemma": "sphere-kneser", "n": args.n, "ok": rep.ok}
     if not rep.ok:
@@ -208,6 +236,7 @@ def _verify_lemma2(args) -> int:
 
 
 def _verify_petersen(args) -> int:
+    from . import spheres
     rep = spheres.verify_petersen_isomorphism()
     doc = {"check": "petersen", "ok": rep.ok}
     if not rep.ok:
@@ -218,6 +247,7 @@ def _verify_petersen(args) -> int:
 
 
 def _verify_proper(args) -> int:
+    from . import covercolor
     rep = covercolor.verify_coloring_proper(
         covercolor.CutSystemModel(args.r), args.with_cut_spheres
     )
@@ -226,6 +256,7 @@ def _verify_proper(args) -> int:
 
 
 def _verify_farey_parity(args) -> int:
+    from . import farey
     # the parity check on the finned ball's neighbour lists covers every
     # ball edge too; a Graph, for exact chi, only at small depths
     depth = args.depth
@@ -241,6 +272,7 @@ def _verify_farey_parity(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import covercolor
     rep = covercolor.count_colors(args.r, args.rank_mode)
     _emit({
         "t": rep.t,
@@ -281,6 +313,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write(f"sphere-chroma: error: {e}\n")
         return USAGE_EXIT
+    except MemoryError:
+        sys.stderr.write("sphere-chroma: out of memory\n")
+        return OS_EXIT
     if args.timing:
         sys.stderr.write(f"elapsed: {time.monotonic() - t0:.3f}s\n")
     return code

@@ -8,15 +8,18 @@ vertex masks: the uncolored vertices, one "has a neighbour of color c"
 mask per color, and a saturation counter sliced into bit planes, so a
 node costs a few big-int operations per color and per plane, not one
 step per neighbour.  Each node saves a snapshot of the masks it changes
-and backtracking restores it.  When a node budget runs out the engine
-reports an explicit undecided outcome instead of guessing.
+and backtracking restores it.  Universal vertices are peeled off before
+the search, each with a color of its own, so the node budget and the
+reported node counts are those of the peeled search.  When a node budget
+runs out the engine reports an explicit undecided outcome instead of
+guessing.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress
 
 __all__ = [
@@ -210,31 +213,35 @@ class Coloring:
         return f"Coloring({self.colors!r})"
 
 
-@dataclass(frozen=True)
-class InfeasibilityEvidence:
+# The result records are named tuples rather than dataclasses: the same
+# field names, immutability, equality and repr, without importing
+# dataclasses (and inspect) on every call of the command line.
+
+
+class InfeasibilityEvidence(namedtuple(
+        "InfeasibilityEvidence", "colors_ruled_out nodes_explored refutation_nodes")):
     """Record that a full search ruled out a smaller palette.
 
     ``nodes_explored`` counts the nodes of the last refutation, the one
     for ``colors_ruled_out`` colors; ``refutation_nodes`` has one count
     per refuted palette size, from the clique bound up, so its last entry
-    is ``nodes_explored``.
+    is ``nodes_explored``.  The counts are nodes of the peeled search
+    (see ``chromatic_number_exact``).
     """
 
-    colors_ruled_out: int
-    nodes_explored: int
-    refutation_nodes: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChiCertificate:
-    chi: int
-    witness: Coloring
-    clique_bound: int
-    infeasibility: InfeasibilityEvidence | None = None
+class ChiCertificate(namedtuple(
+        "ChiCertificate", "chi witness clique_bound infeasibility", defaults=(None,))):
+    """chi colors suffice (witness) and, unless chi is the clique bound,
+    chi - 1 do not (infeasibility)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChiUndecided:
+class ChiUndecided(namedtuple(
+        "ChiUndecided", "lower upper witness nodes_explored refutation_nodes")):
     """Budget ran out: chi lies in [lower, upper], witness achieves upper.
 
     ``nodes_explored`` counts every node the call spent; ``refutation_nodes``
@@ -242,11 +249,7 @@ class ChiUndecided:
     the clique bound up to ``lower - 1``.
     """
 
-    lower: int
-    upper: int
-    witness: Coloring
-    nodes_explored: int
-    refutation_nodes: tuple[int, ...]
+    __slots__ = ()
 
 
 def validate_coloring(g: Graph, coloring: Coloring):
@@ -451,14 +454,38 @@ def _k_colorable(adj, classes, n, k, node_cap):
     return "unsat", None, nodes
 
 
+def _peel_universal(adj):
+    """(rest, universal, rows): the vertices adjacent to all others are
+    ``universal``; ``rows`` are the adjacency rows of the ``rest``, in
+    order and renumbered 0.., with the universal columns dropped."""
+    n = len(adj)
+    full = (1 << n) - 1
+    keep = bytearray(row | 1 << v != full for v, row in enumerate(adj))
+    rest = list(compress(range(n), keep))
+    if len(rest) == n:
+        return rest, [], adj
+    universal = [v for v in range(n) if not keep[v]]
+    # a row's binary digits, vertex 0 first, with the universal columns
+    # left out by compress, then read back as a row
+    rows = [int("".join(compress(format(adj[v], f"0{n}b")[::-1], keep))[::-1], 2) for v in rest]
+    return rest, universal, rows
+
+
 def chromatic_number_exact(g: Graph, budget: int | None = None):
     """Exact chromatic number with certificate, or ChiUndecided on budget.
 
     Tries k = clique bound, clique bound + 1, ... until a k-coloring is
     found; each completed failed search exhausts the whole (symmetry
-    reduced) space for that k, so the result is exact.  ``budget`` caps
-    the total number of branch nodes across the call; a negative budget
-    is a ValueError.
+    reduced) space for that k, so the result is exact.  Both bounds come
+    from the whole graph.  The search runs on the peeled graph: the u
+    universal vertices (adjacent to every other vertex) each need a color
+    of their own, so they are removed and the rest is searched with k - u
+    colors, then each removed vertex gets one of the last u colors.  For
+    the total Kneser graph TK_n the n singleton splits are universal, so
+    its search is that of the sphere graph S_n.  ``budget`` caps the total
+    number of branch nodes of the peeled search across the call, and the
+    node counts of the result count those nodes; a negative budget is a
+    ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be a non-negative node count, got {budget}")
@@ -470,18 +497,25 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     lb = clique_lower_bound(g)
     if lb == ub:
         return ChiCertificate(ub, ub_col, lb, None)
-    classes = _degree_classes(g.adj)
+    rest, universal, rows = _peel_universal(g.adj)
+    u = len(universal)
+    classes = _degree_classes(rows)
     spent = 0
     refutations: list[int] = []
     for k in range(lb, ub):
         cap = None if budget is None else budget - spent
-        status, col, nodes = _k_colorable(g.adj, classes, n, k, cap)
+        status, col, nodes = _k_colorable(rows, classes, len(rest), k - u, cap)
         spent += nodes
         if status == "sat":
+            color = [0] * n
+            for v, c in zip(rest, col):
+                color[v] = c
+            for i, v in enumerate(universal):
+                color[v] = k - u + i
             evidence = None
             if k > lb:
                 evidence = InfeasibilityEvidence(k - 1, refutations[-1], tuple(refutations))
-            return ChiCertificate(k, _canonical_coloring(col), lb, evidence)
+            return ChiCertificate(k, _canonical_coloring(color), lb, evidence)
         if status == "budget":
             return ChiUndecided(k, ub, ub_col, spent, tuple(refutations))
         refutations.append(nodes)

@@ -62,6 +62,15 @@ def test_earlier_package_names_still_import():
     assert missing == []
 
 
+def test_star_import_binds_the_package_all():
+    namespace = {}
+    exec("from sphere_chroma import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(sphere_chroma.__all__)
+    assert len(namespace) == 58
+    assert all(namespace[name] is getattr(sphere_chroma, name) for name in namespace)
+
+
 @pytest.mark.parametrize(
     "path", sorted(Path(sphere_chroma.__file__).parent.glob("*.py")), ids=lambda p: p.name
 )

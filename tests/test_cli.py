@@ -360,7 +360,7 @@ TOKENS = st.one_of(
     ]),
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz-=_.", max_size=8),
 )
-DOCUMENTED_EXITS = {0, 2, 3, 64, 74, 141}
+DOCUMENTED_EXITS = {0, 2, 3, 64, 71, 74, 141}
 
 
 @st.composite
@@ -442,15 +442,25 @@ def cli_env():
 # (generate --fins) and 33 MB (verify) from neighbour lists, against about
 # 195 MB for both when every vertex had a bit row spanning the whole ball
 FAREY_AS_BYTES = 100 * 2**20
+# address space for a call that must run out of memory: start-up through
+# `generate farey --depth 0 --fins` fits in 19 MB, and `generate farey
+# --depth 14 --fins` needs 41 MB (least limits at which each exits 0)
+OUT_OF_MEMORY_AS_BYTES = 30 * 2**20
 
 
 class TestFareyMemory:
-    def _run_limited(self, cli_env, argv):
+    def _run_limited(self, cli_env, argv, limit=FAREY_AS_BYTES):
         return subprocess.run(
             [sys.executable, "-m", "sphere_chroma.cli", *argv],
             capture_output=True, text=True, timeout=60, env=cli_env,
-            preexec_fn=lambda: _limit_child_memory(FAREY_AS_BYTES),
+            preexec_fn=lambda: _limit_child_memory(limit),
         )
+
+    def test_out_of_memory_exits_71(self, cli_env):
+        result = self._run_limited(cli_env, ["generate", "farey", "--depth", "14", "--fins"],
+                                   OUT_OF_MEMORY_AS_BYTES)
+        assert result.returncode == 71 and result.stdout == ""
+        assert result.stderr == "sphere-chroma: out of memory\n"
 
     def test_generate_depth_14_fins_fits(self, cli_env):
         result = self._run_limited(cli_env, ["generate", "farey", "--depth", "14", "--fins"])
@@ -464,6 +474,60 @@ class TestFareyMemory:
         result = self._run_limited(cli_env, ["verify", "farey-parity", "--depth", "14"])
         assert result.returncode == 0 and result.stderr == ""
         assert json.loads(result.stdout)["ok"] is True
+
+
+# runs the CLI as ``python -m sphere_chroma.cli`` does, then writes the
+# exit code and every loaded module with its file to stderr as JSON
+LOADED_MODULES_PROBE = """
+import json, runpy, sys
+sys.argv[0] = "sphere_chroma.cli"
+code = None
+try:
+    runpy.run_module("sphere_chroma.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+files = {name: getattr(m, "__file__", None) for name, m in sys.modules.items()}
+sys.stderr.write(json.dumps({"exit": code, "modules": files}))
+"""
+
+
+class TestStartup:
+    """A CLI call imports only the library modules its command runs."""
+
+    def _loaded(self, cli_env, argv):
+        result = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES_PROBE, *argv],
+            capture_output=True, text=True, timeout=60, env=cli_env,
+        )
+        report = json.loads(result.stderr)
+        return result.stdout, report["exit"], report["modules"]
+
+    def test_chi_loads_graphcore_alone(self, cli_env, tmp_path):
+        path = tmp_path / "c5.json"
+        path.write_text(to_json(Graph(list("abcde"), [(i, (i + 1) % 5) for i in range(5)])))
+        out, code, modules = self._loaded(cli_env, ["chi", "--input", str(path)])
+        assert (out, code) == ('{"chi":3}\n', 0)
+        package = Path(sphere_chroma.__file__).parent
+        assert Path(modules["sphere_chroma"]) == package / "__init__.py"
+        assert Path(modules["sphere_chroma.graphcore"]) == package / "graphcore.py"
+        # the CLI itself runs as __main__, as under python -m
+        assert [m for m in modules if m.startswith("sphere_chroma.")] == ["sphere_chroma.graphcore"]
+        assert "dataclasses" not in modules
+
+    def test_generate_farey_loads_no_partition_modules(self, cli_env):
+        out, code, modules = self._loaded(cli_env, ["generate", "farey", "--depth", "2"])
+        assert code == 0 and json.loads(out)["vertex_labels"]
+        for name in ("kneser", "spheres", "covercolor"):
+            assert f"sphere_chroma.{name}" not in modules
+
+    def test_submodule_names_import_no_library_module(self, cli_env):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sphere_chroma; print(hasattr(sphere_chroma, 'cli'),"
+             " sorted(m for m in sys.modules if m.startswith('sphere_chroma')))"],
+            capture_output=True, text=True, timeout=60, env=cli_env,
+        )
+        assert result.stdout == "False ['sphere_chroma']\n"
 
 
 class TestInstalledScript:

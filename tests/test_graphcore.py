@@ -302,6 +302,61 @@ def varied_graphs(draw, max_n=40):
     return Graph([f"v{v}" for v in range(len(order))], [(order[i], order[j]) for i, j in edges])
 
 
+def join_universal(g, positions):
+    """g joined to one universal vertex at each of ``positions`` of the new
+    vertex order; g's vertices keep their relative order."""
+    n = g.n + len(positions)
+    old = [v for v in range(n) if v not in positions]
+    edges = [(old[i], old[j]) for i, j in g.sorted_edges]
+    edges += [(u, v) for u in positions for v in range(n) if v != u]
+    return Graph([f"v{v}" for v in range(n)], edges)
+
+
+def refutations(cert):
+    return None if cert.infeasibility is None else cert.infeasibility.refutation_nodes
+
+
+class TestUniversalPeeling:
+    """The exact search removes the universal vertices, searches the rest
+    with k - u colors and gives each removed vertex a color of its own."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(varied_graphs(max_n=16), st.integers(min_value=0, max_value=4), st.randoms())
+    @example(Graph([]), 2, random.Random(0))
+    def test_join_adds_one_color_per_universal_vertex(self, g, u, rnd):
+        positions = set(rnd.sample(range(g.n + u), u))
+        joined = join_universal(g, positions)
+        base, cert = chromatic_number_exact(g), chromatic_number_exact(joined)
+        assert cert.chi == base.chi + u
+        assert validate_coloring(joined, cert.witness) is None
+        assert cert.witness.size == cert.chi
+        # the bounds shift by u too, so the same palettes are refuted
+        assert cert.clique_bound == base.clique_bound + u
+        assert refutations(cert) == refutations(base)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_total_kneser_searches_as_the_sphere_graph(self, n):
+        tk, s = chromatic_number_exact(total_kneser(n)), chromatic_number_exact(sphere_graph_holed(n))
+        assert tk.chi == s.chi + n
+        assert refutations(tk) == refutations(s)
+
+    def test_budgeted_tk9_counts_the_peeled_nodes(self):
+        result = chromatic_number_exact(total_kneser(9), budget=50_000)
+        assert isinstance(result, ChiUndecided)
+        assert (result.lower, result.upper, result.nodes_explored) == (19, 27, 50_000)
+        # S_9's counts for k = 6..9, as k = 15..18 with the 9 singletons
+        assert result.refutation_nodes == (9, 22, 84, 1178)
+
+    def test_complete_graph_returns_before_peeling(self, monkeypatch):
+        def unreachable(adj):
+            raise AssertionError("peeled a graph whose bounds already meet")
+
+        monkeypatch.setattr(graphcore, "_peel_universal", unreachable)
+        cert = chromatic_number_exact(complete_graph(6))
+        assert (cert.chi, cert.clique_bound, cert.infeasibility) == (6, 6, None)
+        assert cert.witness == greedy_dsatur(complete_graph(6))
+
+
 class TestSelectionMatchesScan:
     """The bucketed DSATUR pick and the degree-class clique pick choose the
     same vertex at every step as the per-vertex scans in oracles."""
