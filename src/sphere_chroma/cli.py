@@ -155,9 +155,16 @@ def _read_graph(path: str | None) -> graphcore.Graph:
 # one other library module it runs, so a call loads no module it does not use
 
 
-def _write_graph(g: graphcore.Graph) -> int:
-    _write(graphcore.to_json(g) + "\n")
+def _write_pieces(pieces) -> int:
+    """Write graph JSON and a newline, each piece as the writer forms it."""
+    for piece in pieces:
+        _write(piece)
+    _write("\n")
     return 0
+
+
+def _write_graph(g: graphcore.Graph) -> int:
+    return _write_pieces(graphcore._json_pieces(g.labels, map(g.higher_neighbors, range(g.n))))
 
 
 def _generate_kneser(args) -> int:
@@ -184,8 +191,7 @@ def _generate_glued(args) -> int:
 def _generate_farey(args) -> int:
     from . import farey
     _, labels, upper = farey.farey_lists(args.depth, args.fins)
-    _write(graphcore.to_json_rows(labels, upper) + "\n")
-    return 0
+    return _write_pieces(graphcore._json_pieces(labels, upper))
 
 
 def _cmd_chi(args) -> int:

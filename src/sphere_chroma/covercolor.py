@@ -33,7 +33,7 @@ edges inside one class need their colors compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphcore import Graph, _bits, _class_masks
 from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
@@ -66,35 +66,40 @@ __all__ = [
 MAX_R_ENUMERATE = MAX_GROUND_SET // 2
 
 
-@dataclass(frozen=True)
-class CutSystemModel:
+# The models and records are named tuples rather than dataclasses: the
+# same field names, repr, hashing and immutability, without importing
+# dataclasses (and inspect) on every call of the command line.  The
+# models check their fields in ``__new__``.
+
+
+class CutSystemModel(namedtuple("CutSystemModel", "r")):
     """Cut system with r glued spheres; boundary label pairing (2i-1, 2i)."""
 
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.r <= MAX_R_ENUMERATE:
-            raise ValueError(f"r must be in 2..{MAX_R_ENUMERATE}, got {self.r}")
+    def __new__(cls, r: int):
+        if not 2 <= r <= MAX_R_ENUMERATE:
+            raise ValueError(f"r must be in 2..{MAX_R_ENUMERATE}, got {r}")
+        return tuple.__new__(cls, (r,))
 
     @property
     def n_boundary(self) -> int:
         return 2 * self.r
 
 
-@dataclass(frozen=True)
-class DoubleCover:
+class DoubleCover(namedtuple("DoubleCover", "r phi")):
     """Connected double cover, indexed by nonzero phi in GF(2)^r."""
 
-    r: int
-    phi: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.phi) != self.r:
-            raise ValueError(f"phi has length {len(self.phi)}, expected {self.r}")
-        if any(x not in (0, 1) for x in self.phi):
-            raise ValueError(f"phi entries must be 0 or 1, got {self.phi}")
-        if not any(self.phi):
+    def __new__(cls, r: int, phi: tuple[int, ...]):
+        if len(phi) != r:
+            raise ValueError(f"phi has length {len(phi)}, expected {r}")
+        if any(x not in (0, 1) for x in phi):
+            raise ValueError(f"phi entries must be 0 or 1, got {phi}")
+        if not any(phi):
             raise ValueError("phi = 0 gives the disconnected (trivial) cover")
+        return tuple.__new__(cls, (r, phi))
 
     @property
     def bitstring(self) -> str:
@@ -152,12 +157,10 @@ def _gf2_rref(vectors, dim: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class GF2Quotient:
+class GF2Quotient(namedtuple("GF2Quotient", "dim rows")):
     """GF(2) space on 2r generators modulo a list of relations."""
 
-    dim: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def from_relations(cls, dim: int, relations) -> "GF2Quotient":
@@ -278,21 +281,18 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
     return Graph.from_rows(list(g.labels) + [f"g{i}" for i in range(1, model.r + 1)], rows)
 
 
-@dataclass(frozen=True)
-class ColorTable:
+class ColorTable(namedtuple("ColorTable", "r covers labels hom keys")):
     """The color f of every vertex of the glued model, in graph vertex order.
 
     ``hom[v]`` is the mod-2 class of v as bits over g_1..g_r.  ``keys[v]``
     packs f(v): one field of 2 * width bits per cover, the first cover in
     the most significant field, holding the two lift classes lo <= hi
-    (lo in the upper half).  Equal keys are equal colors.
+    (lo in the upper half).  Equal keys are equal colors.  ``covers`` are
+    the ``DoubleCover`` objects in canonical order, ``labels`` the vertex
+    labels.
     """
 
-    r: int
-    covers: tuple[DoubleCover, ...]
-    labels: tuple[str, ...]
-    hom: tuple[int, ...]
-    keys: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def width(self) -> int:
@@ -344,15 +344,14 @@ def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> Col
     )
 
 
-@dataclass(frozen=True)
-class ProperColoringReport:
-    r: int
-    vertices: int
-    edges: int
-    violations: tuple
-    homologous_pairs: tuple
-    ok: bool
-    projection_failures: tuple = ()  # labels of vertices whose lifts miss their class
+class ProperColoringReport(namedtuple(
+        "ProperColoringReport",
+        "r vertices edges violations homologous_pairs ok projection_failures",
+        defaults=((),))):
+    """Outcome of ``verify_coloring_proper``; ``projection_failures`` are
+    the labels of the vertices whose lifts miss their class."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -445,18 +444,11 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     return out
 
 
-@dataclass(frozen=True)
-class CountReport:
-    r: int
-    rank_mode: str
-    t: int
-    m: int
-    per_cover: int
-    x: int
-    log2_f: float
-    bound_9r2r: int
-    ok: bool
-    note: str
+class CountReport(namedtuple(
+        "CountReport", "r rank_mode t m per_cover x log2_f bound_9r2r ok note")):
+    """Outcome of ``count_colors``."""
+
+    __slots__ = ()
 
 
 def count_colors(r: int, rank_mode: str) -> CountReport:

@@ -105,13 +105,17 @@ class Graph:
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Edges (i, j) with i < j, ascending; read off the rows in order."""
-        return [(i, j) for i, row in enumerate(self.adj) for j in _bits(row >> (i + 1), i + 1)]
+        return [(i, j) for i in range(self.n) for j in self.higher_neighbors(i)]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.adj[v])
+
+    def higher_neighbors(self, v: int) -> list[int]:
+        """The neighbours j > v, ascending."""
+        return _bits(self.adj[v] >> (v + 1), v + 1)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -568,33 +572,184 @@ def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Graph JSON is written in pieces of about 64 KB, so even unbuffered
+# stdout takes only a few hundred writes.  The edges array is read in
+# pieces of about 4 KB: an edge takes at least 6 characters, so a piece
+# holds fewer lists than the garbage collector's young-generation
+# threshold (700), and reading S_12 triggers one collection where 64 KB
+# pieces triggered about 280 young and 26 older ones.
+_WRITE_PIECE = 1 << 16
+_READ_PIECE = 1 << 12
+
+_skip_ws = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+_decode_value = json.JSONDecoder().raw_decode
+
+
+def _json_pieces(labels, upper):
+    """Canonical graph JSON in pieces of about 64 KB, from labels and, per
+    vertex i, the ascending neighbours j > i.
+
+    Joined, the pieces are the bytes of compact ``json.dumps`` with a
+    sorted edge list.  The edges are written row by row from a table of
+    "j]" tails, and a piece is yielded once it passes ``_WRITE_PIECE``
+    characters, so a caller can write each as it forms.
+    """
+    tail = [f"{j}]" for j in range(len(labels))]
+    text = json.dumps(labels, separators=(",", ":"))
+    piece = [f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":[']
+    size = len(piece[0])
+    sep = ""
+    for i, row in enumerate(upper):
+        if row:
+            line = f"{sep}[{i}," + f",[{i},".join(map(tail.__getitem__, row))
+            sep = ","
+            piece.append(line)
+            size += len(line)
+            if size >= _WRITE_PIECE:
+                yield "".join(piece)
+                piece, size = [], 0
+    piece.append("]}")
+    yield "".join(piece)
+
+
 def to_json(g: Graph) -> str:
-    """Canonical one-line JSON of g, edges sorted (see ``to_json_rows``)."""
-    return to_json_rows(g.labels, (_bits(row >> (i + 1), i + 1) for i, row in enumerate(g.adj)))
+    """Canonical one-line JSON of g, edges sorted (see ``_json_pieces``)."""
+    return to_json_rows(g.labels, map(g.higher_neighbors, range(g.n)))
 
 
 def to_json_rows(labels, upper) -> str:
-    """Canonical graph JSON from labels and, per vertex i, the ascending
-    neighbours j > i: the bytes of compact ``json.dumps`` with a sorted edge
-    list, written row by row from a table of "j]" tails."""
-    tail = [f"{j}]" for j in range(len(labels))]
-    edges = [
-        f"[{i}," + f",[{i},".join(map(tail.__getitem__, row))
-        for i, row in enumerate(upper)
-        if row
-    ]
-    text = json.dumps(labels, separators=(",", ":"))
-    return f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":[{",".join(edges)}]}}'
+    """Canonical graph JSON from labels and each vertex's ascending higher
+    neighbours: the joined ``_json_pieces``."""
+    return "".join(_json_pieces(labels, upper))
+
+
+def _add_edges(rows, edges, first: int):
+    """OR each [i, j] of edges into the bit rows.
+
+    Each edge is checked for shape, self-loop, i < j, range and
+    duplicate, in that order; edges[k] is element first + k of the
+    document's list.  Returns the message of the first bad edge, or None.
+    """
+    n = len(rows)
+    for idx, e in enumerate(edges, first):
+        # json.loads yields exact types, so type() tests suffice and reject bool
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            return f"field 'edges'[{idx}]: expected a pair of ints, got {e!r}"
+        i, j = e
+        if i == j:
+            return f"field 'edges'[{idx}]: self-loop [{i},{j}]"
+        if not i < j:
+            return f"field 'edges'[{idx}]: endpoints must satisfy i < j, got [{i},{j}]"
+        if not (0 <= i and j < n):
+            return f"field 'edges'[{idx}]: [{i},{j}] out of range for {n} vertices"
+        row = rows[i]
+        bit = 1 << j
+        if row & bit:
+            return f"field 'edges'[{idx}]: duplicate edge [{i},{j}]"
+        rows[i] = row | bit
+        rows[j] |= 1 << i
+    return None
+
+
+def _edges_in_pieces(text: str, start: int, n: int):
+    """(rows, first edge fault or None, end) for the edges array that opens
+    at ``text[start]``, read one piece at a time; ``end`` is the index
+    past the array.
+
+    A piece runs from an element to the "]" of the first "],[" at least
+    ``_READ_PIECE`` characters on, and must parse as a complete array;
+    the last piece is decoded up to the array's close.  After a fault the pieces
+    are still parsed, so a later syntax error still wins.
+    """
+    rows = [0] * n
+    fault = None
+    done = 0
+    a = _skip_ws(text, start + 1).end()
+    while True:
+        cut = text.find("],[", a + _READ_PIECE)
+        if cut < 0:
+            edges, end = _decode_value("[" + text[a:])
+        else:
+            edges = json.loads(f"[{text[a:cut + 1]}]")
+        if fault is None:
+            fault = _add_edges(rows, edges, done)
+        done += len(edges)
+        if cut < 0:
+            return rows, fault, a + end - 1
+        a = cut + 2
+
+
+def _read_in_pieces(text: str):
+    """(members other than edges, rows, first edge fault) of a graph
+    document whose edges array is read in pieces; None when it is not one
+    that ``from_json`` reads so (see there)."""
+    doc: dict = {}
+    rows = fault = None
+    try:
+        idx = _skip_ws(text, 0).end()
+        if not text.startswith("{", idx):
+            return None
+        while True:
+            idx = _skip_ws(text, idx + 1).end()
+            if not text.startswith('"', idx):
+                return None
+            key, idx = _scanstring(text, idx + 1)
+            idx = _skip_ws(text, idx).end()
+            if not text.startswith(":", idx) or key in doc or key == "edges" and rows is not None:
+                return None
+            idx = _skip_ws(text, idx + 1).end()
+            if key == "edges":
+                labels = doc.get("vertex_labels")
+                if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+                        and text.startswith("[", idx)):
+                    return None
+                rows, fault, idx = _edges_in_pieces(text, idx, len(labels))
+            else:
+                doc[key], idx = _decode_value(text, idx)
+            idx = _skip_ws(text, idx).end()
+            if text.startswith("}", idx):
+                break
+            if not text.startswith(",", idx):
+                return None
+    except ValueError:
+        # a syntax error, or an int too long to convert: json.loads reports it
+        return None
+    if _skip_ws(text, idx + 1).end() != len(text):
+        return None
+    return doc, rows, fault
 
 
 def from_json(text: str) -> Graph:
-    """Parse graph JSON, with field and position diagnostics on bad input."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(
-            f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    """Parse graph JSON, with field and position diagnostics on bad input.
+
+    The ``edges`` array is read in pieces of about 4 KB: each is cut at
+    a "],[" between two elements, parsed by the json module and ORed into
+    the bit rows before the next is read, so the edge list is never held
+    as Python objects whole.  The whole document goes to ``json.loads``
+    instead, as before, when the pieces cannot follow it: on any JSON
+    syntax error, when ``vertex_labels`` is not a list of strings before
+    ``edges``, when a key repeats, or when a piece does not parse as a
+    complete array (a "],[" nested in an element or inside a string).  So
+    ``json.loads`` produces every syntax diagnostic.  Every document this
+    package writes is read in pieces, and so is any compact ``json.dumps``
+    of the same keys in the same order.
+
+    Both ways share one per-edge check, and report the same fault for a
+    document with several: a syntax error, then the top level, the
+    format, the labels, the edges field, then the first bad edge.
+    """
+    parsed = _read_in_pieces(text)
+    if parsed is None:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SchemaError(
+                f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
+            ) from None
+        rows = fault = None
+    else:
+        doc, rows, fault = parsed
     if not isinstance(doc, dict):
         raise SchemaError("top level is not an object")
     fmt = doc.get("format")
@@ -603,24 +758,12 @@ def from_json(text: str) -> Graph:
     labels = doc.get("vertex_labels")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("field 'vertex_labels': expected a list of strings")
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise SchemaError("field 'edges': expected a list of [i, j] pairs")
-    n = len(labels)
-    adj = [0] * n
-    for idx, e in enumerate(edges):
-        # json.loads yields exact types, so type() tests suffice and reject bool
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-            raise SchemaError(f"field 'edges'[{idx}]: expected a pair of ints, got {e!r}")
-        i, j = e
-        if i == j:
-            raise SchemaError(f"field 'edges'[{idx}]: self-loop [{i},{j}]")
-        if not i < j:
-            raise SchemaError(f"field 'edges'[{idx}]: endpoints must satisfy i < j, got [{i},{j}]")
-        if not (0 <= i and j < n):
-            raise SchemaError(f"field 'edges'[{idx}]: [{i},{j}] out of range for {n} vertices")
-        if adj[i] >> j & 1:
-            raise SchemaError(f"field 'edges'[{idx}]: duplicate edge [{i},{j}]")
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return Graph.from_rows(labels, adj)
+    if rows is None:
+        edges = doc.get("edges")
+        if not isinstance(edges, list):
+            raise SchemaError("field 'edges': expected a list of [i, j] pairs")
+        rows = [0] * len(labels)
+        fault = _add_edges(rows, edges, 0)
+    if fault is not None:
+        raise SchemaError(fault)
+    return Graph.from_rows(labels, rows)

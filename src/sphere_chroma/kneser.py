@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, compress
 
 from .graphcore import Graph
@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 # Caps on what a CLI call may build (CHANGES.md): `generate total-kneser
-# --n 14` takes 1.4 s at 109 MB peak RSS, n = 15 4.0 s and 321 MB for
-# 91 MB of JSON (in-process); `generate kneser --n 3500 --k 1`, the
-# densest kg at the cap, 6.0 s at 628 MB, mostly kg's own edge list.
+# --n 14` takes 0.9 s at 27 MB peak RSS, n = 15 3.6 s and 56 MB for
+# 91 MB of JSON (in-process, written piece by piece); `generate kneser
+# --n 3500 --k 1`, the densest kg at the cap, 5.8 s at 626 MB, mostly
+# kg's own edge list.
 MAX_GROUND_SET = 14
 MAX_KG_VERTICES = 3500
 
@@ -64,28 +65,27 @@ def _element_names(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class TwoBlockPartition:
+# A named tuple rather than a dataclass: the same field names, repr,
+# hashing and immutability, without importing dataclasses (and inspect)
+# on every call of the command line.  ``__new__`` checks the fields.
+class TwoBlockPartition(namedtuple("TwoBlockPartition", "n mask")):
     """Unordered partition of {1..n} into two nonempty blocks.
 
     Canonical form: ``mask`` is the bitmask of the block containing
     element 1, so ``mask`` is odd and never the full set.
     """
 
-    n: int
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"ground set must have at least 2 elements, got n={self.n}")
-        full = (1 << self.n) - 1
-        m = self.mask
-        if not 0 < m < full:
+    def __new__(cls, n: int, mask: int):
+        if n < 2:
+            raise ValueError(f"ground set must have at least 2 elements, got n={n}")
+        full = (1 << n) - 1
+        if not 0 < mask < full:
             raise ValueError("both blocks must be nonempty")
-        if m & ~full:
-            raise ValueError(f"mask {m:#x} out of range for n={self.n}")
-        if not m & 1:
-            object.__setattr__(self, "mask", m ^ full)
+        if mask & ~full:
+            raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        return tuple.__new__(cls, (n, mask if mask & 1 else mask ^ full))
 
     @classmethod
     def from_block(cls, n: int, members) -> TwoBlockPartition:

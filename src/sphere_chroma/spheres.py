@@ -12,7 +12,7 @@ is the Petersen graph, via 2-subset <-> (2, 3)-partition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .graphcore import Coloring, Graph, _bits
@@ -41,15 +41,21 @@ def sphere_graph_holed(n: int) -> Graph:
     return _partition_graph(parts, n)
 
 
-@dataclass(frozen=True)
-class SphereKneserReport:
-    """Comparison of the sphere graph against the pruned total Kneser graph."""
+# The reports are named tuples rather than dataclasses: the same field
+# names, repr and immutability, without importing dataclasses (and
+# inspect) on every call of the command line.
 
-    n: int
-    ok: bool
-    label_lists_equal: bool
-    missing_edges: tuple  # in the pruned Kneser graph but not the sphere graph
-    extra_edges: tuple    # in the sphere graph but not the pruned Kneser graph
+
+class SphereKneserReport(namedtuple(
+        "SphereKneserReport", "n ok label_lists_equal missing_edges extra_edges")):
+    """Comparison of the sphere graph against the pruned total Kneser graph.
+
+    ``missing_edges`` are in the pruned Kneser graph but not the sphere
+    graph, ``extra_edges`` in the sphere graph but not the pruned Kneser
+    graph.
+    """
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -88,11 +94,11 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     return SphereKneserReport(n, ok, labels_equal, missing, extra)
 
 
-@dataclass(frozen=True)
-class PetersenIsoReport:
-    ok: bool
-    witness_edge: tuple[str, str] | None = None
-    reason: str = ""
+class PetersenIsoReport(namedtuple(
+        "PetersenIsoReport", "ok witness_edge reason", defaults=(None, ""))):
+    """Outcome of the Petersen check; ``witness_edge`` is a pair of labels."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

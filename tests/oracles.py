@@ -3,16 +3,17 @@
 The partition graph tests every pair of vertices with ``nested``; a
 partition label joins the block_a and block_b element tuples; a Farey
 ball and its fins come from an edge list grown by mediant insertion;
-graph JSON is one ``json.dumps`` of the document with its edge list; an
-induced subgraph is rebuilt from the kept ends of the edge list; lift
-classes sum the boundary copies of one block and reduce the sum; the
-properness report compares the full per-cover color tables on every
-edge; a coloring is validated by walking the edges in sorted order;
-DSATUR and the greedy clique bound scan every vertex, or every
-candidate, at each step; the exact k-coloring search scans every vertex
-for its select and keeps a per-vertex saturation list with a trail of
-the neighbours each assignment touched.  Tests check the package
-against these on small sizes.
+graph JSON is one ``json.dumps`` of the document with its edge list,
+and is read by one ``json.loads`` of the whole document; an induced
+subgraph is rebuilt from the kept ends of the edge list; lift classes
+sum the boundary copies of one block and reduce the sum; the properness
+report compares the full per-cover color tables on every edge; a
+coloring is validated by walking the edges in sorted order; DSATUR and
+the greedy clique bound scan every vertex, or every candidate, at each
+step; the exact k-coloring search scans every vertex for its select and
+keeps a per-vertex saturation list with a trail of the neighbours each
+assignment touched.  Tests check the package against these on small
+sizes.
 """
 
 import json
@@ -24,7 +25,13 @@ from sphere_chroma.covercolor import (
     enumerate_double_covers,
     homology_class,
 )
-from sphere_chroma.graphcore import GRAPH_FORMAT, Coloring, Graph, _canonical_coloring
+from sphere_chroma.graphcore import (
+    GRAPH_FORMAT,
+    Coloring,
+    Graph,
+    SchemaError,
+    _canonical_coloring,
+)
 from sphere_chroma.kneser import nested, spherelike_partitions
 
 
@@ -51,6 +58,45 @@ def graph_json(g):
         "edges": g.sorted_edges,
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def graph_from_json(text):
+    """Graph from one json.loads of the whole document, checked field by
+    field and then edge by edge."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(
+            f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top level is not an object")
+    fmt = doc.get("format")
+    if fmt != GRAPH_FORMAT:
+        raise SchemaError(f"field 'format': expected {GRAPH_FORMAT!r}, got {fmt!r}")
+    labels = doc.get("vertex_labels")
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise SchemaError("field 'vertex_labels': expected a list of strings")
+    edges = doc.get("edges")
+    if not isinstance(edges, list):
+        raise SchemaError("field 'edges': expected a list of [i, j] pairs")
+    n = len(labels)
+    adj = [0] * n
+    for idx, e in enumerate(edges):
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise SchemaError(f"field 'edges'[{idx}]: expected a pair of ints, got {e!r}")
+        i, j = e
+        if i == j:
+            raise SchemaError(f"field 'edges'[{idx}]: self-loop [{i},{j}]")
+        if not i < j:
+            raise SchemaError(f"field 'edges'[{idx}]: endpoints must satisfy i < j, got [{i},{j}]")
+        if not (0 <= i and j < n):
+            raise SchemaError(f"field 'edges'[{idx}]: [{i},{j}] out of range for {n} vertices")
+        if adj[i] >> j & 1:
+            raise SchemaError(f"field 'edges'[{idx}]: duplicate edge [{i},{j}]")
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph.from_rows(labels, adj)
 
 
 def farey_ball(depth):

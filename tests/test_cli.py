@@ -15,8 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import sphere_chroma
-from sphere_chroma import cli, covercolor, farey, spheres
+from sphere_chroma import cli, covercolor, farey, kneser, spheres
 from sphere_chroma.farey import MAX_DEPTH
 from sphere_chroma.graphcore import Graph, chromatic_number_exact, from_json, to_json
 from sphere_chroma.spheres import SphereKneserReport
@@ -66,6 +67,38 @@ class TestGenerate:
     def test_single_line_output(self, run):
         _, out, _ = run(["generate", "farey", "--depth", "2"])
         assert out.count("\n") == 1 and out.endswith("\n")
+
+    # every family at a size whose document spans several 64 KB pieces
+    @pytest.mark.parametrize("argv, build", [
+        (["kneser", "--n", "14", "--k", "3"], lambda: kneser.kg(14, 3)),
+        (["total-kneser", "--n", "10"], lambda: kneser.total_kneser(10)),
+        (["sphere", "--n", "12"], lambda: spheres.sphere_graph_holed(12)),
+        (["glued", "--r", "5"],
+         lambda: covercolor.glued_sphere_graph(covercolor.CutSystemModel(5))),
+        (["glued", "--r", "5", "--with-cut-spheres"],
+         lambda: covercolor.glued_sphere_graph(covercolor.CutSystemModel(5), True)),
+        (["farey", "--depth", "13"], lambda: oracles.farey_ball(13)),
+        (["farey", "--depth", "12", "--fins"], lambda: oracles.add_fins(oracles.farey_ball(12))),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_stdout_is_the_dumped_document(self, run, argv, build):
+        code, out, _ = run(["generate", *argv])
+        expected = oracles.graph_json(build()) + "\n"
+        assert len(expected) > 2 * 2**16
+        assert (code, out) == (0, expected)
+
+    def test_writer_writes_pieces_of_at_most_128_kb(self, monkeypatch):
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes = []
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        g = spheres.sphere_graph_holed(12)
+        assert cli._write_graph(g) == 0
+        assert sink.getvalue() == to_json(g) + "\n"
+        assert len(sizes) > 20 and max(sizes) <= 128 * 1024
 
 
 class TestChi:
@@ -514,6 +547,12 @@ class TestStartup:
         assert [m for m in modules if m.startswith("sphere_chroma.")] == ["sphere_chroma.graphcore"]
         assert "dataclasses" not in modules
 
+    def test_verify_proper_loads_no_dataclasses(self, cli_env):
+        out, code, modules = self._loaded(cli_env, ["verify", "proper", "--r", "3"])
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert "sphere_chroma.covercolor" in modules
+        assert "dataclasses" not in modules
+
     def test_generate_farey_loads_no_partition_modules(self, cli_env):
         out, code, modules = self._loaded(cli_env, ["generate", "farey", "--depth", "2"])
         assert code == 0 and json.loads(out)["vertex_labels"]
@@ -547,26 +586,31 @@ class TestInstalledScript:
         assert result.returncode == 0
         assert json.loads(result.stdout)["ok"] is True
 
+    def _truncated_pipe(self, cli_env, command, unbuffered=""):
+        """(exit code, stderr) of a CLI call whose reader leaves after one
+        byte; PYTHONUNBUFFERED is set either way, so the caller's own
+        setting does not leak in."""
+        result = subprocess.run(
+            f'{CLI} {command} | head -c 1 >/dev/null;'
+            ' echo "${PIPESTATUS[0]}"',
+            shell=True, capture_output=True, text=True, timeout=60,
+            executable="/bin/bash", env={**cli_env, "PYTHONUNBUFFERED": unbuffered},
+        )
+        return result.stdout.strip(), result.stderr
+
     def test_truncated_pipe_dies_quietly(self, cli_env):
         # depth 12 emits far more than a pipe buffer holds, so the writer
         # is guaranteed to see the reader gone
-        result = subprocess.run(
-            f'{CLI} generate farey --depth 12 | head -c 1 >/dev/null;'
-            ' echo "${PIPESTATUS[0]}"',
-            shell=True, capture_output=True, text=True, timeout=60,
-            executable="/bin/bash", env=cli_env,
-        )
-        assert result.stdout.strip() == "141"
-        assert result.stderr == ""
+        assert self._truncated_pipe(cli_env, "generate farey --depth 12") == ("141", "")
 
     def test_truncated_pipe_dies_quietly_unbuffered(self, cli_env):
         # unbuffered stdout writes straight to the pipe, where a write can
         # stop short once the reader is gone; that must still end in 141
-        result = subprocess.run(
-            f'{CLI} generate farey --depth 12 | head -c 1 >/dev/null;'
-            ' echo "${PIPESTATUS[0]}"',
-            shell=True, capture_output=True, text=True, timeout=60,
-            executable="/bin/bash", env={**cli_env, "PYTHONUNBUFFERED": "1"},
-        )
-        assert result.stdout.strip() == "141"
-        assert result.stderr == ""
+        assert self._truncated_pipe(
+            cli_env, "generate farey --depth 12", unbuffered="1") == ("141", "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_truncated_pipe_dies_quietly_in_many_writes(self, cli_env, unbuffered):
+        # S_12 is 2.6 MB written in some 40 pieces, so a write after the
+        # reader has gone meets the closed pipe
+        assert self._truncated_pipe(cli_env, "generate sphere --n 12", unbuffered) == ("141", "")

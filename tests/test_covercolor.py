@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import combinations
 
@@ -340,7 +339,7 @@ class TestProperness:
         keys[v] = key
         monkeypatch.setattr(
             covercolor, "color_table",
-            lambda *args: dataclasses.replace(clean, keys=tuple(keys)),
+            lambda *args: clean._replace(keys=tuple(keys)),
         )
         report = verify_coloring_proper(model)
         assert not report.ok

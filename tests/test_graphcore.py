@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from sphere_chroma.graphcore import (
     ChiCertificate,
     ChiUndecided,
     Coloring,
+    GRAPH_FORMAT,
     Graph,
     SchemaError,
     chromatic_number_exact,
@@ -551,6 +554,100 @@ class TestJsonFormat:
         ):
             with pytest.raises(SchemaError, match=message):
                 from_json(json.dumps({**base, "edges": bad}))
+
+
+# edge-array elements as text: valid pairs are drawn separately; these
+# break the shape, order, range or uniqueness checks, or put "],[" inside
+# an element or a string, so a piece cut there does not parse
+ODD_ELEMENTS = [
+    "[1,0]", "[0,0]", "[9,9]", "[9,0]", "[1,-1]", "[0,9]", "[-1,1]", "[0]", "[0,1,2]",
+    "[[0],[1]]", '["],[",1]', '"],["', "true", "[true,1]", "1.5", "[0,1.0]", "[0,1e0]",
+    "1" + "0" * 30, "9" * 5000, "[0,1]", "[ 0 , 1 ]", "null", "{}",
+]
+# raw text dropped into the document at a drawn position
+JUNK = ["x", ",", "]", "[", "}", "{", '"', " ", "\n", "],[", "0"]
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph JSON text near the canonical form: odd elements at any
+    position (so at a piece boundary once pieces are a few characters),
+    members in any order or repeated, whitespace separators, injected
+    junk and trailing text."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = [f"[{i},{j}]" for i in range(n) for j in range(i + 1, n)]
+    element = st.one_of(st.sampled_from(pairs), st.sampled_from(ODD_ELEMENTS)) if pairs \
+        else st.sampled_from(ODD_ELEMENTS)
+    elements = draw(st.lists(element, max_size=8))
+    comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :")]))
+    labels = [f"v{i}" for i in range(n)]
+    members = [
+        ("format", json.dumps(GRAPH_FORMAT)),
+        ("vertex_labels", json.dumps(labels)),
+        ("edges", "[" + comma.join(elements) + "]"),
+    ]
+    # a repeated key with another value: json.loads keeps the last
+    repeats = [("format", '"other"'), ("vertex_labels", json.dumps(labels + ["w"])),
+               ("edges", "[[0,1]]")]
+    # each kind of damage in about one document of four
+    sometimes = st.integers(min_value=0, max_value=3).map(lambda k: k == 0)
+    if draw(sometimes):
+        members = draw(st.permutations(members))
+    if draw(sometimes):
+        at = draw(st.integers(min_value=0, max_value=len(members)))
+        members.insert(at, draw(st.sampled_from(repeats)))
+    text = "{" + comma.join(f'"{key}"{colon}{value}' for key, value in members) + "}"
+    if draw(sometimes):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(st.sampled_from(JUNK)) + text[at:]
+    if draw(sometimes):
+        text += draw(st.sampled_from(["\n", " x", "]", "{}"]))
+    return text
+
+
+def read_outcome(reader, text):
+    """The Graph a reader returns, or the type and text of what it raises."""
+    try:
+        return reader(text)
+    except ValueError as e:  # SchemaError, or json's over-long int
+        return type(e), str(e)
+
+
+class TestJsonPieces:
+    """from_json reads the edge array in pieces and must agree with one
+    json.loads of the whole document (``oracles.graph_from_json``)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(graph_documents(), st.integers(min_value=1, max_value=8))
+    @example('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],"edges":[[0,1],[[0],[1]]]}', 3)
+    @example('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],"edges":[[0,1],["],[",1]]}', 1)
+    @example('{"format":"sphere-chroma-graph-v1","edges":[[0,1]],"vertex_labels":["a","b"]}', 1)
+    @example('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],"edges":[],"edges":[[0,1]]}', 1)
+    @example('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],"edges":[[0,1],[0,1]]}x', 1)
+    @example('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],"edges":[[0,0],[0,1}', 1)
+    def test_pieces_match_whole_document_reader(self, text, piece):
+        with mock.patch.object(graphcore, "_READ_PIECE", piece):
+            got = read_outcome(from_json, text)
+        assert got == read_outcome(oracles.graph_from_json, text)
+
+    def test_written_documents_are_read_in_pieces(self):
+        text = to_json(sphere_graph_holed(8))
+        with mock.patch.object(graphcore, "_READ_PIECE", 64):
+            doc, rows, fault = graphcore._read_in_pieces(text)
+        assert fault is None and Graph.from_rows(doc["vertex_labels"], rows) == from_json(text)
+
+    def test_reader_holds_no_edge_list(self):
+        # one json.loads of this 2.6 MB document peaks over 30 MB of traced
+        # allocation, most of it the 235,092 two-int lists
+        text = to_json(sphere_graph_holed(12))
+        tracemalloc.start()
+        try:
+            g = from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 235092
+        assert peak < 8 * 2**20
 
 
 def graphs(max_n=9):
