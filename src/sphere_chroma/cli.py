@@ -216,11 +216,13 @@ def _cmd_color(args) -> int:
     from . import covercolor
     model = covercolor.CutSystemModel(args.r)
     table = covercolor.color_table(model, args.with_cut_spheres)
-    name = functools.cache(lambda bits: covercolor.class_label(bits, model.r))
-    colors = {
-        label: [[name(b) for b in sorted(entry)] for entry in table.entries(v)]
-        for v, label in enumerate(table.labels)
-    }
+
+    @functools.cache
+    def entry(field):
+        # each distinct cover field is rendered once
+        return [covercolor.class_label(c, model.r) for c in table.classes(field)]
+
+    colors = {label: list(map(entry, table.fields(v))) for v, label in enumerate(table.labels)}
     _emit({
         "r": args.r,
         "with_cut_spheres": args.with_cut_spheres,

@@ -17,22 +17,28 @@ assigns to each cover the set of the two lift classes.  Two disjoint
 spheres must get different colors; this module verifies that on every
 edge and counts the color space the construction draws from.
 
-Two facts keep the computation small.  First, a lift class is linear in
-the block mask: the raw class of a lift is the xor of the lifts of the
-one-boundary blocks in it, and ``GF2Quotient.canonical`` is a linear
-projection (it subtracts the echelon rows a vector's pivots select).  So
-per cover and sheet the 2r one-boundary lifts are reduced once, and the
-class of every block is read from the table of their xors.  Second, the
-covering map sends G_{i,s} to g_i and every relation to zero, so both
-lift classes of a vertex project to the vertex's own class.  Once that
-is checked for every vertex and cover, two adjacent vertices in
-different classes have disjoint lift sets in every cover, and only
-edges inside one class need their colors compared.
+Two facts keep the computation small.  First, the lift classes of every
+vertex in one cover come from a few operations on one int that holds all
+block masks, one 32-bit field per vertex.  For the pair of boundaries
+(2i-1, 2i) with bits a, b of a mask, the sheet-0 lift has a xor b at
+G_{i,0} when phi_i = 0, and a, b at G_{i,0}, G_{i,1} when phi_i = 1; the
+sheet-1 lift is the same with G_{i,0} and G_{i,1} swapped (the deck
+transformation).  ``GF2Quotient.canonical`` subtracts each echelon row
+whose pivot a vector holds, in row order, and that is one masked shift
+and one product per row for all fields at once; lo and hi then come from
+one subtraction with a guard bit above each class.  Second, the covering
+map sends G_{i,s} to g_i and every relation to zero, so both lift classes
+of a vertex project to the vertex's own class.  Once that is checked for
+every vertex and cover, two adjacent vertices in different classes have
+disjoint lift sets in every cover, and only edges inside one class need
+their colors compared.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import namedtuple
 
 from .graphcore import Graph, _bits, _class_masks
@@ -62,7 +68,8 @@ __all__ = [
 ]
 
 # the 2r-holed sphere must fit kneser's ground-set cap (r = 7 at 14);
-# `color --r 8` also passes 1 GB of memory (CHANGES.md)
+# at r = 7 `color` takes 2.6 s and 163 MB and `verify proper` 1.0 s and
+# 44 MB (median of 5 CLI calls each, 2-vCPU VM, Python 3.11)
 MAX_R_ENUMERATE = MAX_GROUND_SET // 2
 
 
@@ -239,8 +246,8 @@ def lift_classes(
 ) -> frozenset:
     """Set of the (1 or 2) canonical classes of the two lifts of p in the cover.
 
-    This is the per-vertex reference that ``color_table``'s span-table
-    reads are tested against; no CLI path runs it.
+    This is the per-vertex reference that ``color_table``'s word-parallel
+    fields are tested against; no CLI path runs it.
     """
     if quotient is None:
         quotient = cover_h2(model, cover)
@@ -281,14 +288,27 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
     return Graph.from_rows(list(g.labels) + [f"g{i}" for i in range(1, model.r + 1)], rows)
 
 
+# A packed color holds one field per cover: the vertex's lo and hi lift
+# classes, 2r bits each, so 4r <= _FIELD_BITS bounds r at 8.  The fields
+# are items of an array('I'), a C unsigned int, 32 bits wide on the
+# platforms Python supports.
+_FIELD_BITS = 32
+
+
+def _every_field(count: int) -> int:
+    """1 at bit 0 of each of ``count`` fields: a product with it copies a
+    field-sized constant into every field."""
+    return ((1 << _FIELD_BITS * count) - 1) // ((1 << _FIELD_BITS) - 1)
+
+
 class ColorTable(namedtuple("ColorTable", "r covers labels hom keys")):
     """The color f of every vertex of the glued model, in graph vertex order.
 
     ``hom[v]`` is the mod-2 class of v as bits over g_1..g_r.  ``keys[v]``
-    packs f(v): one field of 2 * width bits per cover, the first cover in
-    the most significant field, holding the two lift classes lo <= hi
-    (lo in the upper half).  Equal keys are equal colors.  ``covers`` are
-    the ``DoubleCover`` objects in canonical order, ``labels`` the vertex
+    packs f(v): one 32-bit field per cover, the first cover in the most
+    significant field, holding ``lo << width | hi`` for the two lift
+    classes lo <= hi.  Equal keys are equal colors.  ``covers`` are the
+    ``DoubleCover`` objects in canonical order, ``labels`` the vertex
     labels.
     """
 
@@ -298,50 +318,76 @@ class ColorTable(namedtuple("ColorTable", "r covers labels hom keys")):
     def width(self) -> int:
         return 2 * self.r
 
+    def fields(self, v: int) -> array:
+        """The fields ``lo << width | hi`` of f(v), in canonical cover order."""
+        out = array("I", self.keys[v].to_bytes(_FIELD_BITS // 8 * len(self.covers), "big"))
+        if sys.byteorder == "little":
+            out.byteswap()
+        return out
+
+    def classes(self, field: int) -> tuple[int, ...]:
+        """The distinct lift classes of one field, ascending."""
+        w = self.width
+        lo, hi = field >> w, field & ((1 << w) - 1)
+        return (lo,) if lo == hi else (lo, hi)
+
     def entries(self, v: int) -> tuple[frozenset, ...]:
         """f(v) as one set of (1 or 2) lift classes per cover, in canonical
         cover order."""
-        w = self.width
-        field = (1 << w) - 1
-        key = self.keys[v]
-        out = []
-        for t in range(len(self.covers) - 1, -1, -1):
-            pair = key >> (2 * w * t)
-            out.append(frozenset((pair >> w & field, pair & field)))
-        return tuple(out)
+        return tuple(frozenset(self.classes(f)) for f in self.fields(v))
 
 
 def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> ColorTable:
     """Homology classes and colors of every vertex of glued_sphere_graph.
 
     Each vertex is a block mask over the 2r boundaries; the cut sphere g_i
-    is the one-boundary block {2i-1}.  Per cover and sheet the 2r
-    one-boundary lifts are reduced once and every block's class is read
-    from their span table (the reduction is linear).
+    is the one-boundary block {2i-1}.  The masks are packed into one int,
+    one 32-bit field per vertex, and each cover computes every vertex's
+    two lift classes with a few masked shifts of it (see the module
+    docstring).  Raises ``ValueError`` for r > 8, whose classes do not fit
+    a field.
     """
-    covers = enumerate_double_covers(model.r)
+    r = model.r
+    if 4 * r > _FIELD_BITS:
+        raise ValueError(f"color_table packs 4r bits per cover into {_FIELD_BITS}, so r <= 8; got r={r}")
+    covers = enumerate_double_covers(r)
     parts = spherelike_partitions(model.n_boundary)
     labels = [p.label for p in parts]
     masks = [p.mask for p in parts]
     if include_cut_spheres:
-        labels += [f"g{i}" for i in range(1, model.r + 1)]
-        masks += [1 << (2 * i - 2) for i in range(1, model.r + 1)]
+        labels += [f"g{i}" for i in range(1, r + 1)]
+        masks += [1 << (2 * i - 2) for i in range(1, r + 1)]
     hom_of = _span_table([1 << (j // 2) for j in range(model.n_boundary)])
-    w = 2 * model.r
-    keys = [0] * len(masks)
+    n, w = len(masks), 2 * r
+    ones = _every_field(n)
+    packed = int.from_bytes(array("I", masks), sys.byteorder)
+    # bit 2(i-1) of a field of pair_sums: the bits of 2i-1 and 2i summed
+    pair_sums = packed ^ packed >> 1
+    pair_low = sum(1 << 2 * i for i in range(r)) * ones
+    fields = array("I")
     for cover in covers:
-        q = cover_h2(model, cover)
-        sheet0, sheet1 = (
-            _span_table([q.canonical(b) for b in _boundary_lifts(model, cover, s)])
-            for s in (0, 1)
-        )
-        keys = [
-            key << 2 * w | (a << w | b if a <= b else b << w | a)
-            for key, a, b in zip(keys, map(sheet0.__getitem__, masks), map(sheet1.__getitem__, masks))
-        ]
-    return ColorTable(
-        model.r, tuple(covers), tuple(labels), tuple(hom_of[m] for m in masks), tuple(keys)
-    )
+        # bit 2(i-1) of each field set where phi_i = 1
+        twisted = sum(1 << 2 * i for i in range(r) if cover.phi[i]) * ones
+        # phi_i = 0: both copies glue into G_{i,s}; phi_i = 1: sheet 0 keeps
+        # the pair as it is, sheet 1 swaps it
+        summed = pair_sums & (pair_low ^ twisted)
+        sheet0 = summed | packed & (twisted | twisted << 1)
+        sheet1 = summed << 1 | packed >> 1 & twisted | (packed & twisted) << 1
+        for row in cover_h2(model, cover).rows:
+            pivot = (row & -row).bit_length() - 1
+            sheet0 ^= (sheet0 >> pivot & ones) * row
+            sheet1 ^= (sheet1 >> pivot & ones) * row
+        # 1 in the fields where sheet1 >= sheet0: there the guard bit w
+        # above sheet1's class survives the subtraction
+        ordered = ((sheet1 | ones << w) - sheet0) >> w & ones
+        swap = (sheet0 ^ sheet1) & (ones - ordered) * ((1 << w) - 1)
+        pair = (sheet0 ^ swap) << w | sheet1 ^ swap
+        fields.frombytes(pair.to_bytes(_FIELD_BITS // 8 * n, sys.byteorder))
+    if sys.byteorder == "little":
+        fields.byteswap()
+    by_vertex = memoryview(fields)
+    keys = tuple(int.from_bytes(by_vertex[v::n], "big") for v in range(n))
+    return ColorTable(r, tuple(covers), tuple(labels), tuple(hom_of[m] for m in masks), keys)
 
 
 class ProperColoringReport(namedtuple(
@@ -396,10 +442,12 @@ def verify_coloring_proper(
     covers = len(table.covers)
     w = table.width
     # covering projection G_{i,s} -> g_i on a packed key: bit 2(i-1) of each
-    # class field becomes the xor of the field's bits 2(i-1) and 2i-1
-    even = (4 ** (covers * w) - 1) // 3
+    # class (lo and hi of each cover field) becomes the xor of the class's
+    # bits 2(i-1) and 2i-1
+    ones = _every_field(covers)
+    even = (4**w - 1) // 3 * ones
     spread = _span_table([1 << (2 * i) for i in range(model.r)])
-    every_field = sum(1 << f * w for f in range(2 * covers))
+    every_field = (1 << w | 1) * ones
     bad = [v for v in range(g.n) if (keys[v] ^ keys[v] >> 1) & even != spread[hom[v]] * every_field]
     bad_mask = sum(1 << v for v in bad)
     same_class = _class_masks(hom)
@@ -413,7 +461,7 @@ def verify_coloring_proper(
             if not diff:
                 violations.append((labels[i], labels[j]))
             elif hom[i] == hom[j]:
-                t = covers - 1 - (diff.bit_length() - 1) // (2 * w)
+                t = covers - 1 - (diff.bit_length() - 1) // _FIELD_BITS
                 homologous.append((labels[i], labels[j], table.covers[t].bitstring))
     return ProperColoringReport(
         model.r,

@@ -23,6 +23,12 @@ from sphere_chroma.graphcore import Graph, chromatic_number_exact, from_json, to
 from sphere_chroma.spheres import SphereKneserReport
 
 
+def bench_pin(name):
+    """The benchmark's stdout sha256 for one call; bench/pins.json is only read."""
+    pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json").read_text())
+    return pins[name]
+
+
 @pytest.fixture
 def run(capsys, monkeypatch):
     def invoke(argv, stdin_text=None):
@@ -219,11 +225,9 @@ class TestVerify:
         assert code == 2 and json.loads(out)["ok"] is False
 
     def test_farey_12_fins_matches_benchmark_pin(self, run):
-        # bench/pins.json is only read here; the pin is stdout's sha256
-        pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json").read_text())
         code, out, err = run(["generate", "farey", "--depth", "12", "--fins"])
         assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == pins["generate-farey-12-fins"]
+        assert hashlib.sha256(out.encode()).hexdigest() == bench_pin("generate-farey-12-fins")
 
     def test_farey_parity_depth_capped(self, run):
         code, _, err = run(["verify", "farey-parity", "--depth", str(MAX_DEPTH + 1)])
@@ -272,6 +276,20 @@ class TestColor:
         for table in parsed["colors"].values():
             assert len(table) == 3
             assert all(len(entry) in (1, 2) for entry in table)
+
+
+class TestCoverPins:
+    ARGV = {
+        "proper-r6": "verify proper --r 6",
+        "proper-r5-cut": "verify proper --r 5 --with-cut-spheres",
+        "color-r5": "color --r 5",
+    }
+
+    @pytest.mark.parametrize("pin", ARGV)
+    def test_matches_benchmark_pin(self, run, pin):
+        code, out, err = run(self.ARGV[pin].split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == bench_pin(pin)
 
 
 class TestExport:

@@ -238,9 +238,12 @@ class TestLiftClasses:
 
 
 class TestColorTable:
-    @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    @pytest.mark.parametrize("cuts", [False, True])
-    def test_span_tables_match_direct_block_sums(self, r, cuts):
+    @pytest.mark.parametrize(
+        "cuts, r", [(cuts, r) for cuts in (False, True) for r in (2, 3, 4, 5)] + [(False, 6)]
+    )
+    def test_entries_match_direct_block_sums(self, r, cuts):
+        # every field of the word-parallel table against one reduced block
+        # sum per vertex, cover and sheet
         model = CutSystemModel(r)
         covers, labels, hom, tables = oracles.color_tables(model, cuts)
         table = color_table(model, cuts)
@@ -248,6 +251,22 @@ class TestColorTable:
         assert table.labels == tuple(labels)
         assert table.hom == tuple(hom)
         assert [table.entries(v) for v in range(len(labels))] == tables
+
+    def test_fields_hold_lo_then_hi(self):
+        model = CutSystemModel(4)
+        table = color_table(model, True)
+        w = table.width
+        for v in range(len(table.labels)):
+            fields = table.fields(v)
+            assert len(fields) == len(table.covers)
+            assert all(f >> w <= f & ((1 << w) - 1) for f in fields)
+            assert int.from_bytes(b"".join(f.to_bytes(4, "big") for f in fields), "big") == table.keys[v]
+
+    def test_refuses_r_past_the_field_width(self):
+        # 4r bits of a cover's lo and hi must fit one 32-bit field; the
+        # model's own cap is lower, so build the r = 9 model past it
+        with pytest.raises(ValueError, match="r <= 8"):
+            color_table(CutSystemModel(7)._replace(r=9))
 
     def test_vertex_order_matches_glued_graph(self):
         model = CutSystemModel(3)
