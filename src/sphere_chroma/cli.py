@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 
 from . import graphcore
 
@@ -156,7 +157,7 @@ def _read_graph(path: str | None) -> graphcore.Graph:
 
 
 def _write_pieces(pieces) -> int:
-    """Write graph JSON and a newline, each piece as the writer forms it."""
+    """Write a JSON document and a newline, each piece as the writer forms it."""
     for piece in pieces:
         _write(piece)
     _write("\n")
@@ -199,10 +200,10 @@ def _cmd_chi(args) -> int:
         raise ValueError("--budget limits only the exact search; drop it or --bounds")
     g = _read_graph(args.input)
     if args.bounds:
-        _emit({
-            "lower": graphcore.clique_lower_bound(g),
-            "upper": graphcore.greedy_dsatur(g).size,
-        })
+        # DSATUR first: no clique outgrows its coloring, so the clique
+        # search stops once it reaches that size
+        upper = graphcore.greedy_dsatur(g).size
+        _emit({"lower": graphcore._clique_bound(g.adj, upper), "upper": upper})
         return 0
     result = graphcore.chromatic_number_exact(g, args.budget)
     if isinstance(result, graphcore.ChiUndecided):
@@ -216,20 +217,23 @@ def _cmd_color(args) -> int:
     from . import covercolor
     model = covercolor.CutSystemModel(args.r)
     table = covercolor.color_table(model, args.with_cut_spheres)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
 
     @functools.cache
     def entry(field):
-        # each distinct cover field is rendered once
-        return [covercolor.class_label(c, model.r) for c in table.classes(field)]
+        # each distinct cover field is rendered to JSON text once
+        return encode([covercolor.class_label(c, model.r) for c in table.classes(field)])
 
-    colors = {label: list(map(entry, table.fields(v))) for v, label in enumerate(table.labels)}
-    _emit({
+    head = encode({
         "r": args.r,
         "with_cut_spheres": args.with_cut_spheres,
         "covers": [c.bitstring for c in table.covers],
-        "colors": colors,
     })
-    return 0
+    # the document is json.dumps of head's members then "colors", one
+    # vertex's entry at a time, so it is never held whole
+    lines = (f'{"," if v else ""}{encode(label)}:[{",".join(map(entry, table.fields(v)))}]'
+             for v, label in enumerate(table.labels))
+    return _write_pieces(graphcore._in_pieces(chain([head[:-1] + ',"colors":{'], lines, ["}}"])))
 
 
 def _verify_lemma2(args) -> int:

@@ -7,12 +7,12 @@ first branched vertex pinned to color 0.  Its state is a handful of
 vertex masks: the uncolored vertices, one "has a neighbour of color c"
 mask per color, and a saturation counter sliced into bit planes, so a
 node costs a few big-int operations per color and per plane, not one
-step per neighbour.  Each node saves a snapshot of the masks it changes
-and backtracking restores it.  Universal vertices are peeled off before
-the search, each with a color of its own, so the node budget and the
-reported node counts are those of the peeled search.  When a node budget
-runs out the engine reports an explicit undecided outcome instead of
-guessing.
+step per neighbour.  A node that descends pushes its parent's masks and
+color-loop position as one tuple, and backtracking pops it; a dead node
+pushes nothing.  Universal vertices are peeled off before the search,
+each with a color of its own, so the node budget and the reported node
+counts are those of the peeled search.  When a node budget runs out the
+engine reports an explicit undecided outcome instead of guessing.
 """
 
 from __future__ import annotations
@@ -348,13 +348,20 @@ def clique_lower_bound(g: Graph) -> int:
     the first class that meets the candidates: at most one AND per
     distinct degree, not one step per candidate.
     """
-    n = g.n
-    if n == 0:
+    return _clique_bound(g.adj, g.n)
+
+
+def _clique_bound(adj, stop: int) -> int:
+    """``clique_lower_bound`` on the rows adj, given an upper bound ``stop``
+    on every clique's size (such as a proper coloring's size): the seeds
+    stop as soon as one of them reaches it, which leaves the result as is."""
+    if not adj:
         return 0
-    adj = g.adj
     classes = _degree_classes(adj)
     best = 1
     for cand in adj:
+        if best >= stop:
+            break
         size = 1
         while cand:
             for cls in classes:
@@ -384,78 +391,89 @@ def _k_colorable(adj, classes, n, k, node_cap):
     neighbour colors.  Coloring v with c adds one, by ripple carry, to
     each uncolored neighbour of v outside ``seen[c]``.  The select walks
     the planes from the top to find the uncolored vertices of highest
-    count; a count of k leaves some vertex no color, a dead node.  Each
-    frame saves (c, old seen[c], planes, uncolored) before it assigns,
-    and undo restores that snapshot, so neither the assignment nor the
-    undo loops over neighbours.
+    count; a count of k leaves some vertex no color, a dead node.
+
+    The current vertex's color loop runs on local variables.  Trying a
+    color builds the child's uncolored mask, a copy of the planes with
+    the ripple, and its select, and changes nothing else, so a dead child
+    needs no undo.  A live child sets ``seen[c]``, the only state changed
+    in place, pushes one tuple (vertex, its bit, next color, color limit,
+    max_used, planes, uncolored, old ``seen[c]``) and becomes the current
+    vertex; when its colors run out, popping the tuple puts back
+    ``seen[c]`` and resumes the parent's loop.  Neither the assignment
+    nor the undo loops over neighbours.
     """
     if n == 0:
         return "sat", [], 0
     if k <= 0:
         return "unsat", None, 0
     top = k.bit_length() - 1
+    rising = range(top + 1)
+    falling = [(p, 1 << p) for p in range(top, -1, -1)]
     planes = [0] * (top + 1)
     seen = [0] * k
     uncolored = (1 << n) - 1
     nodes = 0
     # with every count 0 the pick is the lowest vertex of highest degree
-    first = classes[0] & -classes[0]
-    # frame: [vertex, its bit, next color to try, color limit,
-    #         max_used before assigning, snapshot or None]
-    frames = [[first.bit_length() - 1, first, 0, 1, 0, None]]
-    while frames:
-        fr = frames[-1]
-        v, vbit, c, limit, max_used, snap = fr
-        if snap is not None:
-            seen[snap[0]] = snap[1]
-            planes = snap[2]
-            uncolored = snap[3]
+    vbit = classes[0] & -classes[0]
+    v = vbit.bit_length() - 1
+    row = adj[v]
+    c, limit, max_used = 0, 1, 0
+    stack = []
+    while True:
         while c < limit and seen[c] & vbit:
             c += 1
         if c == limit:
-            frames.pop()
+            if not stack:
+                return "unsat", None, nodes
+            v, vbit, c, limit, max_used, planes, uncolored, old = stack.pop()
+            seen[c - 1] = old
+            row = adj[v]
             continue
-        fr[2] = c + 1
         nodes += 1
         if node_cap is not None and nodes > node_cap:
             return "budget", None, nodes - 1
-        row = adj[v]
+        rest = uncolored ^ vbit
+        if not rest:
+            color = [0] * n
+            for f in stack:
+                color[f[0]] = f[2] - 1
+            color[v] = c
+            return "sat", color, nodes
         old = seen[c]
-        fr[5] = (c, old, planes, uncolored)
-        uncolored ^= vbit
-        carry = row & uncolored & ~old
-        seen[c] = old | row
+        carry = row & rest & ~old
+        child = planes
         if carry:
-            # a fresh list, so the snapshot keeps the old planes
-            planes = planes[:]
-            for p in range(top + 1):
-                t = planes[p] & carry
-                planes[p] ^= carry
+            # a fresh list, so this vertex's next color starts from its planes
+            child = planes[:]
+            for p in rising:
+                t = child[p] & carry
+                child[p] ^= carry
                 carry = t
                 if not carry:
                     break
-        if c == max_used:
-            max_used += 1
-        if not uncolored:
-            color = [0] * n
-            for f in frames:
-                color[f[0]] = f[2] - 1
-            return "sat", color, nodes
-        best, count = uncolored, 0
-        for p in range(top, -1, -1):
-            t = best & planes[p]
+        best, count = rest, 0
+        for p, bit in falling:
+            t = best & child[p]
             if t:
                 best = t
-                count |= 1 << p
+                count |= bit
         if count == k:
+            c += 1
             continue
+        seen[c] = old | row
         for cls in classes:
             hit = best & cls
             if hit:
                 break
-        low = hit & -hit
-        frames.append([low.bit_length() - 1, low, 0, min(max_used + 1, k), max_used, None])
-    return "unsat", None, nodes
+        stack.append((v, vbit, c + 1, limit, max_used, planes, uncolored, old))
+        if c == max_used:
+            max_used += 1
+        vbit = hit & -hit
+        v = vbit.bit_length() - 1
+        row = adj[v]
+        c, limit = 0, min(max_used + 1, k)
+        planes, uncolored = child, rest
 
 
 def _peel_universal(adj):
@@ -498,7 +516,7 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
         return ChiCertificate(0, Coloring(()), 0, None)
     ub_col = greedy_dsatur(g)
     ub = ub_col.size
-    lb = clique_lower_bound(g)
+    lb = _clique_bound(g.adj, ub)
     if lb == ub:
         return ChiCertificate(ub, ub_col, lb, None)
     rest, universal, rows = _peel_universal(g.adj)
@@ -586,31 +604,40 @@ _scanstring = json.decoder.scanstring
 _decode_value = json.JSONDecoder().raw_decode
 
 
+def _in_pieces(parts):
+    """The strings parts, in order, joined into pieces of about 64 KB: a
+    piece is yielded once it passes ``_WRITE_PIECE`` characters."""
+    piece, size = [], 0
+    for part in parts:
+        piece.append(part)
+        size += len(part)
+        if size >= _WRITE_PIECE:
+            yield "".join(piece)
+            piece, size = [], 0
+    yield "".join(piece)
+
+
 def _json_pieces(labels, upper):
-    """Canonical graph JSON in pieces of about 64 KB, from labels and, per
-    vertex i, the ascending neighbours j > i.
+    """Canonical graph JSON in pieces of about 64 KB (``_in_pieces``), from
+    labels and, per vertex i, the ascending neighbours j > i.
 
     Joined, the pieces are the bytes of compact ``json.dumps`` with a
     sorted edge list.  The edges are written row by row from a table of
-    "j]" tails, and a piece is yielded once it passes ``_WRITE_PIECE``
-    characters, so a caller can write each as it forms.
+    "j]" tails, so a caller can write each piece as it forms.
     """
     tail = [f"{j}]" for j in range(len(labels))]
     text = json.dumps(labels, separators=(",", ":"))
-    piece = [f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":[']
-    size = len(piece[0])
-    sep = ""
-    for i, row in enumerate(upper):
-        if row:
-            line = f"{sep}[{i}," + f",[{i},".join(map(tail.__getitem__, row))
-            sep = ","
-            piece.append(line)
-            size += len(line)
-            if size >= _WRITE_PIECE:
-                yield "".join(piece)
-                piece, size = [], 0
-    piece.append("]}")
-    yield "".join(piece)
+
+    def parts():
+        yield f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":['
+        sep = ""
+        for i, row in enumerate(upper):
+            if row:
+                yield f"{sep}[{i}," + f",[{i},".join(map(tail.__getitem__, row))
+                sep = ","
+        yield "]}"
+
+    return _in_pieces(parts())
 
 
 def to_json(g: Graph) -> str:

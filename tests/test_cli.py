@@ -143,6 +143,18 @@ class TestChi:
         assert parsed["undecided"] is True
         assert parsed["lower"] <= parsed["upper"]
 
+    # the benchmark's slowest calls: the budget runs out while k = lower is open
+    @pytest.mark.parametrize("family, line", [
+        ("sphere", '{"lower":10,"upper":18,"undecided":true}\n'),
+        ("total-kneser", '{"lower":19,"upper":27,"undecided":true}\n'),
+    ], ids=["sphere", "total-kneser"])
+    def test_budgeted_n9_interval(self, run, tmp_path, family, line):
+        _, doc, _ = run(["generate", family, "--n", "9"])
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        code, out, err = run(["chi", "--exact", "--budget", "50000", "--input", str(path)])
+        assert (code, out, err) == (3, line, "")
+
     def test_negative_budget_exits_64(self, run):
         _, doc, _ = run(["generate", "sphere", "--n", "6"])
         code, out, err = run(["chi", "--exact", "--budget", "-5"], stdin_text=doc)
@@ -276,6 +288,28 @@ class TestColor:
         for table in parsed["colors"].values():
             assert len(table) == 3
             assert all(len(entry) in (1, 2) for entry in table)
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["plain", "with-cut-spheres"])
+    def test_writes_the_dumped_document_in_pieces(self, monkeypatch, cut):
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes = []
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        assert cli.main(["color", "--r", "5"] + ["--with-cut-spheres"] * cut) == 0
+        table = covercolor.color_table(covercolor.CutSystemModel(5), cut)
+        colors = {
+            label: [[covercolor.class_label(c, 5) for c in table.classes(f)]
+                    for f in table.fields(v)]
+            for v, label in enumerate(table.labels)
+        }
+        doc = {"r": 5, "with_cut_spheres": cut, "covers": [c.bitstring for c in table.covers],
+               "colors": colors}
+        assert sink.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
+        assert len(sizes) > 8 and max(sizes) <= 128 * 1024
 
 
 class TestCoverPins:

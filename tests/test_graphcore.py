@@ -29,6 +29,7 @@ from sphere_chroma.graphcore import (
     to_json,
     validate_coloring,
     _class_masks,
+    _clique_bound,
     _degree_classes,
     _k_colorable,
 )
@@ -362,13 +363,17 @@ class TestUniversalPeeling:
 
 class TestSelectionMatchesScan:
     """The bucketed DSATUR pick and the degree-class clique pick choose the
-    same vertex at every step as the per-vertex scans in oracles."""
+    same vertex at every step as the per-vertex scans in oracles.  The
+    clique seeds stopped at the DSATUR size find the same clique size:
+    no clique outgrows a proper coloring."""
 
     @pytest.mark.parametrize("build", ORACLE_GRAPHS)
     def test_fixed_graphs(self, build):
         g = build()
         assert greedy_dsatur(g) == oracles.greedy_dsatur(g)
-        assert clique_lower_bound(g) == oracles.clique_lower_bound(g)
+        clique = oracles.clique_lower_bound(g)
+        assert clique_lower_bound(g) == clique
+        assert _clique_bound(g.adj, greedy_dsatur(g).size) == clique
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(varied_graphs())
@@ -377,7 +382,9 @@ class TestSelectionMatchesScan:
     @example(complete_graph(6))
     def test_random_graphs(self, g):
         assert greedy_dsatur(g) == oracles.greedy_dsatur(g)
-        assert clique_lower_bound(g) == oracles.clique_lower_bound(g)
+        clique = oracles.clique_lower_bound(g)
+        assert clique_lower_bound(g) == clique
+        assert _clique_bound(g.adj, greedy_dsatur(g).size) == clique
 
 
 def search_both(g, k, cap):
