@@ -148,7 +148,9 @@ def _read_graph(path: str | None) -> graphcore.Graph:
         raise _InputError(f"cannot read input: {e}") from None
     try:
         return graphcore.from_json(text)
-    except graphcore.SchemaError as e:
+    except (ValueError, RecursionError) as e:
+        # a SchemaError, an int past Python's digit limit, or nesting too
+        # deep for the json module: each an input that does not parse
         raise _InputError(f"input is not a graph document: {e}") from None
 
 
@@ -165,7 +167,7 @@ def _write_pieces(pieces) -> int:
 
 
 def _write_graph(g: graphcore.Graph) -> int:
-    return _write_pieces(graphcore._json_pieces(g.labels, map(g.higher_neighbors, range(g.n))))
+    return _write_pieces(graphcore._json_pieces(g.labels, g.adj))
 
 
 def _generate_kneser(args) -> int:

@@ -163,19 +163,25 @@ def _class_masks(keys) -> dict:
 
 def _bits(mask: int, base: int = 0) -> list[int]:
     """Positions of the set bits of mask, ascending, each plus base."""
+    return list(_pick(mask, range(base, base + mask.bit_length())))
+
+
+def _pick(mask: int, items, base: int = 0):
+    """items[base + p] for each set bit p of mask, ascending p; a list or
+    an iterator."""
     width = mask.bit_length()
     if mask.bit_count() * 16 < width:
         # sparse: peel the top bit, which shrinks the int as it goes
         out = []
         while mask:
             top = mask.bit_length() - 1
-            out.append(base + top)
+            out.append(items[base + top])
             mask ^= 1 << top
         out.reverse()
         return out
     # dense: one pass over the binary digits at C speed
     digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return list(compress(range(base, base + width), digits))
+    return compress(items[base:base + width], digits)
 
 
 def complete_graph(n: int) -> Graph:
@@ -619,11 +625,14 @@ def _in_pieces(parts):
 
 def _json_pieces(labels, upper):
     """Canonical graph JSON in pieces of about 64 KB (``_in_pieces``), from
-    labels and, per vertex i, the ascending neighbours j > i.
+    labels and, per vertex i, either the list of its ascending neighbours
+    j > i or its adjacency bit row, whose bits above i are its edges.
 
     Joined, the pieces are the bytes of compact ``json.dumps`` with a
     sorted edge list.  The edges are written row by row from a table of
-    "j]" tails, so a caller can write each piece as it forms.
+    "j]" tails: a list's entries index it, and a bit row's tails are
+    picked off it by ``_pick`` with no list of neighbours in between.  So
+    a caller can write each piece as it forms.
     """
     tail = [f"{j}]" for j in range(len(labels))]
     text = json.dumps(labels, separators=(",", ":"))
@@ -632,8 +641,13 @@ def _json_pieces(labels, upper):
         yield f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":['
         sep = ""
         for i, row in enumerate(upper):
-            if row:
-                yield f"{sep}[{i}," + f",[{i},".join(map(tail.__getitem__, row))
+            if type(row) is int:
+                tails = _pick(row >> i + 1, tail, i + 1)
+            else:
+                tails = map(tail.__getitem__, row)
+            edges = f",[{i},".join(tails)
+            if edges:
+                yield f"{sep}[{i}," + edges
                 sep = ","
         yield "]}"
 
@@ -642,21 +656,25 @@ def _json_pieces(labels, upper):
 
 def to_json(g: Graph) -> str:
     """Canonical one-line JSON of g, edges sorted (see ``_json_pieces``)."""
-    return to_json_rows(g.labels, map(g.higher_neighbors, range(g.n)))
+    return to_json_rows(g.labels, g.adj)
 
 
 def to_json_rows(labels, upper) -> str:
-    """Canonical graph JSON from labels and each vertex's ascending higher
-    neighbours: the joined ``_json_pieces``."""
+    """Canonical graph JSON from labels and, per vertex, its ascending
+    higher neighbours or its adjacency bit row: the joined
+    ``_json_pieces``."""
     return "".join(_json_pieces(labels, upper))
 
 
 def _add_edges(rows, edges, first: int):
-    """OR each [i, j] of edges into the bit rows.
+    """OR each [i, j] of edges into the bit rows, checking each edge.
 
-    Each edge is checked for shape, self-loop, i < j, range and
-    duplicate, in that order; edges[k] is element first + k of the
-    document's list.  Returns the message of the first bad edge, or None.
+    This is the checker that names a fault; ``_edges_in_pieces`` runs it
+    only once its unchecked loop has failed, and ``from_json`` on the
+    whole-document path.  Each edge is checked for shape, self-loop,
+    i < j, range and duplicate, in that order; edges[k] is element
+    first + k of the document's list.  Returns the message of the first
+    bad edge, or None.
     """
     n = len(rows)
     for idx, e in enumerate(edges, first):
@@ -679,6 +697,30 @@ def _add_edges(rows, edges, first: int):
     return None
 
 
+def _or_edges(rows, pow2, edges) -> bool:
+    """OR each [i, j] of edges into the bit rows with no per-edge check but
+    i < j; False when an edge breaks the loop (see ``_edges_in_pieces``).
+    The bits come from the table pow2 of ``1 << k``, or are shifted afresh
+    when pow2 is None."""
+    try:
+        if pow2 is None:
+            for i, j in edges:
+                if i >= j:
+                    return False
+                # rows[j] is read first, so j >= n fails before 1 << j is built
+                rows[j] |= 1 << i
+                rows[i] |= 1 << j
+        else:
+            for i, j in edges:
+                if i >= j:
+                    return False
+                rows[i] |= pow2[j]
+                rows[j] |= pow2[i]
+    except (TypeError, ValueError, IndexError):
+        return False
+    return True
+
+
 def _edges_in_pieces(text: str, start: int, n: int):
     """(rows, first edge fault or None, end) for the edges array that opens
     at ``text[start]``, read one piece at a time; ``end`` is the index
@@ -686,25 +728,60 @@ def _edges_in_pieces(text: str, start: int, n: int):
 
     A piece runs from an element to the "]" of the first "],[" at least
     ``_READ_PIECE`` characters on, and must parse as a complete array;
-    the last piece is decoded up to the array's close.  After a fault the pieces
-    are still parsed, so a later syntax error still wins.
+    the last piece is decoded up to the array's close.
+
+    Each piece is ORed into the rows by ``_or_edges``, whose loop tests
+    only i < j and takes the bits from a table of ``1 << k``, k < n.  The
+    table holds about n²/14 bytes, so it is built only when that is no
+    more than the document's text; a sparse document on many vertices
+    (the finned Farey ball) shifts each bit instead.  The loop may skip
+    the checks because two screens on the piece's text pass first: no
+    "-" (so no negative number) and no "e" (so no true, false or
+    exponent float, and bool is the one non-int a list index accepts).
+    Every other bad element stops the loop: a non-pair fails to unpack,
+    a float, string, list or null fails to compare, index or shift, and
+    j >= n indexes past the table or the rows.  A duplicate ORs in no
+    new bit, so after the last piece the rows must hold two bits per
+    edge.  When a screen, the loop or that count fails, the pieces are
+    read again from the start with the checker ``_add_edges`` into fresh
+    rows, which names the first bad edge.  The loop stops for good at its
+    first failure, but every piece is still parsed first, so a later
+    syntax error still wins.
     """
     rows = [0] * n
-    fault = None
-    done = 0
+    pow2 = [1 << k for k in range(n)] if n * n // 14 <= len(text) else None
+    spans = []  # (start, stop) of each piece's elements in text
+    count = 0
+    fast = True
     a = _skip_ws(text, start + 1).end()
     while True:
         cut = text.find("],[", a + _READ_PIECE)
         if cut < 0:
             edges, end = _decode_value("[" + text[a:])
+            stop = a + end - 2  # the array's close
         else:
-            edges = json.loads(f"[{text[a:cut + 1]}]")
-        if fault is None:
-            fault = _add_edges(rows, edges, done)
-        done += len(edges)
+            stop = cut + 1
+            edges = json.loads(f"[{text[a:stop]}]")
+        spans.append((a, stop))
+        if fast:
+            count += len(edges)
+            fast = (text.find("-", a, stop) < 0 and text.find("e", a, stop) < 0
+                    and _or_edges(rows, pow2, edges))
         if cut < 0:
-            return rows, fault, a + end - 1
+            break
         a = cut + 2
+    if fast and sum(map(int.bit_count, rows)) == 2 * count:
+        return rows, None, stop + 1
+    # a screen, the loop or the bit count failed: name the first bad edge
+    rows = [0] * n
+    done = 0
+    for lo, hi in spans:
+        edges = json.loads(f"[{text[lo:hi]}]")
+        fault = _add_edges(rows, edges, done)
+        if fault is not None:
+            break
+        done += len(edges)
+    return rows, fault, stop + 1
 
 
 def _read_in_pieces(text: str):
@@ -753,7 +830,12 @@ def from_json(text: str) -> Graph:
     The ``edges`` array is read in pieces of about 4 KB: each is cut at
     a "],[" between two elements, parsed by the json module and ORed into
     the bit rows before the next is read, so the edge list is never held
-    as Python objects whole.  The whole document goes to ``json.loads``
+    as Python objects whole.  The OR loop checks nothing per edge but
+    i < j; screens on each piece's text, failed unpacks and indexes, and
+    one bit count after the last piece stand in for the rest (see
+    ``_edges_in_pieces``).  Only when one of them fails does the
+    per-edge checker ``_add_edges`` read the pieces again, to name the
+    first bad edge.  The whole document goes to ``json.loads``
     instead, as before, when the pieces cannot follow it: on any JSON
     syntax error, when ``vertex_labels`` is not a list of strings before
     ``edges``, when a key repeats, or when a piece does not parse as a
@@ -762,9 +844,11 @@ def from_json(text: str) -> Graph:
     package writes is read in pieces, and so is any compact ``json.dumps``
     of the same keys in the same order.
 
-    Both ways share one per-edge check, and report the same fault for a
-    document with several: a syntax error, then the top level, the
-    format, the labels, the edges field, then the first bad edge.
+    Both ways name a fault with the one per-edge checker, and report the
+    same fault for a document with several: a syntax error, then the top
+    level, the format, the labels, the edges field, then the first bad
+    edge.  An int past Python's digit limit raises the json module's
+    ValueError, and nesting too deep to parse its RecursionError.
     """
     parsed = _read_in_pieces(text)
     if parsed is None:

@@ -176,6 +176,25 @@ class TestChi:
         code, _, err = run(["chi"], stdin_text="not a graph")
         assert code == 74 and "not a graph document" in err
 
+    def test_over_long_int_exits_74(self, run, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],'
+                        f'"edges":[[0,{"9" * 5000}]]}}')
+        code, out, err = run(["chi", "--input", str(path)])
+        assert code == 74 and out == ""
+        assert err.startswith("sphere-chroma: input is not a graph document: Exceeds the limit")
+
+    @pytest.mark.parametrize("prefix", ["", '{"format":"sphere-chroma-graph-v1",'
+                                            '"vertex_labels":["a"],"edges":'])
+    def test_deep_nesting_exits_74(self, run, tmp_path, prefix):
+        path = tmp_path / "g.json"
+        path.write_text(prefix + "[" * 100_000)
+        for argv, stdin_text in ((["chi", "--input", str(path)], None),
+                                 (["chi"], path.read_text())):
+            code, out, err = run(argv, stdin_text)
+            assert code == 74 and out == "" and err.count("\n") == 1
+            assert err.startswith("sphere-chroma: input is not a graph document: maximum recursion")
+
 
 class TestVerify:
     def test_lemma2_golden_line(self, run):
@@ -342,6 +361,13 @@ class TestExport:
     def test_bad_input_exits_74(self, run):
         code, _, _ = run(["export", "dot"], stdin_text="{}")
         assert code == 74
+
+    def test_over_long_int_exits_74(self, run):
+        doc = ('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],'
+               f'"edges":[[{"1" * 5000},1]]}}')
+        for fmt in (["dot"], ["dimacs", "--k", "2"]):
+            code, out, err = run(["export", *fmt], stdin_text=doc)
+            assert code == 74 and out == "" and "input is not a graph document" in err
 
 
 # address-space limit for a CLI child that must fail fast: a cap set one

@@ -570,6 +570,10 @@ ODD_ELEMENTS = [
     "[1,0]", "[0,0]", "[9,9]", "[9,0]", "[1,-1]", "[0,9]", "[-1,1]", "[0]", "[0,1,2]",
     "[[0],[1]]", '["],[",1]', '"],["', "true", "[true,1]", "1.5", "[0,1.0]", "[0,1e0]",
     "1" + "0" * 30, "9" * 5000, "[0,1]", "[ 0 , 1 ]", "null", "{}",
+    # what the unchecked loop leaves to its screens ("-", "e") or to a
+    # failed unpack, compare, index or shift
+    "NaN", "[0,NaN]", "[Infinity,1]", "[-0,1]", "[0,-0]", "[false,1]", "[0,1E0]",
+    '["0","1"]', '"01"', "[0,1" + "0" * 30 + "]",
 ]
 # raw text dropped into the document at a drawn position
 JUNK = ["x", ",", "]", "[", "}", "{", '"', " ", "\n", "],[", "0"]
@@ -636,6 +640,47 @@ class TestJsonPieces:
         with mock.patch.object(graphcore, "_READ_PIECE", piece):
             got = read_outcome(from_json, text)
         assert got == read_outcome(oracles.graph_from_json, text)
+
+    @pytest.mark.parametrize("element", ODD_ELEMENTS)
+    @pytest.mark.parametrize("piece", [1, 1 << 12])
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_each_odd_element_matches_whole_document_reader(self, element, piece, n):
+        # after a valid edge, so the unchecked loop has ORed a bit first;
+        # 3 vertices take the table of 1 << k, 200 with two edges shift
+        text = ('{"format":"sphere-chroma-graph-v1",'
+                f'"vertex_labels":{json.dumps([f"v{i}" for i in range(n)])},'
+                f'"edges":[[0,2],{element}]}}')
+        with mock.patch.object(graphcore, "_READ_PIECE", piece), \
+                mock.patch.object(graphcore, "_or_edges", wraps=graphcore._or_edges) as loop:
+            got = read_outcome(from_json, text)
+        assert got == read_outcome(oracles.graph_from_json, text)
+        assert all((call.args[1] is None) == (n == 200) for call in loop.call_args_list)
+
+    @pytest.mark.parametrize("piece", [1, 1 << 12])
+    def test_duplicate_edge_named_within_and_across_pieces(self, piece):
+        # one piece holds all three edges; pieces of 1 character hold one
+        # edge each, so the repeat is in another piece than the first
+        text = ('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b","c"],'
+                '"edges":[[0,1],[1,2],[0,1]]}')
+        with mock.patch.object(graphcore, "_READ_PIECE", piece):
+            _, _, fault = graphcore._read_in_pieces(text)
+            with pytest.raises(SchemaError) as caught:
+                from_json(text)
+        assert fault == str(caught.value) == "field 'edges'[2]: duplicate edge [0,1]"
+
+    @pytest.mark.parametrize("build, shifted", [
+        (lambda: sphere_graph_holed(8), False),
+        (lambda: add_fins(farey_ball(9)), True),  # 1,536 vertices, 3,069 edges
+    ])
+    def test_written_documents_skip_the_checker(self, build, shifted):
+        # the per-edge checker only names a fault; a sound document never
+        # reaches it, so a silent fall back to it fails here
+        g = build()
+        with mock.patch.object(graphcore, "_add_edges", side_effect=AssertionError("checker ran")), \
+                mock.patch.object(graphcore, "_or_edges", wraps=graphcore._or_edges) as loop:
+            assert from_json(to_json(g)) == g
+        assert loop.call_args_list and all(
+            (call.args[1] is None) == shifted for call in loop.call_args_list)
 
     def test_written_documents_are_read_in_pieces(self):
         text = to_json(sphere_graph_holed(8))
