@@ -138,19 +138,22 @@ def _emit(doc: dict) -> None:
 
 
 def _read_graph(path: str | None) -> graphcore.Graph:
+    """The graph document in the file at path, or on stdin when path is
+    None or "-".
+
+    A file is read by ``graphcore._from_file``: in chunks when it is a
+    regular file, with a rewind and one whole read where the chunked read
+    gives up.  Stdin is read whole, as a pipe named by path is: that
+    rewind needs a file that can be read again from the start.
+    """
     try:
         if path is None or path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            return graphcore.from_json(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return graphcore._from_file(fh)
     except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read input: {e}") from None
-    try:
-        return graphcore.from_json(text)
-    except (ValueError, RecursionError) as e:
-        # a SchemaError, an int past Python's digit limit, or nesting too
-        # deep for the json module: each an input that does not parse
+    except graphcore.SchemaError as e:
         raise _InputError(f"input is not a graph document: {e}") from None
 
 
@@ -200,6 +203,8 @@ def _generate_farey(args) -> int:
 def _cmd_chi(args) -> int:
     if args.bounds and args.budget is not None:
         raise ValueError("--budget limits only the exact search; drop it or --bounds")
+    # flags are checked before the input is read
+    graphcore._check_budget(args.budget)
     g = _read_graph(args.input)
     if args.bounds:
         # DSATUR first: no clique outgrows its coloring, so the clique
@@ -265,7 +270,17 @@ def _verify_proper(args) -> int:
     rep = covercolor.verify_coloring_proper(
         covercolor.CutSystemModel(args.r), args.with_cut_spheres
     )
-    _emit(rep.to_json_dict())
+    # the document is json.dumps of rep.to_json_dict(), written one
+    # homologous pair at a time so it is never held whole: the rest comes
+    # from the report without its pairs, split where they go (a quote in a
+    # string is escaped, so the key's text occurs once), and each pair's
+    # strings are quoted as json.dumps quotes them
+    rest = json.dumps(rep._replace(homologous_pairs=()).to_json_dict(), separators=(",", ":"))
+    head, tail = rest.split('"homologous_pairs":[]')
+    quote = json.encoder.encode_basestring_ascii
+    pairs = (f'{"," if k else ""}{{"a":{quote(a)},"b":{quote(b)},"witness_phi":{quote(w)}}}'
+             for k, (a, b, w) in enumerate(rep.homologous_pairs))
+    _write_pieces(graphcore._in_pieces(chain([head + '"homologous_pairs":['], pairs, ["]" + tail])))
     return 0 if rep.ok else VERIFY_FAIL_EXIT
 
 
@@ -302,6 +317,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.fmt == "dimacs":
+        # flags are checked before the input is read
+        graphcore._check_palette(args.k)
     _write(args.export(args, _read_graph(args.input)))
     return 0
 

@@ -18,8 +18,12 @@ engine reports an explicit undecided outcome instead of guessing.
 from __future__ import annotations
 
 import json
+import os
+import re
+import stat
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import partial
 from itertools import compress
 
 __all__ = [
@@ -499,6 +503,12 @@ def _peel_universal(adj):
     return rest, universal, rows
 
 
+def _check_budget(budget: int | None) -> None:
+    """Refuse a negative node budget (None means no budget)."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be a non-negative node count, got {budget}")
+
+
 def chromatic_number_exact(g: Graph, budget: int | None = None):
     """Exact chromatic number with certificate, or ChiUndecided on budget.
 
@@ -515,8 +525,7 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     node counts of the result count those nodes; a negative budget is a
     ValueError.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be a non-negative node count, got {budget}")
+    _check_budget(budget)
     n = g.n
     if n == 0:
         return ChiCertificate(0, Coloring(()), 0, None)
@@ -552,6 +561,12 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     )
 
 
+def _check_palette(k: int) -> None:
+    """Refuse a palette of fewer than one color."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def export_dimacs_kcolor(g: Graph, k: int) -> str:
     """DIMACS CNF for "g has a proper k-coloring".
 
@@ -560,8 +575,7 @@ def export_dimacs_kcolor(g: Graph, k: int) -> str:
     at-most-one clauses, so satisfying assignments may set several colors
     on a vertex and any one of them can be picked.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_palette(k)
     n = g.n
     edges = g.sorted_edges
     lines = [f"p cnf {n * k} {n + len(edges) * k}"]
@@ -597,12 +611,14 @@ def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
 
 
 # Graph JSON is written in pieces of about 64 KB, so even unbuffered
-# stdout takes only a few hundred writes.  The edges array is read in
-# pieces of about 4 KB: an edge takes at least 6 characters, so a piece
-# holds fewer lists than the garbage collector's young-generation
-# threshold (700), and reading S_12 triggers one collection where 64 KB
-# pieces triggered about 280 young and 26 older ones.
+# stdout takes only a few hundred writes, and a regular file is read in
+# chunks of the same size.  The edges array is read in pieces of about
+# 4 KB: an edge takes at least 6 characters, so a piece holds fewer
+# lists than the garbage collector's young-generation threshold (700),
+# and reading S_12 triggers one collection where 64 KB pieces triggered
+# about 280 young and 26 older ones.
 _WRITE_PIECE = 1 << 16
+_READ_CHUNK = 1 << 16
 _READ_PIECE = 1 << 12
 
 _skip_ws = json.decoder.WHITESPACE.match
@@ -721,48 +737,81 @@ def _or_edges(rows, pow2, edges) -> bool:
     return True
 
 
-def _edges_in_pieces(text: str, start: int, n: int):
-    """(rows, first edge fault or None, end) for the edges array that opens
-    at ``text[start]``, read one piece at a time; ``end`` is the index
-    past the array.
+# where the edges array opens: a key ends at the first unescaped quote,
+# so this text is never inside a string
+_EDGES_OPEN = re.compile(r'"edges"[ \t\n\r]*:[ \t\n\r]*\[')
+
+
+def _read_on(kept: str, more):
+    """(kept and the text after it, more): ``more()`` returns the next
+    chunk of a streamed document, "" at its end, and is replaced by None
+    there.  Chunks are read until more text has come than was kept, so
+    text that spans many chunks is scanned a few times in all, not once
+    per chunk."""
+    parts = [kept]
+    got = 0
+    while got <= len(kept):
+        chunk = more()
+        if not chunk:
+            return "".join(parts), None
+        parts.append(chunk)
+        got += len(chunk)
+    return "".join(parts), more
+
+
+def _edges_in_pieces(text: str, start: int, n: int, more=None, size=0):
+    """(rows, first edge fault or None, text, end) for the edges array
+    that opens at ``text[start]``, read one piece at a time; ``end`` is
+    the index past the array in the text returned.  None when a streamed
+    document (see ``_read_in_pieces``) has an edge fault.
 
     A piece runs from an element to the "]" of the first "],[" at least
     ``_READ_PIECE`` characters on, and must parse as a complete array;
-    the last piece is decoded up to the array's close.
+    the last piece is decoded up to the array's close.  A streamed
+    document drops the text before the piece and reads on until its text
+    holds that cut or the document's end, so it is cut as the whole text.
 
     Each piece is ORed into the rows by ``_or_edges``, whose loop tests
     only i < j and takes the bits from a table of ``1 << k``, k < n.  The
     table holds about n²/14 bytes, so it is built only when that is no
-    more than the document's text; a sparse document on many vertices
-    (the finned Farey ball) shifts each bit instead.  The loop may skip
-    the checks because two screens on the piece's text pass first: no
-    "-" (so no negative number) and no "e" (so no true, false or
-    exponent float, and bool is the one non-int a list index accepts).
-    Every other bad element stops the loop: a non-pair fails to unpack,
+    more than the document's size (``size``, or the length of text); a
+    sparse document on many vertices (the finned Farey ball) shifts each
+    bit instead.  The loop may skip the checks because two screens on the
+    piece's text pass first: no "-" (so no negative number) and no "e"
+    (so no true, false or exponent float, and bool is the one non-int a
+    list index accepts).  Every other bad element stops the loop: a non-pair fails to unpack,
     a float, string, list or null fails to compare, index or shift, and
     j >= n indexes past the table or the rows.  A duplicate ORs in no
     new bit, so after the last piece the rows must hold two bits per
     edge.  When a screen, the loop or that count fails, the pieces are
     read again from the start with the checker ``_add_edges`` into fresh
-    rows, which names the first bad edge.  The loop stops for good at its
-    first failure, but every piece is still parsed first, so a later
-    syntax error still wins.
+    rows, which names the first bad edge; a streamed document has
+    dropped them and gives up.  The loop stops for good at its first
+    failure, but every piece is still parsed first, so a later syntax
+    error still wins.
     """
     rows = [0] * n
-    pow2 = [1 << k for k in range(n)] if n * n // 14 <= len(text) else None
-    spans = []  # (start, stop) of each piece's elements in text
+    pow2 = [1 << k for k in range(n)] if n * n // 14 <= max(size, len(text)) else None
+    # (start, stop) of each piece's elements in text, to read them again;
+    # a streamed document drops them
+    spans = None if more else []
     count = 0
     fast = True
     a = _skip_ws(text, start + 1).end()
     while True:
         cut = text.find("],[", a + _READ_PIECE)
+        if cut < 0 and more:
+            text, more = _read_on(text[a:], more)
+            a = 0
+            continue
         if cut < 0:
             edges, end = _decode_value("[" + text[a:])
             stop = a + end - 2  # the array's close
         else:
             stop = cut + 1
             edges = json.loads(f"[{text[a:stop]}]")
-        spans.append((a, stop))
+        if spans is not None:
+            spans.append((a, stop))
         if fast:
             count += len(edges)
             fast = (text.find("-", a, stop) < 0 and text.find("e", a, stop) < 0
@@ -771,7 +820,9 @@ def _edges_in_pieces(text: str, start: int, n: int):
             break
         a = cut + 2
     if fast and sum(map(int.bit_count, rows)) == 2 * count:
-        return rows, None, stop + 1
+        return rows, None, text, stop + 1
+    if spans is None:
+        return None
     # a screen, the loop or the bit count failed: name the first bad edge
     rows = [0] * n
     done = 0
@@ -781,16 +832,25 @@ def _edges_in_pieces(text: str, start: int, n: int):
         if fault is not None:
             break
         done += len(edges)
-    return rows, fault, stop + 1
+    return rows, fault, text, stop + 1
 
 
-def _read_in_pieces(text: str):
+def _read_in_pieces(text: str, more=None, size=0):
     """(members other than edges, rows, first edge fault) of a graph
     document whose edges array is read in pieces; None when it is not one
-    that ``from_json`` reads so (see there)."""
+    that ``from_json`` reads so (see there), or when a streamed document
+    has an edge fault or a chunk that does not decode.
+
+    A streamed document is text, then each chunk ``more()`` returns
+    until it returns "" (see ``_read_on``), and ``size`` is its size.  It
+    is read until its edges array opens before any member is decoded, so
+    each member is decoded once, and its edges in pieces from then on.
+    """
     doc: dict = {}
     rows = fault = None
     try:
+        while more and not _EDGES_OPEN.search(text):
+            text, more = _read_on(text, more)
         idx = _skip_ws(text, 0).end()
         if not text.startswith("{", idx):
             return None
@@ -804,11 +864,16 @@ def _read_in_pieces(text: str):
                 return None
             idx = _skip_ws(text, idx + 1).end()
             if key == "edges":
+                # only the count of the labels is needed here; from_json
+                # checks them before it looks at the edges
                 labels = doc.get("vertex_labels")
-                if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
-                        and text.startswith("[", idx)):
+                if not (isinstance(labels, list) and text.startswith("[", idx)):
                     return None
-                rows, fault, idx = _edges_in_pieces(text, idx, len(labels))
+                read = _edges_in_pieces(text, idx, len(labels), more, size)
+                if read is None:
+                    return None
+                rows, fault, text, idx = read
+                more = None
             else:
                 doc[key], idx = _decode_value(text, idx)
             idx = _skip_ws(text, idx).end()
@@ -816,10 +881,11 @@ def _read_in_pieces(text: str):
                 break
             if not text.startswith(",", idx):
                 return None
-    except ValueError:
-        # a syntax error, or an int too long to convert: json.loads reports it
-        return None
-    if _skip_ws(text, idx + 1).end() != len(text):
+        if more or _skip_ws(text, idx + 1).end() != len(text):
+            return None
+    except (ValueError, RecursionError):
+        # a syntax error, an int too long to convert, nesting too deep, or
+        # a chunk that does not decode: the whole-text reader reports it
         return None
     return doc, rows, fault
 
@@ -837,9 +903,9 @@ def from_json(text: str) -> Graph:
     per-edge checker ``_add_edges`` read the pieces again, to name the
     first bad edge.  The whole document goes to ``json.loads``
     instead, as before, when the pieces cannot follow it: on any JSON
-    syntax error, when ``vertex_labels`` is not a list of strings before
-    ``edges``, when a key repeats, or when a piece does not parse as a
-    complete array (a "],[" nested in an element or inside a string).  So
+    syntax error, when ``vertex_labels`` is not a list before ``edges``,
+    when a key repeats, or when a piece does not parse as a complete
+    array (a "],[" nested in an element or inside a string).  So
     ``json.loads`` produces every syntax diagnostic.  Every document this
     package writes is read in pieces, and so is any compact ``json.dumps``
     of the same keys in the same order.
@@ -847,20 +913,53 @@ def from_json(text: str) -> Graph:
     Both ways name a fault with the one per-edge checker, and report the
     same fault for a document with several: a syntax error, then the top
     level, the format, the labels, the edges field, then the first bad
-    edge.  An int past Python's digit limit raises the json module's
-    ValueError, and nesting too deep to parse its RecursionError.
+    edge.  Every fault is a SchemaError; an int past Python's digit limit,
+    or nesting too deep to parse, keeps the json module's message.
+
+    ``_from_file`` feeds the same piece reader a regular file in chunks,
+    and falls back to this function where that reader gives up.
     """
     parsed = _read_in_pieces(text)
     if parsed is None:
         try:
-            doc = json.loads(text)
+            parsed = json.loads(text), None, None
         except json.JSONDecodeError as e:
             raise SchemaError(
                 f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
             ) from None
-        rows = fault = None
-    else:
-        doc, rows, fault = parsed
+        except (ValueError, RecursionError) as e:
+            # an int past Python's digit limit, or nesting too deep for
+            # the json module: its message stands
+            raise SchemaError(str(e)) from None
+    return _checked_graph(*parsed)
+
+
+def _from_file(fh) -> Graph:
+    """``from_json`` of the text of fh, a file open for reading text.
+
+    A regular file is fed to the piece reader in chunks of
+    ``_READ_CHUNK`` characters, and only the text it has not yet parsed
+    is held, so the document's text is never held whole; the table rule
+    takes the file's size from ``os.fstat``.  Where the reader gives up
+    (on whatever ``from_json`` hands to ``json.loads``, on an edge fault
+    to name, or on a chunk that does not decode), the file is rewound and
+    ``from_json`` reads it whole, so every diagnostic and decode error is
+    that of one whole read.  Any other file, such as a pipe, is read
+    whole at once: giving up starts again from the beginning, and a pipe
+    cannot be read twice.
+    """
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        parsed = _read_in_pieces("", partial(fh.read, _READ_CHUNK), info.st_size)
+        if parsed is not None:
+            return _checked_graph(*parsed)
+        fh.seek(0)
+    return from_json(fh.read())
+
+
+def _checked_graph(doc, rows, fault) -> Graph:
+    """The Graph of a parsed document, with its rows and first edge fault
+    when the piece reader read them (rows None when it did not)."""
     if not isinstance(doc, dict):
         raise SchemaError("top level is not an object")
     fmt = doc.get("format")

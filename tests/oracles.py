@@ -69,6 +69,9 @@ def graph_from_json(text):
         raise SchemaError(
             f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except (ValueError, RecursionError) as e:
+        # an int past Python's digit limit, or nesting too deep
+        raise SchemaError(str(e)) from None
     if not isinstance(doc, dict):
         raise SchemaError("top level is not an object")
     fmt = doc.get("format")

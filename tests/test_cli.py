@@ -19,7 +19,9 @@ import oracles
 import sphere_chroma
 from sphere_chroma import cli, covercolor, farey, kneser, spheres
 from sphere_chroma.farey import MAX_DEPTH
-from sphere_chroma.graphcore import Graph, chromatic_number_exact, from_json, to_json
+from sphere_chroma.graphcore import (
+    Graph, chromatic_number_exact, export_dimacs_kcolor, from_json, to_json,
+)
 from sphere_chroma.spheres import SphereKneserReport
 
 
@@ -168,6 +170,18 @@ class TestChi:
             code, out, err = run(["chi", "--bounds", "--budget", budget], stdin_text=doc)
             assert code == 64 and out == "" and "--budget" in err
 
+    @pytest.mark.parametrize("argv, library", [
+        (["chi", "--budget", "-5"], lambda: chromatic_number_exact(Graph([]), -5)),
+        (["chi", "--exact", "--budget", "-1"], lambda: chromatic_number_exact(Graph([]), -1)),
+        (["export", "dimacs", "--k", "0"], lambda: export_dimacs_kcolor(Graph([]), 0)),
+    ], ids=["chi", "chi-exact", "export-dimacs"])
+    def test_bad_flag_exits_64_before_input_is_read(self, run, tmp_path, argv, library):
+        # the input does not exist: the flag's message, not a read error
+        with pytest.raises(ValueError) as caught:
+            library()
+        code, out, err = run(argv + ["--input", str(tmp_path / "absent.json")])
+        assert (code, out, err) == (64, "", f"sphere-chroma: error: {caught.value}\n")
+
     def test_missing_file_exits_74(self, run, tmp_path):
         code, out, err = run(["chi", "--input", str(tmp_path / "absent.json")])
         assert code == 74 and out == "" and "cannot read" in err
@@ -233,6 +247,40 @@ class TestVerify:
         assert code == 0
         parsed = json.loads(out)
         assert parsed["ok"] is True and parsed["violations"] == []
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["plain", "with-cut-spheres"])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_proper_writes_the_dumped_report_in_pieces(self, monkeypatch, r, cut):
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes = []
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        assert cli.main(["verify", "proper", "--r", str(r)] + ["--with-cut-spheres"] * cut) == 0
+        rep = covercolor.verify_coloring_proper(covercolor.CutSystemModel(r), cut)
+        assert sink.getvalue() == json.dumps(rep.to_json_dict(), separators=(",", ":")) + "\n"
+        # the r = 6 report is about 485 KB: several pieces, then the newline
+        assert len(sizes) > 3 if r == 6 else True
+        assert max(sizes) <= 128 * 1024
+
+    @pytest.mark.parametrize("report", [
+        covercolor.ProperColoringReport(
+            3, 25, 40, (("1 2|3 4", "1 3|2 4"), ("a", "b")), (("c", "d", "011"), ("e", "f", "101")),
+            False, ("x", "y")),
+        covercolor.ProperColoringReport(
+            4, 9, 9, (("\u00e9\"", "a\\b"), ('"homologous_pairs":[]', "x")), (("y", "z", "01"),),
+            False),
+        covercolor.ProperColoringReport(4, 9, 9, (), (), False, ("z",)),
+        covercolor.ProperColoringReport(5, 0, 0, (), (), True),
+    ], ids=["violations-pairs-failures", "escaped-labels", "failures-only", "empty"])
+    def test_proper_report_with_faults_is_the_dumped_report(self, run, monkeypatch, report):
+        monkeypatch.setattr(covercolor, "verify_coloring_proper", lambda model, cut: report)
+        code, out, err = run(["verify", "proper", "--r", str(report.r)])
+        expected = json.dumps(report.to_json_dict(), separators=(",", ":")) + "\n"
+        assert (code, out, err) == (0 if report.ok else 2, expected, "")
 
     def test_farey_parity_flags_open_question(self, run):
         code, out, _ = run(["verify", "farey-parity", "--depth", "4"])
@@ -655,6 +703,23 @@ class TestInstalledScript:
         )
         assert result.returncode == 0
         assert result.stdout == '{"chi":3}\n'
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["sound", "duplicate-edge"])
+    def test_input_dash_pipe_matches_input_file(self, cli_env, tmp_path, fault):
+        # S_9's document spans two 64 KB chunks; read from a file in
+        # chunks and from a pipe whole, it gives the same bytes out
+        g = spheres.sphere_graph_holed(9)
+        repeat = ",[%d,%d]" % g.sorted_edges[0] if fault else ""
+        path = tmp_path / "s9.json"
+        path.write_text(to_json(g)[:-2] + repeat + "]}\n")
+        assert path.stat().st_size > 2**16
+        results = [subprocess.run(command, shell=True, capture_output=True, text=True,
+                                  timeout=60, env=cli_env)
+                   for command in (f"{CLI} chi --bounds --input {shlex.quote(str(path))}",
+                                   f"cat {shlex.quote(str(path))} | {CLI} chi --bounds --input -")]
+        file_read, pipe_read = ((r.returncode, r.stdout, r.stderr) for r in results)
+        assert file_read == pipe_read
+        assert file_read[0] == (74 if fault else 0)
 
     def test_verify_exit_code(self, cli_env):
         result = subprocess.run(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import tracemalloc
 from functools import partial
@@ -562,6 +563,20 @@ class TestJsonFormat:
             with pytest.raises(SchemaError, match=message):
                 from_json(json.dumps({**base, "edges": bad}))
 
+    @pytest.mark.parametrize("text", [
+        '{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"],'
+        f'"edges":[[0,{"9" * 5000}]]}}',
+        "[" * 100_000,
+        '{"format":"sphere-chroma-graph-v1","vertex_labels":["a"],"edges":' + "[" * 100_000,
+    ], ids=["over-long-int", "deep-nesting", "deep-edges"])
+    def test_json_module_limits_raise_schema_error(self, text):
+        # the json module's own error, with its text, as a SchemaError
+        with pytest.raises((ValueError, RecursionError)) as raw:
+            json.loads(text)
+        with pytest.raises(SchemaError) as caught:
+            from_json(text)
+        assert str(caught.value) == str(raw.value)
+
 
 # edge-array elements as text: valid pairs are drawn separately; these
 # break the shape, order, range or uniqueness checks, or put "],[" inside
@@ -620,7 +635,7 @@ def read_outcome(reader, text):
     """The Graph a reader returns, or the type and text of what it raises."""
     try:
         return reader(text)
-    except ValueError as e:  # SchemaError, or json's over-long int
+    except SchemaError as e:
         return type(e), str(e)
 
 
@@ -700,6 +715,147 @@ class TestJsonPieces:
             tracemalloc.stop()
         assert g.m == 235092
         assert peak < 8 * 2**20
+
+
+def streamed_outcome(path, text, chunk):
+    """read_outcome of ``_from_file`` on text written to path, read in
+    chunks of ``chunk`` characters."""
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh, mock.patch.object(graphcore, "_READ_CHUNK", chunk):
+        return read_outcome(graphcore._from_file, fh)
+
+
+class ChunkReadsOnly:
+    """A text file whose read() refuses no size, or one past the chunk,
+    and which cannot be rewound: what the chunked read may not do."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def read(self, size=-1):
+        if size is None or size < 0 or size > graphcore._READ_CHUNK:
+            raise AssertionError(f"read({size}) is not a chunk")
+        return self.fh.read(size)
+
+    def seek(self, *args):
+        raise AssertionError("the chunked read gave up")
+
+
+class TestStreamedRead:
+    """``_from_file`` feeds a regular file to the piece reader in chunks
+    and must agree with ``from_json`` of the file's whole text."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=graph_documents())
+    def test_documents_match_whole_text_reader(self, tmp_path_factory, chunk, text):
+        path = tmp_path_factory.getbasetemp() / f"streamed-{chunk}.json"
+        assert streamed_outcome(path, text, chunk) == read_outcome(from_json, text)
+
+    @pytest.mark.parametrize("element", ODD_ELEMENTS)
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_each_odd_element_matches_whole_text_reader(self, tmp_path, element, chunk):
+        text = ('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b","c"],'
+                f'"edges":[[0,2],{element}]}}')
+        assert streamed_outcome(tmp_path / "g.json", text, chunk) == read_outcome(from_json, text)
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + to_json(cycle(4)),
+        '{ "format" : "sphere-chroma-graph-v1" ,\n "vertex_labels" : [ "a" , "b" ] ,'
+        ' "edges" : [ [ 0 , 1 ] ] }\n',
+        '{"edges":[[0,1]],"format":"sphere-chroma-graph-v1","vertex_labels":["a","b"]}',
+        # a key that ends in "edges" opens an array before the labels
+        '{"format":"sphere-chroma-graph-v1","x\\"edges":[[1],[2]],"vertex_labels":["a","b"],'
+        '"edges":[[0,1]]}',
+        to_json(cycle(5))[:-1] + ',"x":[[0,1],[2,3]]}',
+        to_json(cycle(5)) + "\n \n",
+        to_json(cycle(5)) + "\n x",
+    ], ids=["bom", "spaced", "edges-first", "edges-in-a-key", "member-after-edges",
+            "trailing-space", "trailing-text"])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_odd_layouts_match_whole_text_reader(self, tmp_path, text, chunk):
+        assert streamed_outcome(tmp_path / "g.json", text, chunk) == read_outcome(from_json, text)
+
+    @pytest.mark.parametrize("at", ["label", "end"])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_undecodable_byte_raises_the_whole_read_error(self, tmp_path, at, chunk):
+        data = to_json(sphere_graph_holed(8)).encode()
+        data = data.replace(b'"vertex_labels":["', b'"vertex_labels":["\xff', 1) if at == "label" \
+            else data[:-2] + b"\xff]}"
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as whole:
+            fh.read()
+        with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as streamed, \
+                mock.patch.object(graphcore, "_READ_CHUNK", chunk):
+            graphcore._from_file(fh)
+        assert str(streamed.value) == str(whole.value)
+
+    @pytest.mark.parametrize("chunk", [1 << 10, 1 << 16])
+    def test_written_document_is_read_in_chunks_only(self, tmp_path, chunk):
+        # S_8 is about 18 KB: one chunk, or 18 of 1 KB
+        g = sphere_graph_holed(8)
+        path = tmp_path / "s8.json"
+        path.write_text(to_json(g) + "\n")
+        with open(path, encoding="utf-8") as fh, mock.patch.object(graphcore, "_READ_CHUNK", chunk):
+            assert graphcore._from_file(ChunkReadsOnly(fh)) == g
+
+    def test_holds_only_the_unparsed_tail(self, tmp_path):
+        # S_11 is 755 KB; read in 4 KB chunks, the text held at once stays
+        # a few chunks long, and the table rule still takes the file's size
+        g = sphere_graph_holed(11)
+        path = tmp_path / "s11.json"
+        path.write_text(to_json(g))
+        held = []
+
+        def read_on(kept, more):
+            text, more = real(kept, more)
+            held.append(len(text))
+            return text, more
+
+        real = graphcore._read_on
+        with open(path, encoding="utf-8") as fh, mock.patch.object(graphcore, "_READ_CHUNK", 1 << 12), \
+                mock.patch.object(graphcore, "_read_on", read_on), \
+                mock.patch.object(graphcore, "_or_edges", wraps=graphcore._or_edges) as loop:
+            assert graphcore._from_file(fh) == g
+        assert len(held) > 100 and max(held) < 40_000 < g.n * g.n // 14
+        assert all(call.args[1] is not None for call in loop.call_args_list)
+
+    def test_reads_on_past_a_chunk_that_ends_the_object(self, tmp_path):
+        # the first chunk ends at the closing brace and the text after it
+        # is still unread: the reader must read on to see it
+        obj = '{"x\\"edges":[1]}'
+        text = obj + " x"
+        assert streamed_outcome(tmp_path / "g.json", text, len(obj)) == read_outcome(from_json, text)
+
+    def test_reads_grow_and_each_member_is_decoded_once(self, tmp_path):
+        # 7-character chunks of S_8's 18 KB: each read at least doubles the
+        # text kept, and the labels are decoded once, not once per chunk
+        g = sphere_graph_holed(8)
+        path = tmp_path / "s8.json"
+        path.write_text(to_json(g))
+        with open(path, encoding="utf-8") as fh, mock.patch.object(graphcore, "_READ_CHUNK", 7), \
+                mock.patch.object(graphcore, "_read_on", wraps=graphcore._read_on) as read_on, \
+                mock.patch.object(graphcore, "_decode_value", wraps=graphcore._decode_value) as decode:
+            assert graphcore._from_file(fh) == g
+        assert read_on.call_count < 40
+        assert [call.args[0][call.args[1]] for call in decode.call_args_list if len(call.args) == 2] \
+            == ['"', "["]
+
+    def test_pipe_is_read_whole(self, tmp_path):
+        # a pipe cannot be rewound, so it is read at once
+        text = to_json(sphere_graph_holed(6))
+        r, w = os.pipe()
+        with open(w, "w", encoding="utf-8") as out:
+            out.write(text)
+        with open(r, encoding="utf-8") as fh, \
+                mock.patch.object(graphcore, "_read_in_pieces", wraps=graphcore._read_in_pieces) as reader:
+            g = graphcore._from_file(fh)
+        assert g == from_json(text)
+        assert [call.args for call in reader.call_args_list] == [(text,)]
 
 
 def graphs(max_n=9):
