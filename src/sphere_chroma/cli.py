@@ -106,12 +106,12 @@ def _build_parser() -> _Parser:
     esub = e.add_subparsers(dest="fmt", required=True)
     g = esub.add_parser("dot")
     g.add_argument("--input", default=None, metavar="PATH")
-    g.set_defaults(run=_cmd_export, export=lambda a, graph: graphcore.export_dot(graph))
+    g.set_defaults(run=_cmd_export, export=lambda a, graph: graphcore._dot_lines(graph))
     g = esub.add_parser("dimacs")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--input", default=None, metavar="PATH")
     g.set_defaults(run=_cmd_export,
-                   export=lambda a, graph: graphcore.export_dimacs_kcolor(graph, a.k))
+                   export=lambda a, graph: graphcore._dimacs_lines(graph, a.k))
     return p
 
 
@@ -141,14 +141,18 @@ def _read_graph(path: str | None) -> graphcore.Graph:
     """The graph document in the file at path, or on stdin when path is
     None or "-".
 
-    A file is read by ``graphcore._from_file``: in chunks when it is a
-    regular file, with a rewind and one whole read where the chunked read
-    gives up.  Stdin is read whole, as a pipe named by path is: that
-    rewind needs a file that can be read again from the start.
+    A file, or stdin with a file descriptor, is read by
+    ``graphcore._from_file``: in chunks when it is a regular file, with a
+    rewind and one whole read where the chunked read gives up; any other
+    stdin, such as a pipe or a ``StringIO``, is read whole.
     """
     try:
         if path is None or path == "-":
-            return graphcore.from_json(sys.stdin.read())
+            try:
+                sys.stdin.fileno()
+            except (OSError, ValueError):
+                return graphcore.from_json(sys.stdin.read())
+            return graphcore._from_file(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return graphcore._from_file(fh)
     except (OSError, UnicodeDecodeError) as e:
@@ -161,11 +165,11 @@ def _read_graph(path: str | None) -> graphcore.Graph:
 # one other library module it runs, so a call loads no module it does not use
 
 
-def _write_pieces(pieces) -> int:
-    """Write a JSON document and a newline, each piece as the writer forms it."""
+def _write_pieces(pieces, end="\n") -> int:
+    """Write a document and then end, each piece as the writer forms it."""
     for piece in pieces:
         _write(piece)
-    _write("\n")
+    _write(end)
     return 0
 
 
@@ -180,18 +184,20 @@ def _generate_kneser(args) -> int:
 
 def _generate_total_kneser(args) -> int:
     from . import kneser
-    return _write_graph(kneser.total_kneser(args.n))
+    parts = kneser.all_partitions(args.n)
+    rows = kneser._partition_rows(parts, args.n)
+    return _write_pieces(graphcore._json_pieces([p.label for p in parts], rows))
 
 
 def _generate_sphere(args) -> int:
     from . import spheres
-    return _write_graph(spheres.sphere_graph_holed(args.n))
+    return _write_pieces(graphcore._json_pieces(*spheres._sphere_rows(args.n)))
 
 
 def _generate_glued(args) -> int:
     from . import covercolor
-    return _write_graph(covercolor.glued_sphere_graph(
-        covercolor.CutSystemModel(args.r), args.with_cut_spheres))
+    return _write_pieces(graphcore._json_pieces(*covercolor._glued_rows(
+        covercolor.CutSystemModel(args.r), args.with_cut_spheres)))
 
 
 def _generate_farey(args) -> int:
@@ -320,8 +326,8 @@ def _cmd_export(args) -> int:
     if args.fmt == "dimacs":
         # flags are checked before the input is read
         graphcore._check_palette(args.k)
-    _write(args.export(args, _read_graph(args.input)))
-    return 0
+    # the export text ends in its own newline
+    return _write_pieces(graphcore._in_pieces(args.export(args, _read_graph(args.input))), end="")
 
 
 def main(argv=None) -> int:

@@ -40,10 +40,11 @@ import math
 import sys
 from array import array
 from collections import namedtuple
+from itertools import chain
 
-from .graphcore import Graph, _bits, _class_masks
+from .graphcore import Graph, _bits, _checked_rows, _class_masks
 from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
-from .spheres import sphere_graph_holed
+from .spheres import _sphere_rows
 
 __all__ = [
     "CutSystemModel",
@@ -68,8 +69,8 @@ __all__ = [
 ]
 
 # the 2r-holed sphere must fit kneser's ground-set cap (r = 7 at 14);
-# at r = 7 `color` takes 2.6 s and 163 MB and `verify proper` 1.0 s and
-# 44 MB (median of 5 CLI calls each, 2-vCPU VM, Python 3.11)
+# at r = 7 `color` takes 1.6 s and 35 MB and `verify proper` 0.7 s and
+# 27 MB (CPU time and peak RSS, median of CLI calls, 2-vCPU VM, Python 3.11)
 MAX_R_ENUMERATE = MAX_GROUND_SET // 2
 
 
@@ -278,14 +279,18 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
     r cut spheres are appended as vertices g1..gr, adjacent to every
     partition vertex and to each other (all disjoint by construction).
     """
-    g = sphere_graph_holed(model.n_boundary)
+    return Graph.from_rows(*_glued_rows(model, include_cut_spheres))
+
+
+def _glued_rows(model: CutSystemModel, include_cut_spheres: bool = False):
+    """glued_sphere_graph's labels (a list) and rows (one at a time)."""
+    labels, rows = _sphere_rows(model.n_boundary)
     if not include_cut_spheres:
-        return g
-    base, n = g.n, g.n + model.r
+        return labels, rows
+    base, n = len(labels), len(labels) + model.r
     cuts = ((1 << n) - 1) ^ ((1 << base) - 1)
-    rows = [row | cuts for row in g.adj]
-    rows += [((1 << n) - 1) ^ (1 << v) for v in range(base, n)]
-    return Graph.from_rows(list(g.labels) + [f"g{i}" for i in range(1, model.r + 1)], rows)
+    rows = chain((row | cuts for row in rows), (((1 << n) - 1) ^ (1 << v) for v in range(base, n)))
+    return labels + [f"g{i}" for i in range(1, model.r + 1)], _checked_rows(rows, n)
 
 
 # A packed color holds one field per cover: the vertex's lo and hi lift
@@ -428,17 +433,19 @@ def verify_coloring_proper(
     are compared; for each the report records a violation when the colors
     are equal, else the first cover (in canonical order) whose lift sets
     split the pair.  A vertex failing the projection check is reported
-    and compared with all of its neighbours.
+    and compared with all of its neighbours.  The glued rows are scanned
+    as they are built; the edge count is half their popcounts.
     """
     if model.r < 3:
         raise ValueError(
             "verify_coloring_proper needs r >= 3; r = 2 is handled by the farey module"
         )
-    g = glued_sphere_graph(model, include_cut_spheres)
+    glued_labels, rows = _glued_rows(model, include_cut_spheres)
     table = color_table(model, include_cut_spheres)
-    if g.labels != table.labels:
+    if tuple(glued_labels) != table.labels:
         raise RuntimeError("color table and glued graph list different vertices")
     labels, hom, keys = table.labels, table.hom, table.keys
+    witness = [c.bitstring for c in table.covers]
     covers = len(table.covers)
     w = table.width
     # covering projection G_{i,s} -> g_i on a packed key: bit 2(i-1) of each
@@ -448,12 +455,14 @@ def verify_coloring_proper(
     even = (4**w - 1) // 3 * ones
     spread = _span_table([1 << (2 * i) for i in range(model.r)])
     every_field = (1 << w | 1) * ones
-    bad = [v for v in range(g.n) if (keys[v] ^ keys[v] >> 1) & even != spread[hom[v]] * every_field]
+    bad = [v for v, key in enumerate(keys) if (key ^ key >> 1) & even != spread[hom[v]] * every_field]
     bad_mask = sum(1 << v for v in bad)
     same_class = _class_masks(hom)
     violations = []
     homologous = []
-    for i, row in enumerate(g.adj):
+    degrees = 0
+    for i, row in enumerate(rows):
+        degrees += row.bit_count()
         if not bad_mask >> i & 1:
             row &= same_class[hom[i]] | bad_mask
         for j in _bits(row >> (i + 1), i + 1):
@@ -462,11 +471,11 @@ def verify_coloring_proper(
                 violations.append((labels[i], labels[j]))
             elif hom[i] == hom[j]:
                 t = covers - 1 - (diff.bit_length() - 1) // _FIELD_BITS
-                homologous.append((labels[i], labels[j], table.covers[t].bitstring))
+                homologous.append((labels[i], labels[j], witness[t]))
     return ProperColoringReport(
         model.r,
-        g.n,
-        g.m,
+        len(labels),
+        degrees // 2,
         tuple(violations),
         tuple(homologous),
         not violations and not bad,

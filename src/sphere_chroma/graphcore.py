@@ -89,13 +89,10 @@ class Graph:
         """
         g = cls.__new__(cls)
         g.labels = _checked_labels(labels)
-        g.adj = tuple(rows)
         n = len(g.labels)
+        g.adj = tuple(_checked_rows(rows, n))
         if len(g.adj) != n:
             raise ValueError(f"{len(g.adj)} adjacency rows for {n} vertices")
-        for v, row in enumerate(g.adj):
-            if row < 0 or row >> n or row >> v & 1:
-                raise ValueError(f"adjacency row {v} is out of range or has a self-loop")
         return g
 
     @property
@@ -139,6 +136,14 @@ def _checked_labels(labels) -> tuple[str, ...]:
         if not isinstance(x, str):
             raise ValueError(f"vertex label {x!r} is not a string")
     return labels
+
+
+def _checked_rows(rows, n: int):
+    """Bit rows on n vertices, each checked for range and self-loop as yielded."""
+    for v, row in enumerate(rows):
+        if row < 0 or row >> n or row >> v & 1:
+            raise ValueError(f"adjacency row {v} is out of range or has a self-loop")
+        yield row
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -576,15 +581,18 @@ def export_dimacs_kcolor(g: Graph, k: int) -> str:
     on a vertex and any one of them can be picked.
     """
     _check_palette(k)
+    return "".join(_dimacs_lines(g, k))
+
+
+def _dimacs_lines(g: Graph, k: int):
+    """``export_dimacs_kcolor`` by lines read off the rows, an edge's k as one."""
     n = g.n
-    edges = g.sorted_edges
-    lines = [f"p cnf {n * k} {n + len(edges) * k}"]
+    yield f"p cnf {n * k} {n + g.m * k}\n"
     for v in range(n):
-        lines.append(" ".join(str(v * k + c + 1) for c in range(k)) + " 0")
-    for i, j in edges:
-        for c in range(k):
-            lines.append(f"-{i * k + c + 1} -{j * k + c + 1} 0")
-    return "\n".join(lines) + "\n"
+        yield " ".join(str(v * k + c) for c in range(1, k + 1)) + " 0\n"
+    for i, row in enumerate(g.adj):
+        for j in _bits(row >> i + 1, i + 1):
+            yield "".join([f"-{i * k + c} -{j * k + c} 0\n" for c in range(1, k + 1)])
 
 
 def _dot_quote(label: str) -> str:
@@ -593,21 +601,23 @@ def _dot_quote(label: str) -> str:
 
 def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
     """Undirected DOT text; vertices in list order, edges in sorted index order."""
+    return "".join(_dot_lines(g, coloring))
+
+
+def _dot_lines(g: Graph, coloring: Coloring | None = None):
+    """``export_dot`` by lines read off the rows, a row's edges as one."""
     if coloring is not None:
         bad = validate_coloring(g, coloring)
         if bad is not None:
             raise ValueError(f"coloring is not proper: edge {bad} is monochromatic")
-    lines = ["graph G {"]
-    for v in range(g.n):
-        q = _dot_quote(g.labels[v])
-        if coloring is None:
-            lines.append(f"{q};")
-        else:
-            lines.append(f"{q} [color={coloring.colors[v]}];")
-    for i, j in g.sorted_edges:
-        lines.append(f"{_dot_quote(g.labels[i])} -- {_dot_quote(g.labels[j])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph G {\n"
+    names = [_dot_quote(x) for x in g.labels]
+    for v, q in enumerate(names):
+        yield f"{q};\n" if coloring is None else f"{q} [color={coloring.colors[v]}];\n"
+    for i, row in enumerate(g.adj):
+        q = names[i]
+        yield "".join([f"{q} -- {t};\n" for t in _pick(row >> i + 1, names, i + 1)])
+    yield "}\n"
 
 
 # Graph JSON is written in pieces of about 64 KB, so even unbuffered
@@ -943,17 +953,18 @@ def _from_file(fh) -> Graph:
     takes the file's size from ``os.fstat``.  Where the reader gives up
     (on whatever ``from_json`` hands to ``json.loads``, on an edge fault
     to name, or on a chunk that does not decode), the file is rewound and
-    ``from_json`` reads it whole, so every diagnostic and decode error is
-    that of one whole read.  Any other file, such as a pipe, is read
-    whole at once: giving up starts again from the beginning, and a pipe
-    cannot be read twice.
+    ``from_json`` reads it whole from where the read began, so every
+    diagnostic and decode error is that of one whole read.  Any other
+    file, such as a pipe, is read whole at once: giving up starts again
+    from the beginning, and a pipe cannot be read twice.
     """
     info = os.fstat(fh.fileno())
     if stat.S_ISREG(info.st_mode):
+        start = fh.tell()
         parsed = _read_in_pieces("", partial(fh.read, _READ_CHUNK), info.st_size)
         if parsed is not None:
             return _checked_graph(*parsed)
-        fh.seek(0)
+        fh.seek(start)
     return from_json(fh.read())
 
 

@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from itertools import combinations, compress
 
-from .graphcore import Graph
+from .graphcore import Graph, _checked_rows
 
 __all__ = [
     "TwoBlockPartition",
@@ -194,35 +194,46 @@ def spherelike_partitions(n: int) -> list[TwoBlockPartition]:
     return [p for p in all_partitions(n) if p.min_block_size >= 2]
 
 
-def _partition_graph(parts: list[TwoBlockPartition], n: int) -> Graph:
-    """Nested-pair graph on ``parts``, strictly ascending by mask, as bit rows.
-
-    A row is the module docstring's three families less bits A and F,
-    with each position not in ``parts`` then deleted, highest first, as
-    in ``remove_singleton_partitions``, so that bit v is vertex v.
-    """
+def _partition_rows(parts: list[TwoBlockPartition], n: int):
+    """Rows of the nested-pair graph on ``parts``, strictly ascending by
+    mask (checked at the call), one at a time: the module docstring's
+    three families less bits A and F, less each position not in ``parts``."""
     pos = [p.mask >> 1 for p in parts]
     if any(x >= y for x, y in zip(pos, pos[1:])):
         raise ValueError("partitions must be strictly ascending by mask")
     full = (1 << (n - 1)) - 1
     keep = set(pos)
-    lows = [(1 << h) - 1 for h in range(full - 1, -1, -1) if h not in keep]
     steps = [1 << i for i in range(n - 1)]
-    rows = []
-    for h in pos:
-        sup = sub = 1 << h
-        sup_out = 1 << (full ^ h)
-        for s in steps:
-            if h & s:
-                sub |= sub >> s
-                sup_out |= sup_out << s
-            else:
-                sup |= sup << s
-        row = (sup | sub | sup_out) & ~(1 << h | 1 << full)
+
+    def rows():
+        for h in pos:
+            sup = sub = 1 << h
+            sup_out = 1 << (full ^ h)
+            for s in steps:
+                if h & s:
+                    sub |= sub >> s
+                    sup_out |= sup_out << s
+                else:
+                    sup |= sup << s
+            yield (sup | sub | sup_out) & ~(1 << h | 1 << full)
+
+    gone = [h for h in range(full - 1, -1, -1) if h not in keep]
+    return _checked_rows(_drop_columns(rows(), gone), len(pos))
+
+
+def _drop_columns(rows, gone):
+    """Each of rows less its bits at ``gone``, highest first so the rest do
+    not move: bit v goes by ``row & low | row >> 1 & ~low``, low = 2^v - 1."""
+    lows = [(1 << v) - 1 for v in gone]
+    for row in rows:
         for low in lows:
             row = row & low | row >> 1 & ~low
-        rows.append(row)
-    return Graph.from_rows([p.label for p in parts], rows)
+        yield row
+
+
+def _partition_graph(parts: list[TwoBlockPartition], n: int) -> Graph:
+    """Nested-pair graph on ``parts``: ``_partition_rows`` as a Graph."""
+    return Graph.from_rows([p.label for p in parts], _partition_rows(parts, n))
 
 
 def total_kneser(n: int) -> Graph:
@@ -231,20 +242,16 @@ def total_kneser(n: int) -> Graph:
     return _partition_graph(parts, n)
 
 
-def remove_singleton_partitions(g: Graph) -> Graph:
-    """g without the partition vertices that have a one-element block.
+def _without_singletons(labels, rows):
+    """Labels (a list) and rows (one at a time, less the dropped columns)
+    of the partition vertices with no one-element block."""
+    drop = [TwoBlockPartition.from_label(x).min_block_size < 2 for x in labels]
+    gone = [v for v in range(len(drop) - 1, -1, -1) if drop[v]]
+    kept = [not d for d in drop]
+    return list(compress(labels, kept)), _drop_columns(compress(rows, kept), gone)
 
-    Each such vertex v is deleted where it stands, highest index first,
-    so the indices still to visit do not move.  Its label and row go, and
-    every other row loses bit v: with ``low = (1 << v) - 1`` the bits
-    below v stay (``row & low``) and the bits above it move down one
-    (``row >> 1 & ~low``).  The remaining vertices keep their order.
-    """
-    labels = list(g.labels)
-    rows = list(g.adj)
-    for v in range(len(labels) - 1, -1, -1):
-        if TwoBlockPartition.from_label(labels[v]).min_block_size < 2:
-            del labels[v], rows[v]
-            low = (1 << v) - 1
-            rows = [row & low | row >> 1 & ~low for row in rows]
-    return Graph.from_rows(labels, rows)
+
+def remove_singleton_partitions(g: Graph) -> Graph:
+    """g without the partition vertices that have a one-element block, in
+    one pass over the rows; the others keep their order."""
+    return Graph.from_rows(*_without_singletons(g.labels, g.adj))

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from importlib import resources
 
 from .graphcore import Coloring, Graph, _bits
 from .kneser import (
     TwoBlockPartition,
+    all_partitions,
     kg,
-    remove_singleton_partitions,
     spherelike_partitions,
-    total_kneser,
-    _partition_graph,
+    _partition_rows,
+    _without_singletons,
 )
 
 __all__ = [
@@ -37,8 +36,13 @@ __all__ = [
 
 def sphere_graph_holed(n: int) -> Graph:
     """Sphere graph of the n-holed 3-sphere (empty for n < 4)."""
+    return Graph.from_rows(*_sphere_rows(n))
+
+
+def _sphere_rows(n: int):
+    """sphere_graph_holed(n)'s labels (a list) and rows (one at a time)."""
     parts = spherelike_partitions(n)
-    return _partition_graph(parts, n)
+    return [p.label for p in parts], _partition_rows(parts, n)
 
 
 # The reports are named tuples rather than dataclasses: the same field
@@ -64,28 +68,30 @@ class SphereKneserReport(namedtuple(
 def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
-    Both sides build their edges with ``kneser._partition_graph``; they
-    differ only in how they reach the vertex list (spherelike partitions
-    directly, or all partitions with the singletons removed afterwards).
-    The engine independent of it is the pair-by-pair nesting test
-    ``pairwise_partition_graph`` in ``tests/oracles.py``, which
-    ``tests/test_kneser.py`` compares against.  ``kneser.all_partitions``
-    caps n at ``MAX_GROUND_SET``.  The report carries the symmetric
-    difference of the edge sets (as label pairs) when they differ.
+    Both sides stream rows from ``kneser._partition_rows``, compared row
+    by row as they come; they differ only in how they reach the vertex
+    list (spherelike partitions directly, or all partitions with the
+    singletons removed afterwards).  The engine independent of it is the
+    pair-by-pair nesting test ``pairwise_partition_graph`` in
+    ``tests/oracles.py``, which ``tests/test_kneser.py`` compares against.
+    ``kneser.all_partitions`` caps n at ``MAX_GROUND_SET``.  The report
+    carries the symmetric difference of the edge sets (as label pairs)
+    when they differ, from the two graphs when the label lists differ.
     """
-    lhs = sphere_graph_holed(n)
-    rhs = remove_singleton_partitions(total_kneser(n))
-    labels_equal = lhs.labels == rhs.labels
+    names, lhs_rows = _sphere_rows(n)
+    every = all_partitions(n)
+    rhs_names, rhs_rows = _without_singletons([p.label for p in every], _partition_rows(every, n))
+    labels_equal = names == rhs_names
     if labels_equal:
-        names = lhs.labels
         missing_pairs, extra_pairs = [], []
-        for i, (x, y) in enumerate(zip(lhs.adj, rhs.adj)):
+        for i, (x, y) in enumerate(zip(lhs_rows, rhs_rows, strict=True)):
             if x != y:
                 missing_pairs += [(names[i], names[j]) for j in _bits((y & ~x) >> (i + 1), i + 1)]
                 extra_pairs += [(names[i], names[j]) for j in _bits((x & ~y) >> (i + 1), i + 1)]
         missing = tuple(sorted(missing_pairs))
         extra = tuple(sorted(extra_pairs))
     else:
+        lhs, rhs = Graph.from_rows(names, lhs_rows), Graph.from_rows(rhs_names, rhs_rows)
         lhs_named = {(lhs.labels[i], lhs.labels[j]) for i, j in lhs.sorted_edges}
         rhs_named = {(rhs.labels[i], rhs.labels[j]) for i, j in rhs.sorted_edges}
         missing = tuple(sorted(rhs_named - lhs_named))
@@ -142,6 +148,7 @@ def load_reference_three_coloring() -> list[dict]:
     Returns the raw (partition label, color name) records.  Nothing here
     checks properness; callers validate against the graph.
     """
+    from importlib import resources  # here: no other call needs it
     text = resources.files("sphere_chroma.data").joinpath(
         "petersen_three_coloring.json"
     ).read_text()

@@ -17,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import sphere_chroma
-from sphere_chroma import cli, covercolor, farey, kneser, spheres
+from sphere_chroma import cli, covercolor, farey, graphcore, kneser, spheres
 from sphere_chroma.farey import MAX_DEPTH
 from sphere_chroma.graphcore import (
-    Graph, chromatic_number_exact, export_dimacs_kcolor, from_json, to_json,
+    Graph, chromatic_number_exact, export_dimacs_kcolor, export_dot, from_json, to_json,
 )
 from sphere_chroma.spheres import SphereKneserReport
 
@@ -29,6 +29,14 @@ def bench_pin(name):
     """The benchmark's stdout sha256 for one call; bench/pins.json is only read."""
     pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json").read_text())
     return pins[name]
+
+
+def s9_document(duplicate):
+    """S_9's graph document, with edge 7 listed twice when duplicate."""
+    doc = json.loads(to_json(spheres.sphere_graph_holed(9)))
+    if duplicate:
+        doc["edges"].append(doc["edges"][7])
+    return json.dumps(doc, separators=(",", ":"))
 
 
 @pytest.fixture
@@ -136,6 +144,36 @@ class TestChi:
         parsed = json.loads(out)
         assert set(parsed) == {"lower", "upper"}
         assert parsed["lower"] <= 5 <= parsed["upper"]
+
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["sound", "duplicate-edge"])
+    def test_stdin_file_reads_as_input_file(self, run, monkeypatch, tmp_path, duplicate):
+        # a regular file on stdin goes to the chunked file reader, and the
+        # call says what it says with the file named by --input
+        path = tmp_path / "g.json"
+        path.write_text(s9_document(duplicate))
+        by_flag = run(["chi", "--bounds", "--input", str(path)])
+        assert by_flag[0] == (74 if duplicate else 0)
+        with open(path, encoding="utf-8") as fh, \
+                mock.patch.object(graphcore, "_from_file", wraps=graphcore._from_file) as read:
+            monkeypatch.setattr("sys.stdin", fh)
+            assert run(["chi", "--bounds"]) == by_flag
+            assert read.call_args.args == (fh,)
+
+    def test_stdin_past_offset_zero_rewinds_to_its_start(self, run, cli_env, tmp_path):
+        # the duplicate edge makes the chunked read give up; the whole
+        # read that names it starts where stdin started, not at byte 0
+        doc = s9_document(duplicate=True)
+        path = tmp_path / "g.json"
+        path.write_text("not a document" + doc)
+        with open(path, "rb") as fh:
+            fh.seek(len("not a document"))
+            result = subprocess.run(
+                [sys.executable, "-m", "sphere_chroma.cli", "chi", "--bounds"],
+                stdin=fh, capture_output=True, text=True, timeout=60, env=cli_env,
+            )
+        expected = run(["chi", "--bounds"], stdin_text=doc)
+        assert (result.returncode, result.stdout, result.stderr) == expected
+        assert "duplicate" in result.stderr
 
     def test_budget_exhaustion_exits_3(self, run):
         _, doc, _ = run(["generate", "sphere", "--n", "8"])
@@ -394,6 +432,24 @@ class TestCoverPins:
 
 
 class TestExport:
+    @pytest.mark.parametrize("fmt", [["dot"], ["dimacs", "--k", "4"]])
+    def test_written_in_pieces_as_the_export_text(self, monkeypatch, tmp_path, fmt):
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes = []
+        sink = Sink()
+        g = spheres.sphere_graph_holed(10)
+        path = tmp_path / "s10.json"
+        path.write_text(to_json(g))
+        monkeypatch.setattr("sys.stdout", sink)
+        assert cli.main(["export", *fmt, "--input", str(path)]) == 0
+        # the text ends in its own newline, and no second one is added
+        assert sink.getvalue() == (export_dot(g) if fmt == ["dot"] else export_dimacs_kcolor(g, 4))
+        assert len(sizes) > 4 and max(sizes) <= 128 * 1024
+
     def test_dot(self, run):
         _, doc, _ = run(["generate", "farey", "--depth", "0"])
         code, out, _ = run(["export", "dot"], stdin_text=doc)
@@ -607,13 +663,17 @@ FAREY_AS_BYTES = 100 * 2**20
 OUT_OF_MEMORY_AS_BYTES = 30 * 2**20
 
 
+def _run_limited(cli_env, argv, limit):
+    return subprocess.run(
+        [sys.executable, "-m", "sphere_chroma.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=cli_env,
+        preexec_fn=lambda: _limit_child_memory(limit),
+    )
+
+
 class TestFareyMemory:
     def _run_limited(self, cli_env, argv, limit=FAREY_AS_BYTES):
-        return subprocess.run(
-            [sys.executable, "-m", "sphere_chroma.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=cli_env,
-            preexec_fn=lambda: _limit_child_memory(limit),
-        )
+        return _run_limited(cli_env, argv, limit)
 
     def test_out_of_memory_exits_71(self, cli_env):
         result = self._run_limited(cli_env, ["generate", "farey", "--depth", "14", "--fins"],
@@ -635,6 +695,30 @@ class TestFareyMemory:
         assert json.loads(result.stdout)["ok"] is True
 
 
+# address space for the partition-graph calls below, between the least
+# limits (found in steps of 1/8 MB) at which each exits 0 with the whole
+# graph built and with its rows walked as they are built: `verify lemma2
+# --n 13` needs 28.0 MB holding S_13 and TK_13 whole and 19.1 MB, the
+# start-up floor, comparing their row streams; `generate sphere --n 13`
+# needs 21.7 MB holding S_13 and 19.1 MB writing it row by row
+LEMMA_AS_BYTES = 24 * 2**20
+SPHERE_AS_BYTES = 20 * 2**20 + 2**19
+
+
+class TestPartitionMemory:
+    def test_lemma_13_holds_no_whole_graph(self, cli_env):
+        result = _run_limited(cli_env, ["verify", "lemma2", "--n", "13"], LEMMA_AS_BYTES)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, '{"lemma":"sphere-kneser","n":13,"ok":true}\n', "")
+
+    def test_generate_sphere_13_holds_no_whole_graph(self, cli_env):
+        result = _run_limited(cli_env, ["generate", "sphere", "--n", "13"], SPHERE_AS_BYTES)
+        assert result.returncode == 0 and result.stderr == "" and result.stdout.endswith("]]}\n")
+        # the labels only: decoding the whole edge list would take most of a second
+        head = json.loads(result.stdout[:result.stdout.index(',"edges":')] + "}")
+        assert head["vertex_labels"] == [p.label for p in kneser.spherelike_partitions(13)]
+
+
 # runs the CLI as ``python -m sphere_chroma.cli`` does, then writes the
 # exit code and every loaded module with its file to stderr as JSON
 LOADED_MODULES_PROBE = """
@@ -653,9 +737,9 @@ sys.stderr.write(json.dumps({"exit": code, "modules": files}))
 class TestStartup:
     """A CLI call imports only the library modules its command runs."""
 
-    def _loaded(self, cli_env, argv):
+    def _loaded(self, cli_env, argv, *flags):
         result = subprocess.run(
-            [sys.executable, "-c", LOADED_MODULES_PROBE, *argv],
+            [sys.executable, *flags, "-c", LOADED_MODULES_PROBE, *argv],
             capture_output=True, text=True, timeout=60, env=cli_env,
         )
         report = json.loads(result.stderr)
@@ -678,6 +762,19 @@ class TestStartup:
         assert code == 0 and json.loads(out)["ok"] is True
         assert "sphere_chroma.covercolor" in modules
         assert "dataclasses" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma2", "--n", "5"],
+        ["verify", "proper", "--r", "3"],
+        ["generate", "sphere", "--n", "5"],
+    ], ids=" ".join)
+    def test_partition_calls_skip_importlib_resources(self, cli_env, argv):
+        # run without site (-S), whose .pth files may import it anyway: only
+        # the shipped reference coloring needs importlib.resources
+        out, code, modules = self._loaded(cli_env, argv, "-S")
+        assert code == 0 and json.loads(out)
+        assert "sphere_chroma.spheres" in modules
+        assert "importlib.resources" not in modules
 
     def test_generate_farey_loads_no_partition_modules(self, cli_env):
         out, code, modules = self._loaded(cli_env, ["generate", "farey", "--depth", "2"])

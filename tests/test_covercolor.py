@@ -296,6 +296,18 @@ class TestGluedGraph:
 
 
 class TestProperness:
+    def test_table_and_graph_vertex_lists_checked(self, monkeypatch):
+        real = covercolor._glued_rows
+
+        def swapped(model, include_cut_spheres=False):
+            labels, rows = real(model, include_cut_spheres)
+            labels[0], labels[1] = labels[1], labels[0]
+            return labels, rows
+
+        monkeypatch.setattr(covercolor, "_glued_rows", swapped)
+        with pytest.raises(RuntimeError, match="list different vertices"):
+            verify_coloring_proper(CutSystemModel(3))
+
     @pytest.mark.parametrize("r", [3, 4])
     def test_passes(self, r):
         report = verify_coloring_proper(CutSystemModel(r))

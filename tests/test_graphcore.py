@@ -472,6 +472,14 @@ class TestDimacsExport:
     def test_trailing_newline(self):
         assert export_dimacs_kcolor(Graph(["a"]), 1).endswith("\n")
 
+    def test_matches_the_edge_list_text(self):
+        # the rows give the text that the sorted edge list gives
+        g, k = sphere_graph_holed(8), 3
+        lines = [f"p cnf {g.n * k} {g.n + g.m * k}"]
+        lines += [" ".join(str(v * k + c + 1) for c in range(k)) + " 0" for v in range(g.n)]
+        lines += [f"-{i * k + c + 1} -{j * k + c + 1} 0" for i, j in g.sorted_edges for c in range(k)]
+        assert export_dimacs_kcolor(g, k) == "\n".join(lines) + "\n"
+
 
 class TestDotExport:
     def test_plain_golden(self):
@@ -491,6 +499,14 @@ class TestDotExport:
         g = Graph(["a", "b"], [(0, 1)])
         with pytest.raises(ValueError, match="not proper"):
             export_dot(g, Coloring([0, 0]))
+
+    def test_matches_the_edge_list_text(self):
+        g = sphere_graph_holed(7)
+        coloring = greedy_dsatur(g)
+        q = [f'"{x}"' for x in g.labels]
+        lines = ["graph G {", *(f"{q[v]} [color={coloring.colors[v]}];" for v in range(g.n))]
+        lines += [f"{q[i]} -- {q[j]};" for i, j in g.sorted_edges]
+        assert export_dot(g, coloring) == "\n".join(lines + ["}"]) + "\n"
 
     def test_edges_in_sorted_order(self):
         g = cycle(4)
@@ -734,6 +750,9 @@ class ChunkReadsOnly:
 
     def fileno(self):
         return self.fh.fileno()
+
+    def tell(self):
+        return self.fh.tell()
 
     def read(self, size=-1):
         if size is None or size < 0 or size > graphcore._READ_CHUNK:

@@ -214,6 +214,28 @@ class TestRowBuilder:
         with pytest.raises(ValueError, match="strictly ascending"):
             kneser._partition_graph(bad, 6)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_row_stream_is_the_graph_rows(self, n):
+        for parts in (spherelike_partitions(n), all_partitions(n)):
+            assert tuple(kneser._partition_rows(parts, n)) == kneser._partition_graph(parts, n).adj
+
+    def test_unsorted_list_refused_at_the_call(self):
+        # the stream is not started: the order is checked before any row
+        with pytest.raises(ValueError, match="strictly ascending"):
+            kneser._partition_rows(spherelike_partitions(6)[::-1], 6)
+
+    def test_streamed_rows_are_checked(self, monkeypatch):
+        # a builder row with its own bit set is refused when it is yielded
+        monkeypatch.setattr(kneser, "_drop_columns", lambda rows, gone: (1 << v for v, _ in enumerate(rows)))
+        rows = kneser._partition_rows(all_partitions(4), 4)
+        with pytest.raises(ValueError, match="self-loop"):
+            next(rows)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_remove_singletons_matches_pairwise_nested(self, n):
+        pruned = remove_singleton_partitions(total_kneser(n))
+        assert pruned == oracles.pairwise_partition_graph(spherelike_partitions(n))
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_remove_singletons_matches_induced_subgraph(self, n):
         tk = total_kneser(n)

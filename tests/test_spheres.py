@@ -57,7 +57,7 @@ class TestSphereKneserLemma:
         dropped = g.sorted_edges[3]
         added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in present)
         edges = [e for e in g.sorted_edges if e != dropped] + [added]
-        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: Graph(g.labels, edges))
+        monkeypatch.setattr(spheres, "_sphere_rows", lambda n: (list(g.labels), iter(Graph(g.labels, edges).adj)))
         report = verify_lemma_sphere_kneser(6)
         assert not report.ok and report.label_lists_equal
         name = lambda e: (g.labels[e[0]], g.labels[e[1]])
@@ -67,15 +67,14 @@ class TestSphereKneserLemma:
     def test_label_mismatch_named_by_edge_sets(self, monkeypatch):
         # swap the labels of vertices 0 and 1 on the total-Kneser route: the
         # label lists differ, so the report compares label-pair edge sets
-        real = spheres.remove_singleton_partitions
+        real = spheres._without_singletons
 
-        def swapped(g):
-            h = real(g)
-            labels = list(h.labels)
+        def swapped(labels, rows):
+            labels, rows = real(labels, rows)
             labels[0], labels[1] = labels[1], labels[0]
-            return Graph.from_rows(labels, h.adj)
+            return labels, rows
 
-        monkeypatch.setattr(spheres, "remove_singleton_partitions", swapped)
+        monkeypatch.setattr(spheres, "_without_singletons", swapped)
         g = sphere_graph_holed(5)
         labels = list(g.labels)
         named = {(labels[i], labels[j]) for i, j in g.sorted_edges}
