@@ -2,9 +2,11 @@
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 verification failure, 3 chromatic number undecided within budget,
-64 bad flags, 71 out of memory, 74 input could not be read or parsed,
-141 when the output pipe closes early.  Identical invocations produce
-byte-identical output; --timing never changes stdout.
+64 bad flags, 71 out of memory, 74 input could not be read or parsed
+or stdout is closed, 141 when the output pipe closes early.  With
+stderr closed the diagnostics are dropped and the exit code stays.
+Identical invocations produce byte-identical output; --timing never
+changes stdout.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ FAREY_OPEN_QUESTION = (
 )
 
 
-class _InputError(Exception):
-    """Input file missing, unreadable, or not a graph document."""
+class _IOFault(Exception):
+    """Input missing, unreadable or not a graph document, or stdout closed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,6 +125,8 @@ def _write(text: str) -> None:
     the rest then raises BrokenPipeError instead of dropping it silently.
     """
     out = sys.stdout
+    if out is None:
+        raise _IOFault("cannot write output: stdout is closed")
     raw = getattr(out, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         out.write(text)
@@ -148,6 +152,8 @@ def _read_graph(path: str | None) -> graphcore.Graph:
     """
     try:
         if path is None or path == "-":
+            if sys.stdin is None:
+                raise _IOFault("cannot read input: stdin is closed")
             try:
                 sys.stdin.fileno()
             except (OSError, ValueError):
@@ -156,9 +162,9 @@ def _read_graph(path: str | None) -> graphcore.Graph:
         with open(path, "r", encoding="utf-8") as fh:
             return graphcore._from_file(fh)
     except (OSError, UnicodeDecodeError) as e:
-        raise _InputError(f"cannot read input: {e}") from None
+        raise _IOFault(f"cannot read input: {e}") from None
     except graphcore.SchemaError as e:
-        raise _InputError(f"input is not a graph document: {e}") from None
+        raise _IOFault(f"input is not a graph document: {e}") from None
 
 
 # every command runs graphcore, imported above; each handler imports the
@@ -330,6 +336,14 @@ def _cmd_export(args) -> int:
     return _write_pieces(graphcore._in_pieces(args.export(args, _read_graph(args.input))), end="")
 
 
+def _warn(line: str) -> None:
+    """Write line to stderr, or drop it when stderr is closed."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -345,17 +359,17 @@ def main(argv=None) -> int:
         # flush raises a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13
-    except _InputError as e:
-        sys.stderr.write(f"sphere-chroma: {e}\n")
+    except _IOFault as e:
+        _warn(f"sphere-chroma: {e}")
         return IO_EXIT
     except ValueError as e:
-        sys.stderr.write(f"sphere-chroma: error: {e}\n")
+        _warn(f"sphere-chroma: error: {e}")
         return USAGE_EXIT
     except MemoryError:
-        sys.stderr.write("sphere-chroma: out of memory\n")
+        _warn("sphere-chroma: out of memory")
         return OS_EXIT
     if args.timing:
-        sys.stderr.write(f"elapsed: {time.monotonic() - t0:.3f}s\n")
+        _warn(f"elapsed: {time.monotonic() - t0:.3f}s")
     return code
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import stat
 from collections import namedtuple
 from collections.abc import Sequence
@@ -631,8 +630,12 @@ _WRITE_PIECE = 1 << 16
 _READ_CHUNK = 1 << 16
 _READ_PIECE = 1 << 12
 
+# the one layout graph JSON is written in, and the only one read in
+# pieces: _HEAD, the labels, _EDGES, the edges, then "]}"
+_HEAD = f'{{"format":"{GRAPH_FORMAT}","vertex_labels":'
+_EDGES = ',"edges":['
+
 _skip_ws = json.decoder.WHITESPACE.match
-_scanstring = json.decoder.scanstring
 _decode_value = json.JSONDecoder().raw_decode
 
 
@@ -664,7 +667,7 @@ def _json_pieces(labels, upper):
     text = json.dumps(labels, separators=(",", ":"))
 
     def parts():
-        yield f'{{"format":"{GRAPH_FORMAT}","vertex_labels":{text},"edges":['
+        yield _HEAD + text + _EDGES
         sep = ""
         for i, row in enumerate(upper):
             if type(row) is int:
@@ -747,11 +750,6 @@ def _or_edges(rows, pow2, edges) -> bool:
     return True
 
 
-# where the edges array opens: a key ends at the first unescaped quote,
-# so this text is never inside a string
-_EDGES_OPEN = re.compile(r'"edges"[ \t\n\r]*:[ \t\n\r]*\[')
-
-
 def _read_on(kept: str, more):
     """(kept and the text after it, more): ``more()`` returns the next
     chunk of a streamed document, "" at its end, and is replaced by None
@@ -769,10 +767,10 @@ def _read_on(kept: str, more):
     return "".join(parts), more
 
 
-def _edges_in_pieces(text: str, start: int, n: int, more=None, size=0):
+def _edges_in_pieces(text: str, a: int, n: int, more=None, size=0):
     """(rows, first edge fault or None, text, end) for the edges array
-    that opens at ``text[start]``, read one piece at a time; ``end`` is
-    the index past the array in the text returned.  None when a streamed
+    whose elements start at ``text[a]``, read one piece at a time; ``end``
+    is the index past the array in the text returned.  None when a streamed
     document (see ``_read_in_pieces``) has an edge fault.
 
     A piece runs from an element to the "]" of the first "],[" at least
@@ -807,7 +805,6 @@ def _edges_in_pieces(text: str, start: int, n: int, more=None, size=0):
     spans = None if more else []
     count = 0
     fast = True
-    a = _skip_ws(text, start + 1).end()
     while True:
         cut = text.find("],[", a + _READ_PIECE)
         if cut < 0 and more:
@@ -847,78 +844,62 @@ def _edges_in_pieces(text: str, start: int, n: int, more=None, size=0):
 
 def _read_in_pieces(text: str, more=None, size=0):
     """(members other than edges, rows, first edge fault) of a graph
-    document whose edges array is read in pieces; None when it is not one
-    that ``from_json`` reads so (see there), or when a streamed document
-    has an edge fault or a chunk that does not decode.
+    document in the layout ``_json_pieces`` writes, its edges array read
+    in pieces; None for any other text, or when a streamed document has
+    an edge fault or a chunk that does not decode.
 
-    A streamed document is text, then each chunk ``more()`` returns
-    until it returns "" (see ``_read_on``), and ``size`` is its size.  It
-    is read until its edges array opens before any member is decoded, so
-    each member is decoded once, and its edges in pieces from then on.
+    The layout is ``_HEAD``, the labels, ``_EDGES``, the edges, "]}" and
+    only whitespace after that.  A streamed document is text, then each
+    chunk ``more()`` returns until it returns "" (see ``_read_on``), and
+    ``size`` is its size.  It is read until ``_EDGES`` appears, so the
+    labels are decoded once, and its edges are read in pieces from then
+    on.
     """
-    doc: dict = {}
-    rows = fault = None
     try:
-        while more and not _EDGES_OPEN.search(text):
+        while more and _EDGES not in text:
             text, more = _read_on(text, more)
-        idx = _skip_ws(text, 0).end()
-        if not text.startswith("{", idx):
+        if not text.startswith(_HEAD):
             return None
-        while True:
-            idx = _skip_ws(text, idx + 1).end()
-            if not text.startswith('"', idx):
-                return None
-            key, idx = _scanstring(text, idx + 1)
-            idx = _skip_ws(text, idx).end()
-            if not text.startswith(":", idx) or key in doc or key == "edges" and rows is not None:
-                return None
-            idx = _skip_ws(text, idx + 1).end()
-            if key == "edges":
-                # only the count of the labels is needed here; from_json
-                # checks them before it looks at the edges
-                labels = doc.get("vertex_labels")
-                if not (isinstance(labels, list) and text.startswith("[", idx)):
-                    return None
-                read = _edges_in_pieces(text, idx, len(labels), more, size)
-                if read is None:
-                    return None
-                rows, fault, text, idx = read
-                more = None
-            else:
-                doc[key], idx = _decode_value(text, idx)
-            idx = _skip_ws(text, idx).end()
-            if text.startswith("}", idx):
-                break
-            if not text.startswith(",", idx):
-                return None
-        if more or _skip_ws(text, idx + 1).end() != len(text):
+        labels, idx = _decode_value(text, len(_HEAD))
+        # only the count of the labels is needed here; from_json checks
+        # them before it looks at the edges
+        if not (isinstance(labels, list) and text.startswith(_EDGES, idx)):
+            return None
+        read = _edges_in_pieces(text, idx + len(_EDGES), len(labels), more, size)
+        if read is None:
+            return None
+        rows, fault, text, idx = read
+        if not text.startswith("}", idx) or _skip_ws(text, idx + 1).end() != len(text):
             return None
     except (ValueError, RecursionError):
         # a syntax error, an int too long to convert, nesting too deep, or
         # a chunk that does not decode: the whole-text reader reports it
         return None
-    return doc, rows, fault
+    return {"format": GRAPH_FORMAT, "vertex_labels": labels}, rows, fault
 
 
 def from_json(text: str) -> Graph:
     """Parse graph JSON, with field and position diagnostics on bad input.
 
-    The ``edges`` array is read in pieces of about 4 KB: each is cut at
-    a "],[" between two elements, parsed by the json module and ORed into
-    the bit rows before the next is read, so the edge list is never held
-    as Python objects whole.  The OR loop checks nothing per edge but
-    i < j; screens on each piece's text, failed unpacks and indexes, and
-    one bit count after the last piece stand in for the rest (see
+    A document in the layout this package writes (``_HEAD``, the labels,
+    ``_EDGES``, the edges, "]}" and trailing whitespace; any compact
+    ``json.dumps`` of the same keys in the same order has it too) has its
+    ``edges`` array read in pieces of about 4 KB: each is cut at a "],["
+    between two elements, parsed by the json module and ORed into the
+    bit rows before the next is read, so the edge list is never held as
+    Python objects whole.  The OR loop checks nothing per edge but i < j;
+    screens on each piece's text, failed unpacks and indexes, and one
+    bit count after the last piece stand in for the rest (see
     ``_edges_in_pieces``).  Only when one of them fails does the
     per-edge checker ``_add_edges`` read the pieces again, to name the
-    first bad edge.  The whole document goes to ``json.loads``
-    instead, as before, when the pieces cannot follow it: on any JSON
-    syntax error, when ``vertex_labels`` is not a list before ``edges``,
-    when a key repeats, or when a piece does not parse as a complete
-    array (a "],[" nested in an element or inside a string).  So
-    ``json.loads`` produces every syntax diagnostic.  Every document this
-    package writes is read in pieces, and so is any compact ``json.dumps``
-    of the same keys in the same order.
+    first bad edge.
+
+    Any other text goes whole to ``json.loads``: another layout, a JSON
+    syntax error, labels that are not a list, or a piece that does not
+    parse as a complete array (a "],[" nested in an element or inside a
+    string).  So ``json.loads`` produces every syntax diagnostic.  A
+    document with the default separators or an indent has no "],[" to
+    cut at, so pieces would hold its whole edge list as one.
 
     Both ways name a fault with the one per-edge checker, and report the
     same fault for a document with several: a syntax error, then the top
@@ -951,12 +932,13 @@ def _from_file(fh) -> Graph:
     ``_READ_CHUNK`` characters, and only the text it has not yet parsed
     is held, so the document's text is never held whole; the table rule
     takes the file's size from ``os.fstat``.  Where the reader gives up
-    (on whatever ``from_json`` hands to ``json.loads``, on an edge fault
-    to name, or on a chunk that does not decode), the file is rewound and
-    ``from_json`` reads it whole from where the read began, so every
-    diagnostic and decode error is that of one whole read.  Any other
-    file, such as a pipe, is read whole at once: giving up starts again
-    from the beginning, and a pipe cannot be read twice.
+    (on another layout or anything else ``from_json`` hands to
+    ``json.loads``, on an edge fault to name, or on a chunk that does not
+    decode), the file is rewound and ``from_json`` reads it whole from
+    where the read began, so every diagnostic and decode error is that of
+    one whole read.  Any other file, such as a pipe, is read whole at
+    once: giving up starts again from the beginning, and a pipe cannot be
+    read twice.
     """
     info = os.fstat(fh.fileno())
     if stat.S_ISREG(info.st_mode):

@@ -818,6 +818,21 @@ class TestInstalledScript:
         assert file_read == pipe_read
         assert file_read[0] == (74 if fault else 0)
 
+    @pytest.mark.parametrize("command, code, stderr", [
+        ("chi <&-", 74, "sphere-chroma: cannot read input: stdin is closed\n"),
+        ("export dot <&-", 74, "sphere-chroma: cannot read input: stdin is closed\n"),
+        ("generate sphere --n 5 >&-", 74, "sphere-chroma: cannot write output: stdout is closed\n"),
+        # stderr closed: the diagnostics go, the exit code stays
+        ("chi --input /nonexistent 2>&-", 74, ""),
+        ("--timing count --r 3 --rank-mode paper 2>&-", 0, ""),
+    ])
+    def test_closed_standard_stream_exits(self, cli_env, command, code, stderr):
+        result = subprocess.run(f"{CLI} {command}", shell=True, capture_output=True, text=True,
+                                timeout=60, env=cli_env)
+        assert (result.returncode, result.stderr) == (code, stderr)
+        if command.startswith("--timing"):
+            assert json.loads(result.stdout)["ok"] is True
+
     def test_verify_exit_code(self, cli_env):
         result = subprocess.run(
             [sys.executable, "-m", "sphere_chroma.cli", "verify", "lemma2", "--n", "7"],

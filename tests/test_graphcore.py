@@ -852,7 +852,8 @@ class TestStreamedRead:
 
     def test_reads_grow_and_each_member_is_decoded_once(self, tmp_path):
         # 7-character chunks of S_8's 18 KB: each read at least doubles the
-        # text kept, and the labels are decoded once, not once per chunk
+        # text kept; the format is matched as text, and the labels are
+        # decoded once, not once per chunk
         g = sphere_graph_holed(8)
         path = tmp_path / "s8.json"
         path.write_text(to_json(g))
@@ -862,7 +863,29 @@ class TestStreamedRead:
             assert graphcore._from_file(fh) == g
         assert read_on.call_count < 40
         assert [call.args[0][call.args[1]] for call in decode.call_args_list if len(call.args) == 2] \
-            == ['"', "["]
+            == ["["]
+
+    def test_benchmark_form_is_read_in_pieces(self, tmp_path):
+        # the form of every benchmark --input document: a relabeled S_9 as
+        # compact json.dumps with the keys in written order, then "\n"; a
+        # silent fall back to the whole read fails here
+        g = sphere_graph_holed(9)
+        perm = list(range(g.n))
+        random.Random(9).shuffle(perm)
+        labels = [""] * g.n
+        for v, label in enumerate(g.labels):
+            labels[perm[v]] = label
+        edges = sorted(sorted([perm[i], perm[j]]) for i, j in g.sorted_edges)
+        text = json.dumps({"format": GRAPH_FORMAT, "vertex_labels": labels, "edges": edges},
+                          separators=(",", ":")) + "\n"
+        path = tmp_path / "s9.json"
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh, \
+                mock.patch.object(graphcore, "from_json", side_effect=AssertionError("read whole")), \
+                mock.patch.object(graphcore, "_or_edges", wraps=graphcore._or_edges) as loop:
+            got = graphcore._from_file(fh)
+        assert len(loop.call_args_list) > 1
+        assert got == oracles.graph_from_json(text)
 
     def test_pipe_is_read_whole(self, tmp_path):
         # a pipe cannot be rewound, so it is read at once
