@@ -5,14 +5,17 @@ double-cover homology colorings, and Farey balls with fins.
 The package exports the names in its library modules' ``__all__`` lists,
 but imports no module until one of those names is first asked for
 (PEP 562), so ``python -m sphere_chroma.cli chi`` loads ``graphcore``
-alone.  A name is looked up in the modules in the order of ``_LIBRARY``,
-each imported as the lookup reaches it.
+and ``graphbase`` alone.  A name is looked up in the modules in the
+order of ``_LIBRARY``, each imported as the lookup reaches it.
+``graphbase`` and ``counting`` are not in it: ``graphcore`` and
+``covercolor`` re-export their names.  Every module of the package is in
+``_SUBMODULES``, so that importing it by name never starts that lookup.
 """
 
 import importlib
 
 _LIBRARY = ("graphcore", "kneser", "spheres", "covercolor", "farey")
-_SUBMODULES = (*_LIBRARY, "cli")
+_SUBMODULES = (*_LIBRARY, "graphbase", "counting", "cli")
 
 
 def __getattr__(name):

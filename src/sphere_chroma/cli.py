@@ -3,8 +3,9 @@
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 verification failure, 3 chromatic number undecided within budget,
 64 bad flags, 71 out of memory, 74 input could not be read or parsed
-or stdout is closed, 141 when the output pipe closes early.  With
-stderr closed the diagnostics are dropped and the exit code stays.
+or stdout is closed or could not be written, 141 when the output pipe
+closes early.  With stderr closed the diagnostics are dropped and the
+exit code stays.
 Identical invocations produce byte-identical output; --timing never
 changes stdout.
 """
@@ -20,8 +21,6 @@ import sys
 import time
 from itertools import chain
 
-from . import graphcore
-
 USAGE_EXIT = 64
 VERIFY_FAIL_EXIT = 2
 UNDECIDED_EXIT = 3
@@ -35,7 +34,8 @@ FAREY_OPEN_QUESTION = (
 
 
 class _IOFault(Exception):
-    """Input missing, unreadable or not a graph document, or stdout closed."""
+    """Input missing, unreadable or not a graph document, or stdout closed
+    or not writable."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,48 +108,65 @@ def _build_parser() -> _Parser:
     esub = e.add_subparsers(dest="fmt", required=True)
     g = esub.add_parser("dot")
     g.add_argument("--input", default=None, metavar="PATH")
-    g.set_defaults(run=_cmd_export, export=lambda a, graph: graphcore._dot_lines(graph))
+    g.set_defaults(run=_cmd_export)
     g = esub.add_parser("dimacs")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--input", default=None, metavar="PATH")
-    g.set_defaults(run=_cmd_export,
-                   export=lambda a, graph: graphcore._dimacs_lines(graph, a.k))
+    g.set_defaults(run=_cmd_export)
     return p
 
 
 def _write(text: str) -> None:
-    """Write text to stdout in full.
+    """Write text to stdout in full, and flush it.
 
     Unbuffered stdout (python -u, PYTHONUNBUFFERED) hands text to a raw
     file, whose write may stop short when the reader has gone; writing
     the rest then raises BrokenPipeError instead of dropping it silently.
+    Buffered stdout is flushed, so that its write errors are raised here
+    too and not at exit.  A write error other than a broken pipe (a full
+    disk, say) is an _IOFault.
     """
     out = sys.stdout
     if out is None:
         raise _IOFault("cannot write output: stdout is closed")
-    raw = getattr(out, "buffer", None)
-    if not isinstance(raw, io.RawIOBase):
-        out.write(text)
-        return
-    out.flush()
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        data = data[raw.write(data):]
+    try:
+        raw = getattr(out, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            out.write(text)
+            out.flush()
+            return
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
+    except BrokenPipeError:
+        raise
+    except OSError as e:
+        _drop_stdout()
+        raise _IOFault(f"cannot write output: {e}") from None
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's final flush of what a failed write left buffered does
+    not fail a second time."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(doc: dict) -> None:
     _write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _read_graph(path: str | None) -> graphcore.Graph:
-    """The graph document in the file at path, or on stdin when path is
-    None or "-".
+def _read_graph(path: str | None):
+    """The Graph of the document in the file at path, or on stdin when
+    path is None or "-".
 
     A file, or stdin with a file descriptor, is read by
     ``graphcore._from_file``: in chunks when it is a regular file, with a
     rewind and one whole read where the chunked read gives up; any other
     stdin, such as a pipe or a ``StringIO``, is read whole.
     """
+    from . import graphcore
     try:
         if path is None or path == "-":
             if sys.stdin is None:
@@ -167,8 +184,9 @@ def _read_graph(path: str | None) -> graphcore.Graph:
         raise _IOFault(f"input is not a graph document: {e}") from None
 
 
-# every command runs graphcore, imported above; each handler imports the
-# one other library module it runs, so a call loads no module it does not use
+# each handler imports the library modules it runs, and no others: the
+# graph builders import graphbase alone, and only the commands that read a
+# graph (chi and export) import graphcore, its searches and its reader
 
 
 def _write_pieces(pieces, end="\n") -> int:
@@ -179,40 +197,44 @@ def _write_pieces(pieces, end="\n") -> int:
     return 0
 
 
-def _write_graph(g: graphcore.Graph) -> int:
-    return _write_pieces(graphcore._json_pieces(g.labels, g.adj))
+def _write_graph(labels, upper) -> int:
+    """Write the graph JSON of labels and, per vertex, its higher
+    neighbours or its bit row (``graphbase._json_pieces``)."""
+    from .graphbase import _json_pieces
+    return _write_pieces(_json_pieces(labels, upper))
 
 
 def _generate_kneser(args) -> int:
     from . import kneser
-    return _write_graph(kneser.kg(args.n, args.k))
+    g = kneser.kg(args.n, args.k)
+    return _write_graph(g.labels, g.adj)
 
 
 def _generate_total_kneser(args) -> int:
     from . import kneser
     parts = kneser.all_partitions(args.n)
-    rows = kneser._partition_rows(parts, args.n)
-    return _write_pieces(graphcore._json_pieces([p.label for p in parts], rows))
+    return _write_graph([p.label for p in parts], kneser._partition_rows(parts, args.n))
 
 
 def _generate_sphere(args) -> int:
     from . import spheres
-    return _write_pieces(graphcore._json_pieces(*spheres._sphere_rows(args.n)))
+    return _write_graph(*spheres._sphere_rows(args.n))
 
 
 def _generate_glued(args) -> int:
     from . import covercolor
-    return _write_pieces(graphcore._json_pieces(*covercolor._glued_rows(
-        covercolor.CutSystemModel(args.r), args.with_cut_spheres)))
+    return _write_graph(*covercolor._glued_rows(
+        covercolor.CutSystemModel(args.r), args.with_cut_spheres))
 
 
 def _generate_farey(args) -> int:
     from . import farey
     _, labels, upper = farey.farey_lists(args.depth, args.fins)
-    return _write_pieces(graphcore._json_pieces(labels, upper))
+    return _write_graph(labels, upper)
 
 
 def _cmd_chi(args) -> int:
+    from . import graphcore
     if args.bounds and args.budget is not None:
         raise ValueError("--budget limits only the exact search; drop it or --bounds")
     # flags are checked before the input is read
@@ -234,6 +256,7 @@ def _cmd_chi(args) -> int:
 
 def _cmd_color(args) -> int:
     from . import covercolor
+    from .graphbase import _in_pieces
     model = covercolor.CutSystemModel(args.r)
     table = covercolor.color_table(model, args.with_cut_spheres)
     encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -252,7 +275,7 @@ def _cmd_color(args) -> int:
     # vertex's entry at a time, so it is never held whole
     lines = (f'{"," if v else ""}{encode(label)}:[{",".join(map(entry, table.fields(v)))}]'
              for v, label in enumerate(table.labels))
-    return _write_pieces(graphcore._in_pieces(chain([head[:-1] + ',"colors":{'], lines, ["}}"])))
+    return _write_pieces(_in_pieces(chain([head[:-1] + ',"colors":{'], lines, ["}}"])))
 
 
 def _verify_lemma2(args) -> int:
@@ -279,6 +302,7 @@ def _verify_petersen(args) -> int:
 
 def _verify_proper(args) -> int:
     from . import covercolor
+    from .graphbase import _in_pieces
     rep = covercolor.verify_coloring_proper(
         covercolor.CutSystemModel(args.r), args.with_cut_spheres
     )
@@ -292,7 +316,7 @@ def _verify_proper(args) -> int:
     quote = json.encoder.encode_basestring_ascii
     pairs = (f'{"," if k else ""}{{"a":{quote(a)},"b":{quote(b)},"witness_phi":{quote(w)}}}'
              for k, (a, b, w) in enumerate(rep.homologous_pairs))
-    _write_pieces(graphcore._in_pieces(chain([head + '"homologous_pairs":['], pairs, ["]" + tail])))
+    _write_pieces(_in_pieces(chain([head + '"homologous_pairs":['], pairs, ["]" + tail])))
     return 0 if rep.ok else VERIFY_FAIL_EXIT
 
 
@@ -313,8 +337,8 @@ def _verify_farey_parity(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    from . import covercolor
-    rep = covercolor.count_colors(args.r, args.rank_mode)
+    from . import counting
+    rep = counting.count_colors(args.r, args.rank_mode)
     _emit({
         "t": rep.t,
         "x": rep.x,
@@ -329,11 +353,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import graphcore
     if args.fmt == "dimacs":
         # flags are checked before the input is read
         graphcore._check_palette(args.k)
+    g = _read_graph(args.input)
+    lines = graphcore._dot_lines(g) if args.fmt == "dot" else graphcore._dimacs_lines(g, args.k)
     # the export text ends in its own newline
-    return _write_pieces(graphcore._in_pieces(args.export(args, _read_graph(args.input))), end="")
+    return _write_pieces(graphcore._in_pieces(lines), end="")
 
 
 def _warn(line: str) -> None:
@@ -354,10 +381,8 @@ def main(argv=None) -> int:
     try:
         code = args.run(args)
     except BrokenPipeError:
-        # downstream closed the pipe (e.g. | head); die quietly like grep does.
-        # stdout's fd must point somewhere writable or the interpreter's final
-        # flush raises a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # downstream closed the pipe (e.g. | head); die quietly like grep does
+        _drop_stdout()
         return 128 + 13
     except _IOFault as e:
         _warn(f"sphere-chroma: {e}")

@@ -36,13 +36,14 @@ their colors compared.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from collections import namedtuple
 from itertools import chain
 
-from .graphcore import Graph, _bits, _checked_rows, _class_masks
+# the counting bound, re-exported here; `count` imports its module alone
+from .counting import CountReport, count_colors
+from .graphbase import Graph, _bits, _checked_rows, _class_masks
 from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
 from .spheres import _sphere_rows
 
@@ -499,41 +500,6 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
         for j in _bits((row & same_class[table.hom[i]]) >> (i + 1), i + 1):
             out.append((table.labels[i], table.labels[j], name))
     return out
-
-
-class CountReport(namedtuple(
-        "CountReport", "r rank_mode t m per_cover x log2_f bound_9r2r ok note")):
-    """Outcome of ``count_colors``."""
-
-    __slots__ = ()
-
-
-def count_colors(r: int, rank_mode: str) -> CountReport:
-    """Size of the color space: t = 2^r - 1 covers, per cover the sets of
-    size 1 or 2 drawn from 2^m classes, f ranging over x^t functions.
-
-    rank_mode "paper" takes the declared per-cover rank m = 4r - 2 and
-    checks log2 |F| <= 9 r 2^r; rank_mode "computed" takes m = 2r - 1,
-    the rank cover_h2 actually produces.  The modes disagree; the note
-    field says so.  A failed bound is reported as ok False in either
-    mode (the CLI prints "ok":false and exits 2); it holds for r = 2..16.
-    """
-    if not 2 <= r <= 16:
-        raise ValueError(f"r must be in 2..16, got {r}")
-    if rank_mode not in ("paper", "computed"):
-        raise ValueError(f"rank_mode must be 'paper' or 'computed', got {rank_mode!r}")
-    t = 2**r - 1
-    m = 4 * r - 2 if rank_mode == "paper" else 2 * r - 1
-    per_cover = 2**m + math.comb(2**m, 2)
-    x = t * per_cover
-    log2_f = t * math.log2(x)
-    bound = 9 * r * 2**r
-    ok = log2_f <= bound
-    note = (
-        f"rank modes disagree: paper mode uses m=4r-2={4 * r - 2}, "
-        f"computed cover homology gives m=2r-1={2 * r - 1}"
-    )
-    return CountReport(r, rank_mode, t, m, per_cover, x, log2_f, bound, ok, note)
 
 
 def used_color_count(model: CutSystemModel) -> int:

@@ -28,7 +28,7 @@ bound of 4, and this module reports measured values without extrapolating.
 
 from __future__ import annotations
 
-from .graphcore import Coloring, Graph, _bits, chromatic_number_exact
+from .graphbase import Coloring, Graph, _bits
 
 __all__ = [
     "farey_lists",
@@ -213,5 +213,7 @@ def chi_farey_ball(depth: int, fins: bool = False):
     ball (98,304 vertices) the clique bound and DSATUR meet at 3, and the
     call takes 3.9 s at 585 MB peak RSS (2-vCPU VM, Python 3.11).
     """
+    from .graphcore import chromatic_number_exact  # here: no other call runs the search
+
     _, labels, upper = farey_lists(depth, fins)
     return chromatic_number_exact(_graph(labels, upper))

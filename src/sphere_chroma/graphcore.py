@@ -1,18 +1,20 @@
 """Exact graph coloring over small labeled graphs.
 
-Vertices are indices into a label list; edges are unordered index pairs.
-Adjacency is kept as dense bit rows (one int per vertex).  The exact
-engine is a branch-and-bound over color classes in DSATUR order with the
-first branched vertex pinned to color 0.  Its state is a handful of
-vertex masks: the uncolored vertices, one "has a neighbour of color c"
-mask per color, and a saturation counter sliced into bit planes, so a
-node costs a few big-int operations per color and per plane, not one
-step per neighbour.  A node that descends pushes its parent's masks and
-color-loop position as one tuple, and backtracking pops it; a dead node
-pushes nothing.  Universal vertices are peeled off before the search,
-each with a color of its own, so the node budget and the reported node
-counts are those of the peeled search.  When a node budget runs out the
-engine reports an explicit undecided outcome instead of guessing.
+The graphs, colorings and the JSON writer live in ``graphbase``; this
+module re-exports them and adds DSATUR, the clique bound, the exact
+search, the DOT and DIMACS exporters and the graph JSON reader.  The
+exact engine is a branch-and-bound over color classes in DSATUR order
+with the first branched vertex pinned to color 0.  Its state is a
+handful of vertex masks: the uncolored vertices, one "has a neighbour of
+color c" mask per color, and a saturation counter sliced into bit
+planes, so a node costs a few big-int operations per color and per
+plane, not one step per neighbour.  A node that descends pushes its
+parent's masks and color-loop position as one tuple, and backtracking
+pops it; a dead node pushes nothing.  Universal vertices are peeled off
+before the search, each with a color of its own, so the node budget and
+the reported node counts are those of the peeled search.  When a node
+budget runs out the engine reports an explicit undecided outcome instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -21,9 +23,28 @@ import json
 import os
 import stat
 from collections import namedtuple
-from collections.abc import Sequence
 from functools import partial
 from itertools import compress
+
+# re-exported, so every graphcore name of the base stays as it was
+from .graphbase import (
+    GRAPH_FORMAT,
+    Coloring,
+    Graph,
+    complete_graph,
+    to_json,
+    to_json_rows,
+    validate_coloring,
+    _EDGES,
+    _HEAD,
+    _bits,
+    _checked_rows,
+    _class_masks,
+    _flags_to_row,
+    _in_pieces,
+    _json_pieces,
+    _pick,
+)
 
 __all__ = [
     "Graph",
@@ -45,190 +66,9 @@ __all__ = [
     "from_json",
 ]
 
-GRAPH_FORMAT = "sphere-chroma-graph-v1"
-
 
 class SchemaError(ValueError):
     """Raised when graph JSON is malformed or violates the schema."""
-
-
-class Graph:
-    """Immutable undirected graph; the label list fixes the vertex order.
-
-    The labels and the adjacency bit rows are all it stores: bit j of
-    ``adj[i]`` is set when i and j are adjacent.  ``sorted_edges`` lists
-    the edges afresh from the rows on each call.
-    """
-
-    __slots__ = ("labels", "adj")
-
-    def __init__(self, labels, edges=()):
-        labels = _checked_labels(labels)
-        n = len(labels)
-        adj = [0] * n
-        for e in edges:
-            i, j = e
-            if not (type(i) is int and type(j) is int):
-                raise ValueError(f"edge {e!r} has non-integer endpoints")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge {e!r} out of range for {n} vertices")
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self.labels = labels
-        self.adj = tuple(adj)
-
-    @classmethod
-    def from_rows(cls, labels, rows) -> "Graph":
-        """Graph from adjacency bit rows built by trusted code.
-
-        The rows must be symmetric; that is the builder's invariant and is
-        not re-checked here.  Row count, range and the diagonal are.
-        """
-        g = cls.__new__(cls)
-        g.labels = _checked_labels(labels)
-        n = len(g.labels)
-        g.adj = tuple(_checked_rows(rows, n))
-        if len(g.adj) != n:
-            raise ValueError(f"{len(g.adj)} adjacency rows for {n} vertices")
-        return g
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def m(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    @property
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        """Edges (i, j) with i < j, ascending; read off the rows in order."""
-        return [(i, j) for i in range(self.n) for j in self.higher_neighbors(i)]
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
-
-    def higher_neighbors(self, v: int) -> list[int]:
-        """The neighbours j > v, ascending."""
-        return _bits(self.adj[v] >> (v + 1), v + 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.labels == other.labels and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.labels, self.adj))
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m})"
-
-
-def _checked_labels(labels) -> tuple[str, ...]:
-    labels = tuple(labels)
-    for x in labels:
-        if not isinstance(x, str):
-            raise ValueError(f"vertex label {x!r} is not a string")
-    return labels
-
-
-def _checked_rows(rows, n: int):
-    """Bit rows on n vertices, each checked for range and self-loop as yielded."""
-    for v, row in enumerate(rows):
-        if row < 0 or row >> n or row >> v & 1:
-            raise ValueError(f"adjacency row {v} is out of range or has a self-loop")
-        yield row
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _flags_to_row(flags: bytearray) -> int:
-    """Bit row from one 0/1 byte per vertex (vertex 0 first, at least one byte)."""
-    return int(flags[::-1].translate(_DIGITS), 2)
-
-
-def _class_masks(keys) -> dict:
-    """Mask of the vertices v with ``keys[v] == k``, per distinct k; each made
-    once from a flag byte per vertex of its span, not an OR per vertex."""
-    members: dict = {}
-    for v, k in enumerate(keys):
-        members.setdefault(k, []).append(v)
-    masks = {}
-    for k, vs in members.items():
-        flags = bytearray(vs[-1] - vs[0] + 1)
-        for v in vs:
-            flags[v - vs[0]] = 1
-        masks[k] = _flags_to_row(flags) << vs[0]
-    return masks
-
-
-def _bits(mask: int, base: int = 0) -> list[int]:
-    """Positions of the set bits of mask, ascending, each plus base."""
-    return list(_pick(mask, range(base, base + mask.bit_length())))
-
-
-def _pick(mask: int, items, base: int = 0):
-    """items[base + p] for each set bit p of mask, ascending p; a list or
-    an iterator."""
-    width = mask.bit_length()
-    if mask.bit_count() * 16 < width:
-        # sparse: peel the top bit, which shrinks the int as it goes
-        out = []
-        while mask:
-            top = mask.bit_length() - 1
-            out.append(items[base + top])
-            mask ^= 1 << top
-        out.reverse()
-        return out
-    # dense: one pass over the binary digits at C speed
-    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return compress(items[base:base + width], digits)
-
-
-def complete_graph(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(labels, edges)
-
-
-class Coloring:
-    """Color ids by vertex index: ``colors[v]`` is the color of vertex v.
-
-    Built from a sequence of ints (not a mapping), one per vertex of the
-    graph it colors; ``validate_coloring`` rejects a coloring of another
-    length.  ``size`` is the number of distinct colors actually used.
-    """
-
-    __slots__ = ("colors",)
-
-    def __init__(self, colors):
-        if not isinstance(colors, Sequence):
-            raise TypeError(f"coloring needs a sequence, got {type(colors).__name__}")
-        colors = tuple(colors)
-        for v, c in enumerate(colors):
-            # type() rather than isinstance, so bool is refused as in from_json
-            if type(c) is not int:
-                raise ValueError(f"color {c!r} of vertex {v} is not an int")
-        self.colors = colors
-
-    @property
-    def size(self) -> int:
-        return len(set(self.colors))
-
-    def __eq__(self, other):
-        if not isinstance(other, Coloring):
-            return NotImplemented
-        return self.colors == other.colors
-
-    def __repr__(self):
-        return f"Coloring({self.colors!r})"
 
 
 # The result records are named tuples rather than dataclasses: the same
@@ -268,25 +108,6 @@ class ChiUndecided(namedtuple(
     """
 
     __slots__ = ()
-
-
-def validate_coloring(g: Graph, coloring: Coloring):
-    """Return None if proper, else the lexicographically least violating edge.
-
-    The coloring must have one color per vertex of g; a coloring of any
-    other length is a ValueError naming both counts.
-    """
-    colors = coloring.colors
-    if len(colors) != g.n:
-        raise ValueError(f"coloring has {len(colors)} colors for a graph of {g.n} vertices")
-    # a row's hits inside its own color class above the diagonal are the
-    # violating edges, the lowest hit the least one
-    class_mask = _class_masks(colors)
-    for i, row in enumerate(g.adj):
-        hit = (row & class_mask[colors[i]]) >> (i + 1)
-        if hit:
-            return (i, i + (hit & -hit).bit_length())
-    return None
 
 
 def greedy_dsatur(g: Graph) -> Coloring:
@@ -619,80 +440,16 @@ def _dot_lines(g: Graph, coloring: Coloring | None = None):
     yield "}\n"
 
 
-# Graph JSON is written in pieces of about 64 KB, so even unbuffered
-# stdout takes only a few hundred writes, and a regular file is read in
-# chunks of the same size.  The edges array is read in pieces of about
-# 4 KB: an edge takes at least 6 characters, so a piece holds fewer
-# lists than the garbage collector's young-generation threshold (700),
-# and reading S_12 triggers one collection where 64 KB pieces triggered
-# about 280 young and 26 older ones.
-_WRITE_PIECE = 1 << 16
+# A regular file is read in chunks of about 64 KB.  The edges array is
+# read in pieces of about 4 KB: an edge takes at least 6 characters, so a
+# piece holds fewer lists than the garbage collector's young-generation
+# threshold (700), and reading S_12 triggers one collection where 64 KB
+# pieces triggered about 280 young and 26 older ones.
 _READ_CHUNK = 1 << 16
 _READ_PIECE = 1 << 12
 
-# the one layout graph JSON is written in, and the only one read in
-# pieces: _HEAD, the labels, _EDGES, the edges, then "]}"
-_HEAD = f'{{"format":"{GRAPH_FORMAT}","vertex_labels":'
-_EDGES = ',"edges":['
-
 _skip_ws = json.decoder.WHITESPACE.match
 _decode_value = json.JSONDecoder().raw_decode
-
-
-def _in_pieces(parts):
-    """The strings parts, in order, joined into pieces of about 64 KB: a
-    piece is yielded once it passes ``_WRITE_PIECE`` characters."""
-    piece, size = [], 0
-    for part in parts:
-        piece.append(part)
-        size += len(part)
-        if size >= _WRITE_PIECE:
-            yield "".join(piece)
-            piece, size = [], 0
-    yield "".join(piece)
-
-
-def _json_pieces(labels, upper):
-    """Canonical graph JSON in pieces of about 64 KB (``_in_pieces``), from
-    labels and, per vertex i, either the list of its ascending neighbours
-    j > i or its adjacency bit row, whose bits above i are its edges.
-
-    Joined, the pieces are the bytes of compact ``json.dumps`` with a
-    sorted edge list.  The edges are written row by row from a table of
-    "j]" tails: a list's entries index it, and a bit row's tails are
-    picked off it by ``_pick`` with no list of neighbours in between.  So
-    a caller can write each piece as it forms.
-    """
-    tail = [f"{j}]" for j in range(len(labels))]
-    text = json.dumps(labels, separators=(",", ":"))
-
-    def parts():
-        yield _HEAD + text + _EDGES
-        sep = ""
-        for i, row in enumerate(upper):
-            if type(row) is int:
-                tails = _pick(row >> i + 1, tail, i + 1)
-            else:
-                tails = map(tail.__getitem__, row)
-            edges = f",[{i},".join(tails)
-            if edges:
-                yield f"{sep}[{i}," + edges
-                sep = ","
-        yield "]}"
-
-    return _in_pieces(parts())
-
-
-def to_json(g: Graph) -> str:
-    """Canonical one-line JSON of g, edges sorted (see ``_json_pieces``)."""
-    return to_json_rows(g.labels, g.adj)
-
-
-def to_json_rows(labels, upper) -> str:
-    """Canonical graph JSON from labels and, per vertex, its ascending
-    higher neighbours or its adjacency bit row: the joined
-    ``_json_pieces``."""
-    return "".join(_json_pieces(labels, upper))
 
 
 def _add_edges(rows, edges, first: int):

@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from itertools import combinations, compress
 
-from .graphcore import Graph, _checked_rows
+from .graphbase import Graph, _checked_rows
 
 __all__ = [
     "TwoBlockPartition",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .graphcore import Coloring, Graph, _bits
+from .graphbase import Coloring, Graph, _bits
 from .kneser import (
     TwoBlockPartition,
     all_partitions,

@@ -32,6 +32,13 @@ def test_every_public_definition_exported(module):
     assert [name for name in defined if name not in module.__all__] == []
 
 
+def test_every_module_is_a_listed_submodule():
+    # an unlisted module imported as ``from . import name`` would send its
+    # name through the package __getattr__, which imports every library module
+    files = sorted(p.stem for p in Path(sphere_chroma.__file__).parent.glob("*.py"))
+    assert sorted([*sphere_chroma._SUBMODULES, "__init__"]) == files
+
+
 LIBRARY = [importlib.import_module(f"sphere_chroma.{name}")
            for name in ("graphcore", "kneser", "spheres", "covercolor", "farey")]
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import sphere_chroma
-from sphere_chroma import cli, covercolor, farey, graphcore, kneser, spheres
+from sphere_chroma import cli, counting, covercolor, farey, graphcore, kneser, spheres
 from sphere_chroma.farey import MAX_DEPTH
 from sphere_chroma.graphcore import (
     Graph, chromatic_number_exact, export_dimacs_kcolor, export_dot, from_json, to_json,
@@ -112,7 +112,7 @@ class TestGenerate:
         sink = Sink()
         monkeypatch.setattr("sys.stdout", sink)
         g = spheres.sphere_graph_holed(12)
-        assert cli._write_graph(g) == 0
+        assert cli._write_graph(g.labels, g.adj) == 0
         assert sink.getvalue() == to_json(g) + "\n"
         assert len(sizes) > 20 and max(sizes) <= 128 * 1024
 
@@ -377,7 +377,7 @@ class TestCount:
         # the bound holds for every r the command takes, so fake a log2
         # that breaks it: both modes report it the same way
         fake = SimpleNamespace(comb=math.comb, log2=lambda x: 1e6)
-        monkeypatch.setattr(covercolor, "math", fake)
+        monkeypatch.setattr(counting, "math", fake)
         assert covercolor.count_colors(3, mode).ok is False
         code, out, _ = run(["count", "--r", "3", "--rank-mode", mode])
         assert code == 2 and '"ok":false' in out
@@ -745,7 +745,7 @@ class TestStartup:
         report = json.loads(result.stderr)
         return result.stdout, report["exit"], report["modules"]
 
-    def test_chi_loads_graphcore_alone(self, cli_env, tmp_path):
+    def test_chi_loads_graphcore_and_graphbase(self, cli_env, tmp_path):
         path = tmp_path / "c5.json"
         path.write_text(to_json(Graph(list("abcde"), [(i, (i + 1) % 5) for i in range(5)])))
         out, code, modules = self._loaded(cli_env, ["chi", "--input", str(path)])
@@ -754,8 +754,25 @@ class TestStartup:
         assert Path(modules["sphere_chroma"]) == package / "__init__.py"
         assert Path(modules["sphere_chroma.graphcore"]) == package / "graphcore.py"
         # the CLI itself runs as __main__, as under python -m
-        assert [m for m in modules if m.startswith("sphere_chroma.")] == ["sphere_chroma.graphcore"]
+        assert sorted(m for m in modules if m.startswith("sphere_chroma.")) == [
+            "sphere_chroma.graphbase", "sphere_chroma.graphcore"]
         assert "dataclasses" not in modules
+
+    @pytest.mark.parametrize("argv, names", [
+        (["count", "--r", "3", "--rank-mode", "paper"], ["counting"]),
+        (["generate", "sphere", "--n", "5"], ["graphbase", "kneser", "spheres"]),
+        (["verify", "proper", "--r", "3"],
+         ["counting", "covercolor", "graphbase", "kneser", "spheres"]),
+        (["generate", "farey", "--depth", "2"], ["farey", "graphbase"]),
+        (["verify", "farey-parity", "--depth", "12"], ["farey", "graphbase"]),
+        # the exact chi of a shallow ball runs the search
+        (["verify", "farey-parity", "--depth", "8"], ["farey", "graphbase", "graphcore"]),
+    ], ids=" ".join)
+    def test_command_loads_only_the_modules_it_runs(self, cli_env, argv, names):
+        out, code, modules = self._loaded(cli_env, argv)
+        assert code == 0 and json.loads(out)
+        assert sorted(m for m in modules if m.startswith("sphere_chroma.")) == [
+            f"sphere_chroma.{name}" for name in names]
 
     def test_verify_proper_loads_no_dataclasses(self, cli_env):
         out, code, modules = self._loaded(cli_env, ["verify", "proper", "--r", "3"])
@@ -781,6 +798,20 @@ class TestStartup:
         assert code == 0 and json.loads(out)["vertex_labels"]
         for name in ("kneser", "spheres", "covercolor"):
             assert f"sphere_chroma.{name}" not in modules
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in Path(sphere_chroma.__file__).parent.glob("*.py") if p.stem != "__init__"))
+    def test_from_import_loads_what_the_module_imports(self, cli_env, name):
+        # ``from sphere_chroma import name`` must import the module and what
+        # it imports itself, as ``import sphere_chroma.name`` does, without
+        # the package __getattr__'s walk through every library module
+        probe = ("import sys; {}; print(sorted(m for m in sys.modules"
+                 " if m.startswith('sphere_chroma.')))")
+        found = [subprocess.run([sys.executable, "-c", probe.format(statement)],
+                                capture_output=True, text=True, timeout=60, env=cli_env).stdout
+                 for statement in (f"from sphere_chroma import {name}",
+                                   f"import sphere_chroma.{name}")]
+        assert found[0] == found[1] and f"'sphere_chroma.{name}'" in found[0]
 
     def test_submodule_names_import_no_library_module(self, cli_env):
         result = subprocess.run(
@@ -869,3 +900,17 @@ class TestInstalledScript:
         # S_12 is 2.6 MB written in some 40 pieces, so a write after the
         # reader has gone meets the closed pipe
         assert self._truncated_pipe(cli_env, "generate sphere --n 12", unbuffered) == ("141", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [
+        # one line, which a buffered stdout holds until it is flushed
+        "count --r 3 --rank-mode paper",
+        "generate sphere --n 12",
+    ])
+    def test_full_disk_exits_74(self, cli_env, command, unbuffered):
+        result = subprocess.run(f"{CLI} {command} >/dev/full", shell=True, capture_output=True,
+                                text=True, timeout=60,
+                                env={**cli_env, "PYTHONUNBUFFERED": unbuffered})
+        assert (result.returncode, result.stdout, result.stderr) == (
+            74, "", "sphere-chroma: cannot write output: [Errno 28] No space left on device\n")
