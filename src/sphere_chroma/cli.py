@@ -189,9 +189,11 @@ def _read_graph(path: str | None):
 # graph (chi and export) import graphcore, its searches and its reader
 
 
-def _write_pieces(pieces, end="\n") -> int:
-    """Write a document and then end, each piece as the writer forms it."""
-    for piece in pieces:
+def _write_pieces(parts, end="\n") -> int:
+    """Write the strings parts and then end, joined into pieces of about
+    64 KB (``graphbase._in_pieces``), each piece as it forms."""
+    from .graphbase import _in_pieces
+    for piece in _in_pieces(parts):
         _write(piece)
     _write(end)
     return 0
@@ -256,7 +258,6 @@ def _cmd_chi(args) -> int:
 
 def _cmd_color(args) -> int:
     from . import covercolor
-    from .graphbase import _in_pieces
     model = covercolor.CutSystemModel(args.r)
     table = covercolor.color_table(model, args.with_cut_spheres)
     encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -275,7 +276,7 @@ def _cmd_color(args) -> int:
     # vertex's entry at a time, so it is never held whole
     lines = (f'{"," if v else ""}{encode(label)}:[{",".join(map(entry, table.fields(v)))}]'
              for v, label in enumerate(table.labels))
-    return _write_pieces(_in_pieces(chain([head[:-1] + ',"colors":{'], lines, ["}}"])))
+    return _write_pieces(chain([head[:-1] + ',"colors":{'], lines, ["}}"]))
 
 
 def _verify_lemma2(args) -> int:
@@ -302,7 +303,6 @@ def _verify_petersen(args) -> int:
 
 def _verify_proper(args) -> int:
     from . import covercolor
-    from .graphbase import _in_pieces
     rep = covercolor.verify_coloring_proper(
         covercolor.CutSystemModel(args.r), args.with_cut_spheres
     )
@@ -316,7 +316,7 @@ def _verify_proper(args) -> int:
     quote = json.encoder.encode_basestring_ascii
     pairs = (f'{"," if k else ""}{{"a":{quote(a)},"b":{quote(b)},"witness_phi":{quote(w)}}}'
              for k, (a, b, w) in enumerate(rep.homologous_pairs))
-    _write_pieces(_in_pieces(chain([head + '"homologous_pairs":['], pairs, ["]" + tail])))
+    _write_pieces(chain([head + '"homologous_pairs":['], pairs, ["]" + tail]))
     return 0 if rep.ok else VERIFY_FAIL_EXIT
 
 
@@ -358,9 +358,13 @@ def _cmd_export(args) -> int:
         # flags are checked before the input is read
         graphcore._check_palette(args.k)
     g = _read_graph(args.input)
-    lines = graphcore._dot_lines(g) if args.fmt == "dot" else graphcore._dimacs_lines(g, args.k)
+    try:
+        lines = graphcore._dot_lines(g) if args.fmt == "dot" else graphcore._dimacs_lines(g, args.k)
+    except ValueError as e:
+        # a label that two vertices share: DOT would merge them into one node
+        raise _IOFault(f"input cannot be written as DOT: {e}") from None
     # the export text ends in its own newline
-    return _write_pieces(graphcore._in_pieces(lines), end="")
+    return _write_pieces(lines, end="")
 
 
 def _warn(line: str) -> None:

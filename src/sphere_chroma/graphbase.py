@@ -124,11 +124,6 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _flags_to_row(flags: bytearray) -> int:
-    """Bit row from one 0/1 byte per vertex (vertex 0 first, at least one byte)."""
-    return int(flags[::-1].translate(_DIGITS), 2)
-
-
 def _class_masks(keys) -> dict:
     """Mask of the vertices v with ``keys[v] == k``, per distinct k; each made
     once from a flag byte per vertex of its span, not an OR per vertex."""
@@ -140,7 +135,8 @@ def _class_masks(keys) -> dict:
         flags = bytearray(vs[-1] - vs[0] + 1)
         for v in vs:
             flags[v - vs[0]] = 1
-        masks[k] = _flags_to_row(flags) << vs[0]
+        # the flags, last vertex first, read as binary digits
+        masks[k] = int(flags[::-1].translate(_DIGITS), 2) << vs[0]
     return masks
 
 
@@ -167,10 +163,20 @@ def _pick(mask: int, items, base: int = 0):
     return compress(items[base:base + width], digits)
 
 
+def _drop_columns(rows, gone):
+    """Each of rows less its bits at ``gone``, highest first so the rest do
+    not move: bit v goes by ``row & low | row >> 1 & ~low``, low = 2^v - 1."""
+    lows = [(1 << v) - 1 for v in gone]
+    for row in rows:
+        for low in lows:
+            row = row & low | row >> 1 & ~low
+        yield row
+
+
 def complete_graph(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(labels, edges)
+    """K_n on labels v0..v{n-1}: each row is every vertex but its own."""
+    full = (1 << n) - 1
+    return Graph.from_rows([f"v{i}" for i in range(n)], (full ^ 1 << v for v in range(n)))
 
 
 class Coloring:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import os
 import stat
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
 from itertools import compress
 
-# re-exported, so every graphcore name of the base stays as it was
+# the public names of the base are re-exported, so each stays a graphcore
+# name; of its private helpers, only those this module runs are imported
 from .graphbase import (
     GRAPH_FORMAT,
     Coloring,
@@ -38,11 +39,8 @@ from .graphbase import (
     _EDGES,
     _HEAD,
     _bits,
-    _checked_rows,
     _class_masks,
-    _flags_to_row,
-    _in_pieces,
-    _json_pieces,
+    _drop_columns,
     _pick,
 )
 
@@ -315,17 +313,11 @@ def _peel_universal(adj):
     """(rest, universal, rows): the vertices adjacent to all others are
     ``universal``; ``rows`` are the adjacency rows of the ``rest``, in
     order and renumbered 0.., with the universal columns dropped."""
-    n = len(adj)
-    full = (1 << n) - 1
-    keep = bytearray(row | 1 << v != full for v, row in enumerate(adj))
-    rest = list(compress(range(n), keep))
-    if len(rest) == n:
-        return rest, [], adj
-    universal = [v for v in range(n) if not keep[v]]
-    # a row's binary digits, vertex 0 first, with the universal columns
-    # left out by compress, then read back as a row
-    rows = [int("".join(compress(format(adj[v], f"0{n}b")[::-1], keep))[::-1], 2) for v in rest]
-    return rest, universal, rows
+    full = (1 << len(adj)) - 1
+    keep = [row | 1 << v != full for v, row in enumerate(adj)]
+    rest = list(compress(range(len(adj)), keep))
+    universal = [v for v, kept in enumerate(keep) if not kept]
+    return rest, universal, list(_drop_columns(compress(adj, keep), universal[::-1]))
 
 
 def _check_budget(budget: int | None) -> None:
@@ -420,24 +412,36 @@ def _dot_quote(label: str) -> str:
 
 
 def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
-    """Undirected DOT text; vertices in list order, edges in sorted index order."""
+    """Undirected DOT text; vertices in list order, edges in sorted index order.
+
+    DOT names a node by its label, so a label that two vertices share is
+    a ValueError naming it, as is a coloring that is not proper.
+    """
     return "".join(_dot_lines(g, coloring))
 
 
 def _dot_lines(g: Graph, coloring: Coloring | None = None):
-    """``export_dot`` by lines read off the rows, a row's edges as one."""
+    """``export_dot`` by lines read off the rows, a row's edges as one; the
+    checks run at the call, before any line is formed."""
     if coloring is not None:
         bad = validate_coloring(g, coloring)
         if bad is not None:
             raise ValueError(f"coloring is not proper: edge {bad} is monochromatic")
-    yield "graph G {\n"
+    repeated = [x for x, count in Counter(g.labels).items() if count > 1]
+    if repeated:
+        raise ValueError(f"vertex label {repeated[0]!r} names more than one vertex")
     names = [_dot_quote(x) for x in g.labels]
-    for v, q in enumerate(names):
-        yield f"{q};\n" if coloring is None else f"{q} [color={coloring.colors[v]}];\n"
-    for i, row in enumerate(g.adj):
-        q = names[i]
-        yield "".join([f"{q} -- {t};\n" for t in _pick(row >> i + 1, names, i + 1)])
-    yield "}\n"
+
+    def lines():
+        yield "graph G {\n"
+        for v, q in enumerate(names):
+            yield f"{q};\n" if coloring is None else f"{q} [color={coloring.colors[v]}];\n"
+        for i, row in enumerate(g.adj):
+            q = names[i]
+            yield "".join([f"{q} -- {t};\n" for t in _pick(row >> i + 1, names, i + 1)])
+        yield "}\n"
+
+    return lines()
 
 
 # A regular file is read in chunks of about 64 KB.  The edges array is

@@ -1,6 +1,7 @@
 """Direct algorithms the package no longer runs, kept as test oracles.
 
-The partition graph tests every pair of vertices with ``nested``; a
+The partition graph tests every pair of vertices with ``nested``, and
+the Kneser graph every pair of subsets for disjointness; a
 partition label joins the block_a and block_b element tuples; a Farey
 ball and its fins come from an edge list grown by mediant insertion;
 graph JSON is one ``json.dumps`` of the document with its edge list,
@@ -43,6 +44,15 @@ def pairwise_partition_graph(parts):
         if nested(p, q)
     ]
     return Graph([p.label for p in parts], edges)
+
+
+def pairwise_kg(n, k):
+    """Kneser graph kg(n, k) by testing all V^2 / 2 pairs of k-subsets for
+    disjointness, edges listed and checked by ``Graph``."""
+    subsets = list(combinations(range(1, n + 1), k))
+    masks = [sum(1 << (e - 1) for e in s) for s in subsets]
+    edges = [(i, j) for (i, a), (j, b) in combinations(enumerate(masks), 2) if not a & b]
+    return Graph([" ".join(map(str, s)) for s in subsets], edges)
 
 
 def partition_label(p):

@@ -450,6 +450,17 @@ class TestExport:
         assert sink.getvalue() == (export_dot(g) if fmt == ["dot"] else export_dimacs_kcolor(g, 4))
         assert len(sizes) > 4 and max(sizes) <= 128 * 1024
 
+    def test_dot_refuses_a_repeated_label(self, run):
+        doc = '{"format":"sphere-chroma-graph-v1","vertex_labels":["a","a"],"edges":[[0,1]]}'
+        code, out, err = run(["export", "dot"], stdin_text=doc)
+        assert (code, out) == (74, "")
+        assert err == ("sphere-chroma: input cannot be written as DOT: "
+                       "vertex label 'a' names more than one vertex\n")
+        # chi and DIMACS index vertices by position, so they keep the two apart
+        assert run(["chi"], doc) == (0, '{"chi":2}\n', "")
+        code, out, _ = run(["export", "dimacs", "--k", "2"], stdin_text=doc)
+        assert (code, out) == (0, "p cnf 4 4\n1 2 0\n3 4 0\n-1 -3 0\n-2 -4 0\n")
+
     def test_dot(self, run):
         _, doc, _ = run(["generate", "farey", "--depth", "0"])
         code, out, _ = run(["export", "dot"], stdin_text=doc)
@@ -669,6 +680,22 @@ def _run_limited(cli_env, argv, limit):
         capture_output=True, text=True, timeout=60, env=cli_env,
         preexec_fn=lambda: _limit_child_memory(limit),
     )
+
+
+# address space for `generate kneser --n 3500 --k 1`, the densest kg the
+# cap allows: built from membership masks it peaks near 19 MB RSS, where
+# listing its 6.1 million edges took about 630 MB
+KG_CAP_AS_BYTES = 300 * 2**20
+
+
+class TestKgMemory:
+    def test_densest_kg_at_the_cap_fits(self, cli_env):
+        result = subprocess.run(
+            [sys.executable, "-m", "sphere_chroma.cli", "generate", "kneser", "--n", "3500", "--k", "1"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60, env=cli_env,
+            preexec_fn=lambda: _limit_child_memory(KG_CAP_AS_BYTES),
+        )
+        assert result.returncode == 0 and result.stderr == ""
 
 
 class TestFareyMemory:

@@ -91,6 +91,11 @@ class TestGraph:
         assert g.n == 4 and g.m == 6
         assert g.labels == ("v0", "v1", "v2", "v3")
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_complete_graph_rows_match_the_pair_list(self, n):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert complete_graph(n) == Graph([f"v{i}" for i in range(n)], pairs)
+
 
 class TestColoring:
     def test_stores_tuple_and_refuses_mapping(self):
@@ -317,6 +322,12 @@ def join_universal(g, positions):
     return Graph([f"v{v}" for v in range(n)], edges)
 
 
+def planted_universal(g, u, rnd):
+    """g joined to u universal vertices at random positions, and those positions."""
+    positions = set(rnd.sample(range(g.n + u), u))
+    return join_universal(g, positions), positions
+
+
 def refutations(cert):
     return None if cert.infeasibility is None else cert.infeasibility.refutation_nodes
 
@@ -329,8 +340,7 @@ class TestUniversalPeeling:
     @given(varied_graphs(max_n=16), st.integers(min_value=0, max_value=4), st.randoms())
     @example(Graph([]), 2, random.Random(0))
     def test_join_adds_one_color_per_universal_vertex(self, g, u, rnd):
-        positions = set(rnd.sample(range(g.n + u), u))
-        joined = join_universal(g, positions)
+        joined, _ = planted_universal(g, u, rnd)
         base, cert = chromatic_number_exact(g), chromatic_number_exact(joined)
         assert cert.chi == base.chi + u
         assert validate_coloring(joined, cert.witness) is None
@@ -351,6 +361,19 @@ class TestUniversalPeeling:
         assert (result.lower, result.upper, result.nodes_explored) == (19, 27, 50_000)
         # S_9's counts for k = 6..9, as k = 15..18 with the 9 singletons
         assert result.refutation_nodes == (9, 22, 84, 1178)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(varied_graphs(max_n=16), st.integers(min_value=0, max_value=4), st.randoms())
+    @example(Graph([]), 3, random.Random(0))
+    @example(cycle(5), 2, random.Random(1))
+    def test_peeled_rows_are_the_induced_subgraph(self, g, u, rnd):
+        joined, positions = planted_universal(g, u, rnd)
+        rest, universal, rows = graphcore._peel_universal(joined.adj)
+        everyone = (1 << joined.n) - 1
+        assert positions <= set(universal) and sorted(rest + universal) == list(range(joined.n))
+        assert all(joined.adj[v] | 1 << v == everyone for v in universal)
+        assert all(joined.adj[v] | 1 << v != everyone for v in rest)
+        assert tuple(rows) == oracles.induced_subgraph(joined, rest).adj
 
     def test_complete_graph_returns_before_peeling(self, monkeypatch):
         def unreachable(adj):
@@ -499,6 +522,15 @@ class TestDotExport:
         g = Graph(["a", "b"], [(0, 1)])
         with pytest.raises(ValueError, match="not proper"):
             export_dot(g, Coloring([0, 0]))
+
+    def test_repeated_label_rejected(self):
+        # DOT names a node by its label: two "a" vertices would be one node
+        g = Graph(["b", "a", "c", "a", "b"], [(1, 3)])
+        with pytest.raises(ValueError, match="label 'b' names more than one vertex"):
+            export_dot(g)
+        # the line stream refuses at the call, before its first line
+        with pytest.raises(ValueError, match="label 'b'"):
+            graphcore._dot_lines(g)
 
     def test_matches_the_edge_list_text(self):
         g = sphere_graph_holed(7)

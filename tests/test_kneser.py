@@ -129,6 +129,11 @@ class TestKneserGraphs:
         # count: each 2-subset is disjoint from C(4,2) others
         assert g.m == 15 * 6 // 2
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_kg_matches_pairwise_disjointness(self, n):
+        for k in range(1, n // 2 + 1):
+            assert kg(n, k) == oracles.pairwise_kg(n, k), (n, k)
+
     def test_kg_refuses_huge_vertex_count(self):
         # C(40, 20) ~ 1.4e11 subsets: refused before any is listed
         with pytest.raises(ValueError, match="refusing"):
