@@ -264,7 +264,11 @@ def lift_classes(
 
 
 def sheet_swap(bits: int, r: int) -> int:
-    """Deck transformation on a raw class: swap G_{i,0} with G_{i,1}."""
+    """Deck transformation on a raw class: swap G_{i,0} with G_{i,1}.
+
+    Runs on no CLI path; it stays public for the test property it pins,
+    that the deck transformation carries one sheet's lift onto the other's.
+    """
     out = 0
     for i in range(r):
         pair = bits >> (2 * i) & 3
@@ -489,7 +493,8 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
 
     Returns the adjacent pairs that collide, with the shared class; for
     r >= 3 this list is nonempty, which is what forces the covers into
-    the construction.
+    the construction.  Runs on no CLI path; it stays public as acceptance
+    criterion 5's negative control.
     """
     g = glued_sphere_graph(model)
     table = color_table(model)
@@ -503,5 +508,9 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
 
 
 def used_color_count(model: CutSystemModel) -> int:
-    """Number of distinct f values over the sphere vertices."""
+    """Number of distinct f values over the sphere vertices.
+
+    Runs on no CLI path; it stays public for the cover coloring's color
+    count, which ROADMAP items 5 and 6 set against the lower bounds.
+    """
     return len(set(color_table(model).keys))

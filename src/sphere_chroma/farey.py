@@ -140,22 +140,21 @@ def _parse_fraction(label: str) -> tuple[int, int]:
 
 
 def parity_coloring(g: Graph) -> Coloring:
-    """3-coloring: Farey vertices by (p mod 2, q mod 2), fins by elimination."""
-    colors: list[int | None] = [None] * g.n
-    fins = []
-    for v, label in enumerate(g.labels):
-        if _is_fin(label):
-            fins.append(v)
-            continue
-        p, q = _parse_fraction(label)
-        cls = (p % 2, q % 2)
-        if cls == (0, 0):
-            raise ValueError(f"label {label!r} is not a reduced fraction")
-        colors[v] = PARITY_CLASS_IDS[cls]
-    for v in fins:
-        used = {colors[u] for u in g.neighbors(v)}
-        colors[v] = min(set(PARITY_CLASS_IDS.values()) - used)
-    return Coloring(colors)
+    """3-coloring by ``parity_classes``: Farey vertices by (p mod 2, q mod 2),
+    fins by elimination.
+
+    The fins must follow the fractions, as ``add_fins`` numbers them; a
+    fraction label after a fin is a ValueError naming it.  Only the ball
+    vertices' rows are read, so an edge between two fins goes unseen;
+    ``add_fins`` makes none.
+    """
+    n_ball = next((v for v, label in enumerate(g.labels) if _is_fin(label)), g.n)
+    for label in g.labels[n_ball:]:
+        if not _is_fin(label):
+            raise ValueError(f"label {label!r} follows a fin; fins must follow the fractions")
+    fractions = [_parse_fraction(label) for label in g.labels[:n_ball]]
+    upper = [g.higher_neighbors(v) for v in range(n_ball)] + [()] * (g.n - n_ball)
+    return Coloring(parity_classes(fractions, upper))
 
 
 def _unimodular(a: tuple[int, int], b: tuple[int, int]) -> bool:

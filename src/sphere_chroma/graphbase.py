@@ -174,7 +174,11 @@ def _drop_columns(rows, gone):
 
 
 def complete_graph(n: int) -> Graph:
-    """K_n on labels v0..v{n-1}: each row is every vertex but its own."""
+    """K_n on labels v0..v{n-1}: each row is every vertex but its own.
+
+    Runs on no CLI path; it stays public as the K_n that the clique bound,
+    DSATUR and peeling tests and acceptance criterion 9 build.
+    """
     full = (1 << n) - 1
     return Graph.from_rows([f"v{i}" for i in range(n)], (full ^ 1 << v for v in range(n)))
 

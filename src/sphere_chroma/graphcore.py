@@ -396,15 +396,26 @@ def export_dimacs_kcolor(g: Graph, k: int) -> str:
     return "".join(_dimacs_lines(g, k))
 
 
+# colors per piece of a clause group, so that a piece's size does not
+# grow with k
+_DIMACS_BLOCK = 4096
+
+
 def _dimacs_lines(g: Graph, k: int):
-    """``export_dimacs_kcolor`` by lines read off the rows, an edge's k as one."""
+    """``export_dimacs_kcolor`` in pieces read off the rows: each vertex's
+    at-least-one clause and each edge's k conflict clauses in blocks of
+    ``_DIMACS_BLOCK`` colors."""
     n = g.n
     yield f"p cnf {n * k} {n + g.m * k}\n"
+    blocks = [range(c, min(c + _DIMACS_BLOCK, k + 1)) for c in range(1, k + 1, _DIMACS_BLOCK)]
     for v in range(n):
-        yield " ".join(str(v * k + c) for c in range(1, k + 1)) + " 0\n"
+        for b in blocks:
+            yield "".join([f"{v * k + c} " for c in b])
+        yield "0\n"
     for i, row in enumerate(g.adj):
         for j in _bits(row >> i + 1, i + 1):
-            yield "".join([f"-{i * k + c} -{j * k + c} 0\n" for c in range(1, k + 1)])
+            for b in blocks:
+                yield "".join([f"-{i * k + c} -{j * k + c} 0\n" for c in b])
 
 
 def _dot_quote(label: str) -> str:

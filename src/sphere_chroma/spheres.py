@@ -45,6 +45,19 @@ def _sphere_rows(n: int):
     return [p.label for p in parts], _partition_rows(parts, n)
 
 
+def _row_diff(names, lhs_rows, rhs_rows):
+    """(missing, extra): the edges of the rhs rows that the lhs rows lack,
+    and of the lhs rows that the rhs rows lack, each as sorted label pairs
+    (names[i], names[j]), i < j.  The rows are read in step, as they come.
+    """
+    missing, extra = [], []
+    for i, (x, y) in enumerate(zip(lhs_rows, rhs_rows, strict=True)):
+        if x != y:
+            missing += [(names[i], names[j]) for j in _bits((y & ~x) >> (i + 1), i + 1)]
+            extra += [(names[i], names[j]) for j in _bits((x & ~y) >> (i + 1), i + 1)]
+    return tuple(sorted(missing)), tuple(sorted(extra))
+
+
 # The reports are named tuples rather than dataclasses: the same field
 # names, repr and immutability, without importing dataclasses (and
 # inspect) on every call of the command line.
@@ -69,9 +82,9 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
     Both sides stream rows from ``kneser._partition_rows``, compared row
-    by row as they come; they differ only in how they reach the vertex
-    list (spherelike partitions directly, or all partitions with the
-    singletons removed afterwards).  The engine independent of it is the
+    by row as they come by ``_row_diff``; they differ only in how they
+    reach the vertex list (spherelike partitions directly, or all
+    partitions with the singletons removed afterwards).  The engine independent of it is the
     pair-by-pair nesting test ``pairwise_partition_graph`` in
     ``tests/oracles.py``, which ``tests/test_kneser.py`` compares against.
     ``kneser.all_partitions`` caps n at ``MAX_GROUND_SET``.  The report
@@ -83,13 +96,7 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     rhs_names, rhs_rows = _without_singletons([p.label for p in every], _partition_rows(every, n))
     labels_equal = names == rhs_names
     if labels_equal:
-        missing_pairs, extra_pairs = [], []
-        for i, (x, y) in enumerate(zip(lhs_rows, rhs_rows, strict=True)):
-            if x != y:
-                missing_pairs += [(names[i], names[j]) for j in _bits((y & ~x) >> (i + 1), i + 1)]
-                extra_pairs += [(names[i], names[j]) for j in _bits((x & ~y) >> (i + 1), i + 1)]
-        missing = tuple(sorted(missing_pairs))
-        extra = tuple(sorted(extra_pairs))
+        missing, extra = _row_diff(names, lhs_rows, rhs_rows)
     else:
         lhs, rhs = Graph.from_rows(names, lhs_rows), Graph.from_rows(rhs_names, rhs_rows)
         lhs_named = {(lhs.labels[i], lhs.labels[j]) for i, j in lhs.sorted_edges}
@@ -112,33 +119,27 @@ class PetersenIsoReport(namedtuple(
 
 def verify_petersen_isomorphism() -> PetersenIsoReport:
     """Check that 2-subset -> (2-subset | complement) maps kg(5, 2) onto
-    sphere_graph_holed(5) edge for edge; on failure ``witness_edge`` is a
-    pair of partition labels, whichever side the edge is missing from."""
+    sphere_graph_holed(5) edge for edge.
+
+    kg(5, 2)'s rows are carried into the sphere graph's vertex order and
+    compared with its rows by ``_row_diff``.  An edge of kg(5, 2) with no
+    nested image is reported before a sphere-graph edge that no kg(5, 2)
+    edge hits; ``witness_edge`` is the least such edge, as a pair of
+    partition labels in ``_row_diff``'s sorted order.
+    """
     small = kg(5, 2)
     big = sphere_graph_holed(5)
-    image = {}
-    for v, label in enumerate(small.labels):
-        members = [int(x) for x in label.split()]
-        image[v] = TwoBlockPartition.from_block(5, members).label
-    index_of = {label: i for i, label in enumerate(big.labels)}
-    if sorted(image.values()) != sorted(big.labels):
+    image = [TwoBlockPartition.from_block(5, map(int, x.split())).label for x in small.labels]
+    if sorted(image) != sorted(big.labels):
         return PetersenIsoReport(False, None, "vertex map is not a bijection")
-    big_edges = set(big.sorted_edges)
-    mapped = set()
-    for i, j in small.sorted_edges:
-        a, b = index_of[image[i]], index_of[image[j]]
-        e = (a, b) if a < b else (b, a)
-        mapped.add(e)
-        if e not in big_edges:
-            return PetersenIsoReport(
-                False, (image[i], image[j]), "edge of kg(5,2) has no nested image"
-            )
-    for e in big_edges - mapped:
-        return PetersenIsoReport(
-            False,
-            (big.labels[e[0]], big.labels[e[1]]),
-            "sphere-graph edge not hit by any kg(5,2) edge",
-        )
+    # the kg(5, 2) vertex at each sphere-graph vertex, and its row in that order
+    at = [image.index(x) for x in big.labels]
+    carried = (sum(1 << b for b, u in enumerate(at) if small.adj[v] >> u & 1) for v in at)
+    missing, extra = _row_diff(big.labels, big.adj, carried)
+    if missing:
+        return PetersenIsoReport(False, missing[0], "edge of kg(5,2) has no nested image")
+    if extra:
+        return PetersenIsoReport(False, extra[0], "sphere-graph edge not hit by any kg(5,2) edge")
     return PetersenIsoReport(True)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -279,6 +280,20 @@ class TestVerify:
         assert parsed["ok"] is False and parsed["reason"]
         # the dropped edge, named by its two partition labels
         assert parsed["witness_edge"] == [g.labels[i], g.labels[j]]
+
+    @pytest.mark.parametrize("fault", ["dropped-and-added", "added"])
+    def test_petersen_injected_faults_exit_2(self, run, monkeypatch, fault):
+        g = spheres.sphere_graph_holed(5)
+        absent = next(e for e in itertools.combinations(range(g.n), 2) if e not in g.sorted_edges)
+        toggled = {absent} if fault == "added" else {absent, g.sorted_edges[3]}
+        corrupted = Graph(g.labels, set(g.sorted_edges) ^ toggled)
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: corrupted)
+        code, out, _ = run(["verify", "petersen"])
+        parsed = json.loads(out)
+        assert code == 2 and parsed["ok"] is False
+        assert ("not hit" if fault == "added" else "no nested image") in parsed["reason"]
+        assert len(parsed["witness_edge"]) == 2
+        assert set(parsed["witness_edge"]) <= set(g.labels)
 
     def test_proper(self, run):
         code, out, _ = run(["verify", "proper", "--r", "3"])
@@ -696,6 +711,32 @@ class TestKgMemory:
             preexec_fn=lambda: _limit_child_memory(KG_CAP_AS_BYTES),
         )
         assert result.returncode == 0 and result.stderr == ""
+
+
+# address space for `export dimacs --k 10000000` on S_5: written in blocks
+# of colors, each clause group takes a few hundred KB; formed as one string
+# per vertex's at-least-one clause, the call ran out of memory under this
+# limit before it wrote its header
+DIMACS_AS_BYTES = 400 * 2**20
+
+
+class TestDimacsMemory:
+    def test_huge_palette_streams_to_a_closed_pipe(self, cli_env, tmp_path):
+        path = tmp_path / "s5.json"
+        path.write_text(to_json(spheres.sphere_graph_holed(5)))
+        # about 4 GB of output: only ever run under the limit, read 64 KB
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sphere_chroma.cli", "export", "dimacs", "--k", "10000000",
+             "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env,
+            preexec_fn=lambda: _limit_child_memory(DIMACS_AS_BYTES),
+        )
+        head = proc.stdout.read(1 << 16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141 and err == b""
+        assert head.split(b"\n")[0] == b"p cnf 100000000 150000010"
 
 
 class TestFareyMemory:

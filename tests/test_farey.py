@@ -120,7 +120,7 @@ class TestListParityCheck:
         assert parity_violation(fractions, upper, classes) is None
         assert set(classes) <= set(PARITY_CLASS_IDS.values())
 
-    @pytest.mark.parametrize("depth", range(0, 9))
+    @pytest.mark.parametrize("depth", range(0, 13))
     def test_classes_match_graph_coloring(self, depth):
         fractions, _, upper = farey_lists(depth, fins=True)
         finned = add_fins(farey_ball(depth))
@@ -201,6 +201,11 @@ class TestParityColoring:
     def test_unreduced_label_rejected(self):
         with pytest.raises(ValueError, match="reduced"):
             parity_coloring(Graph(["2/4"]))
+
+    def test_fraction_after_a_fin_rejected(self):
+        g = Graph(["0/1", "1/0", "fin(0/1,1/0)", "1/1"], [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        with pytest.raises(ValueError, match="'1/1'"):
+            parity_coloring(g)
 
     def test_non_fraction_label_rejected(self):
         with pytest.raises(ValueError, match="fraction"):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from sphere_chroma import spheres
@@ -124,6 +126,29 @@ class TestPetersenIsomorphism:
         report = verify_petersen_isomorphism()
         assert not report.ok
         assert "not hit" in report.reason
+
+    def test_dropped_edge_outranks_an_added_one(self, monkeypatch):
+        g = sphere_graph_holed(5)
+        absent = next(e for e in combinations(range(g.n), 2) if e not in g.sorted_edges)
+        dropped = [g.sorted_edges[-1], g.sorted_edges[7]]
+        corrupted = Graph(g.labels, set(g.sorted_edges) ^ {absent, *dropped})
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: corrupted)
+        report = verify_petersen_isomorphism()
+        assert not report.ok
+        assert report.reason == "edge of kg(5,2) has no nested image"
+        # the least dropped edge as a sorted label pair
+        assert report.witness_edge == min((g.labels[i], g.labels[j]) for i, j in dropped)
+
+    def test_added_edges_give_the_least_not_hit_pair(self, monkeypatch):
+        g = sphere_graph_holed(5)
+        absent = [e for e in combinations(range(g.n), 2) if e not in g.sorted_edges]
+        added = [absent[-1], absent[len(absent) // 2]]
+        corrupted = Graph(g.labels, [*g.sorted_edges, *added])
+        monkeypatch.setattr(spheres, "sphere_graph_holed", lambda n: corrupted)
+        report = verify_petersen_isomorphism()
+        assert not report.ok
+        assert report.reason == "sphere-graph edge not hit by any kg(5,2) edge"
+        assert report.witness_edge == min((g.labels[i], g.labels[j]) for i, j in added)
 
     def test_vertex_map_not_a_bijection(self, monkeypatch):
         # relabel one vertex as a singleton partition, which no 2-subset maps to
