@@ -223,10 +223,18 @@ def _generate_sphere(args) -> int:
     return _write_graph(*spheres._sphere_rows(args.n))
 
 
+def _written_model(r: int):
+    """The glued model for `color` and `generate glued`, which their
+    output size caps below `verify proper`'s r."""
+    from . import covercolor
+    if not 2 <= r <= covercolor.MAX_R_WRITTEN:
+        raise ValueError(f"r must be in 2..{covercolor.MAX_R_WRITTEN}, got {r}")
+    return covercolor.CutSystemModel(r)
+
+
 def _generate_glued(args) -> int:
     from . import covercolor
-    return _write_graph(*covercolor._glued_rows(
-        covercolor.CutSystemModel(args.r), args.with_cut_spheres))
+    return _write_graph(*covercolor._glued_rows(_written_model(args.r), args.with_cut_spheres))
 
 
 def _generate_farey(args) -> int:
@@ -258,7 +266,7 @@ def _cmd_chi(args) -> int:
 
 def _cmd_color(args) -> int:
     from . import covercolor
-    model = covercolor.CutSystemModel(args.r)
+    model = _written_model(args.r)
     table = covercolor.color_table(model, args.with_cut_spheres)
     encode = json.JSONEncoder(separators=(",", ":")).encode
 

@@ -17,9 +17,11 @@ assigns to each cover the set of the two lift classes.  Two disjoint
 spheres must get different colors; this module verifies that on every
 edge and counts the color space the construction draws from.
 
-Two facts keep the computation small.  First, the lift classes of every
-vertex in one cover come from a few operations on one int that holds all
-block masks, one 32-bit field per vertex.  For the pair of boundaries
+Two facts keep the computation small.  First, the lift classes of a
+batch of vertices in one cover come from a few operations on one int
+that holds their block masks, one 32-bit field per vertex; the fields
+of one batch are packed into its vertices' colors before the next batch
+is computed.  For the pair of boundaries
 (2i-1, 2i) with bits a, b of a mask, the sheet-0 lift has a xor b at
 G_{i,0} when phi_i = 0, and a, b at G_{i,0}, G_{i,1} when phi_i = 1; the
 sheet-1 lift is the same with G_{i,0} and G_{i,1} swapped (the deck
@@ -44,8 +46,7 @@ from itertools import chain
 # the counting bound, re-exported here; `count` imports its module alone
 from .counting import CountReport, count_colors
 from .graphbase import Graph, _bits, _checked_rows, _class_masks
-from .kneser import MAX_GROUND_SET, TwoBlockPartition, spherelike_partitions
-from .spheres import _sphere_rows
+from .kneser import TwoBlockPartition, _partition_rows, _sphere_partitions
 
 __all__ = [
     "CutSystemModel",
@@ -69,10 +70,16 @@ __all__ = [
     "used_color_count",
 ]
 
-# the 2r-holed sphere must fit kneser's ground-set cap (r = 7 at 14);
-# at r = 7 `color` takes 1.6 s and 35 MB and `verify proper` 0.7 s and
-# 27 MB (CPU time and peak RSS, median of CLI calls, 2-vCPU VM, Python 3.11)
-MAX_R_ENUMERATE = MAX_GROUND_SET // 2
+# r <= 8 is the limit the packed colors set: a cover's two lift classes,
+# 2r bits each, fill one 32-bit field at r = 8 (see _FIELD_BITS).
+# `verify proper` runs to it: 0.5-0.8 s and 23.2 MB at r = 7, 5.2-6.6 s
+# and 68.2 MB at r = 8 (CPU time and peak RSS of CLI calls, 2-vCPU VM,
+# Python 3.11.7), half of it the 34 MB of packed colors
+MAX_R_ENUMERATE = 8
+# `color` and `generate glued` write every vertex's colors or every edge,
+# 55.8 MB and 26.6 MB of JSON at r = 7; S_16, the glued model at r = 8,
+# has 20.9 million edges, so their output caps them at r = 7
+MAX_R_WRITTEN = 7
 
 
 # The models and records are named tuples rather than dataclasses: the
@@ -289,13 +296,28 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
 
 def _glued_rows(model: CutSystemModel, include_cut_spheres: bool = False):
     """glued_sphere_graph's labels (a list) and rows (one at a time)."""
-    labels, rows = _sphere_rows(model.n_boundary)
+    parts = _sphere_partitions(model.n_boundary)
+    return _labels(model, parts, include_cut_spheres), _rows(model, parts, include_cut_spheres)
+
+
+def _labels(model: CutSystemModel, parts, include_cut_spheres: bool) -> list[str]:
+    """The vertex labels of the glued model whose sphere partitions are parts."""
+    labels = [p.label for p in parts]
+    if include_cut_spheres:
+        labels += [f"g{i}" for i in range(1, model.r + 1)]
+    return labels
+
+
+def _rows(model: CutSystemModel, parts, include_cut_spheres: bool):
+    """The glued rows, one at a time, of the model whose sphere partitions
+    are parts: S_{2r}'s rows, each cut sphere adjacent to every vertex."""
+    rows = _partition_rows(parts, model.n_boundary)
     if not include_cut_spheres:
-        return labels, rows
-    base, n = len(labels), len(labels) + model.r
+        return rows
+    base, n = len(parts), len(parts) + model.r
     cuts = ((1 << n) - 1) ^ ((1 << base) - 1)
     rows = chain((row | cuts for row in rows), (((1 << n) - 1) ^ (1 << v) for v in range(base, n)))
-    return labels + [f"g{i}" for i in range(1, model.r + 1)], _checked_rows(rows, n)
+    return _checked_rows(rows, n)
 
 
 # A packed color holds one field per cover: the vertex's lo and hi lift
@@ -351,23 +373,64 @@ def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> Col
     """Homology classes and colors of every vertex of glued_sphere_graph.
 
     Each vertex is a block mask over the 2r boundaries; the cut sphere g_i
-    is the one-boundary block {2i-1}.  The masks are packed into one int,
-    one 32-bit field per vertex, and each cover computes every vertex's
-    two lift classes with a few masked shifts of it (see the module
-    docstring).  Raises ``ValueError`` for r > 8, whose classes do not fit
-    a field.
+    is the one-boundary block {2i-1}.  The masks of a batch of vertices
+    are packed into one int, one 32-bit field per vertex, and each cover
+    computes the two lift classes of every vertex of the batch with a
+    few masked shifts of it (see the module docstring).  Raises
+    ``ValueError`` for r > 8, whose classes do not fit a field.
     """
+    return _color_table(model, _table_parts(model), include_cut_spheres)
+
+
+def _table_parts(model: CutSystemModel) -> list[TwoBlockPartition]:
+    """The model's sphere partitions, once its colors are known to fit."""
+    if 4 * model.r > _FIELD_BITS:
+        raise ValueError(
+            f"color_table packs 4r bits per cover into {_FIELD_BITS}, so r <= 8; got r={model.r}")
+    return _sphere_partitions(model.n_boundary)
+
+
+def _table_and_rows(model: CutSystemModel, include_cut_spheres: bool):
+    """color_table and the glued rows (one at a time), from one list of
+    the model's sphere partitions."""
+    parts = _table_parts(model)
+    return _color_table(model, parts, include_cut_spheres), _rows(model, parts, include_cut_spheres)
+
+
+# Vertices per batch of _color_table.  A batch's fields, 4 bytes per cover
+# and vertex, live only until they are packed into its keys, so the table
+# peaks at its keys plus one batch: 0.5 MB at r = 7 and 1 MB at r = 8,
+# against keys of 4.4 MB and 34 MB.  Shorter batches lower neither peak
+# by much, and each adds a pass of every cover's shifts: 256 took
+# color_table at r = 8 from 0.52 to 0.68 s (2-vCPU VM, Python 3.11.7).
+_BATCH = 1024
+
+
+def _color_table(model: CutSystemModel, parts, include_cut_spheres: bool) -> ColorTable:
+    """color_table of the model whose sphere partitions are parts."""
     r = model.r
-    if 4 * r > _FIELD_BITS:
-        raise ValueError(f"color_table packs 4r bits per cover into {_FIELD_BITS}, so r <= 8; got r={r}")
     covers = enumerate_double_covers(r)
-    parts = spherelike_partitions(model.n_boundary)
-    labels = [p.label for p in parts]
     masks = [p.mask for p in parts]
     if include_cut_spheres:
-        labels += [f"g{i}" for i in range(1, r + 1)]
         masks += [1 << (2 * i - 2) for i in range(1, r + 1)]
     hom_of = _span_table([1 << (j // 2) for j in range(model.n_boundary)])
+    # per cover: bit 2(i-1) set where phi_i = 1, and the echelon rows of
+    # its H_2 with their pivots
+    plans = [
+        (sum(1 << 2 * i for i in range(r) if cover.phi[i]),
+         [(row, (row & -row).bit_length() - 1) for row in cover_h2(model, cover).rows])
+        for cover in covers
+    ]
+    keys = []
+    for start in range(0, len(masks), _BATCH):
+        keys += _batch_keys(r, masks[start:start + _BATCH], plans)
+    return ColorTable(r, tuple(covers), tuple(_labels(model, parts, include_cut_spheres)),
+                      tuple(hom_of[m] for m in masks), tuple(keys))
+
+
+def _batch_keys(r: int, masks: list[int], plans) -> list[int]:
+    """The keys of the vertices with block masks ``masks``: every cover's
+    fields for all of them at once, then read out one vertex at a time."""
     n, w = len(masks), 2 * r
     ones = _every_field(n)
     packed = int.from_bytes(array("I", masks), sys.byteorder)
@@ -375,16 +438,15 @@ def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> Col
     pair_sums = packed ^ packed >> 1
     pair_low = sum(1 << 2 * i for i in range(r)) * ones
     fields = array("I")
-    for cover in covers:
+    for phi_bits, rows in plans:
         # bit 2(i-1) of each field set where phi_i = 1
-        twisted = sum(1 << 2 * i for i in range(r) if cover.phi[i]) * ones
+        twisted = phi_bits * ones
         # phi_i = 0: both copies glue into G_{i,s}; phi_i = 1: sheet 0 keeps
         # the pair as it is, sheet 1 swaps it
         summed = pair_sums & (pair_low ^ twisted)
         sheet0 = summed | packed & (twisted | twisted << 1)
         sheet1 = summed << 1 | packed >> 1 & twisted | (packed & twisted) << 1
-        for row in cover_h2(model, cover).rows:
-            pivot = (row & -row).bit_length() - 1
+        for row, pivot in rows:
             sheet0 ^= (sheet0 >> pivot & ones) * row
             sheet1 ^= (sheet1 >> pivot & ones) * row
         # 1 in the fields where sheet1 >= sheet0: there the guard bit w
@@ -396,8 +458,7 @@ def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> Col
     if sys.byteorder == "little":
         fields.byteswap()
     by_vertex = memoryview(fields)
-    keys = tuple(int.from_bytes(by_vertex[v::n], "big") for v in range(n))
-    return ColorTable(r, tuple(covers), tuple(labels), tuple(hom_of[m] for m in masks), keys)
+    return [int.from_bytes(by_vertex[v::n], "big") for v in range(n)]
 
 
 class ProperColoringReport(namedtuple(
@@ -438,17 +499,15 @@ def verify_coloring_proper(
     are compared; for each the report records a violation when the colors
     are equal, else the first cover (in canonical order) whose lift sets
     split the pair.  A vertex failing the projection check is reported
-    and compared with all of its neighbours.  The glued rows are scanned
-    as they are built; the edge count is half their popcounts.
+    and compared with all of its neighbours.  The table and the glued
+    rows come from one list of partitions, and the rows are scanned as
+    they are built; the edge count is half their popcounts.
     """
     if model.r < 3:
         raise ValueError(
             "verify_coloring_proper needs r >= 3; r = 2 is handled by the farey module"
         )
-    glued_labels, rows = _glued_rows(model, include_cut_spheres)
-    table = color_table(model, include_cut_spheres)
-    if tuple(glued_labels) != table.labels:
-        raise RuntimeError("color table and glued graph list different vertices")
+    table, rows = _table_and_rows(model, include_cut_spheres)
     labels, hom, keys = table.labels, table.hom, table.keys
     witness = [c.bitstring for c in table.covers]
     covers = len(table.covers)
@@ -496,11 +555,10 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     the construction.  Runs on no CLI path; it stays public as acceptance
     criterion 5's negative control.
     """
-    g = glued_sphere_graph(model)
-    table = color_table(model)
+    table, rows = _table_and_rows(model, False)
     same_class = _class_masks(table.hom)
     out = []
-    for i, row in enumerate(g.adj):
+    for i, row in enumerate(rows):
         name = _hom_label(table.hom[i], model.r)
         for j in _bits((row & same_class[table.hom[i]]) >> (i + 1), i + 1):
             out.append((table.labels[i], table.labels[j], name))

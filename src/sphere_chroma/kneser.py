@@ -186,19 +186,32 @@ def kg(n: int, k: int) -> Graph:
     return Graph.from_rows([" ".join(map(str, s)) for s in subsets], rows)
 
 
-def all_partitions(n: int) -> list[TwoBlockPartition]:
-    """All 2^(n-1) - 1 canonical partitions, ascending by block_a mask."""
+def _check_ground_set(n: int) -> None:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_GROUND_SET:
         raise ValueError(f"refusing n={n} > {MAX_GROUND_SET} (vertex count 2^(n-1) - 1)")
+
+
+def all_partitions(n: int) -> list[TwoBlockPartition]:
+    """All 2^(n-1) - 1 canonical partitions, ascending by block_a mask."""
+    _check_ground_set(n)
     full = (1 << n) - 1
     return [TwoBlockPartition(n, m) for m in range(1, full, 2)]
 
 
 def spherelike_partitions(n: int) -> list[TwoBlockPartition]:
     """The canonical partitions with both blocks of size at least 2."""
-    return [p for p in all_partitions(n) if p.min_block_size >= 2]
+    _check_ground_set(n)
+    return _sphere_partitions(n)
+
+
+def _sphere_partitions(n: int) -> list[TwoBlockPartition]:
+    """spherelike_partitions(n) past the ground-set cap: the cover code,
+    whose cap is its own, builds them for n = 16."""
+    full = (1 << n) - 1
+    parts = (TwoBlockPartition(n, m) for m in range(1, full, 2))
+    return [p for p in parts if p.min_block_size >= 2]
 
 
 def _partition_rows(parts: list[TwoBlockPartition], n: int):

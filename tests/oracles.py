@@ -9,7 +9,8 @@ and is read by one ``json.loads`` of the whole document; an induced
 subgraph is rebuilt from the kept ends of the edge list; lift classes
 sum the boundary copies of one block and reduce the sum; the properness
 report compares the full per-cover color tables on every edge; a
-coloring is validated by walking the edges in sorted order; DSATUR and
+coloring is validated by walking the edges in sorted order; the size
+of the sphere graph S_n comes from closed forms; DSATUR and
 the greedy clique bound scan every vertex, or every candidate, at each
 step; the exact k-coloring search scans every vertex for its select and
 keeps a per-vertex saturation list with a trail of the neighbours each
@@ -19,6 +20,7 @@ sizes.
 
 import json
 from itertools import combinations
+from math import factorial
 
 from sphere_chroma.covercolor import (
     ProperColoringReport,
@@ -44,6 +46,24 @@ def pairwise_partition_graph(parts):
         if nested(p, q)
     ]
     return Graph([p.label for p in parts], edges)
+
+
+def sphere_graph_counts(n):
+    """(vertices, edges) of S_n, n >= 3, from closed forms.
+
+    The vertices are the 2^(n-1) - 1 two-block partitions less the n
+    with a one-element block.  A nested pair A|A' and B|B' with A inside
+    B splits {1..n} into X = A, Y = B - A and Z = B', with |X|, |Z| >= 2
+    and |Y| >= 1; the pair gives the ordered triple (X, Y, Z) and its
+    reversal (Z, Y, X), and nothing else, so the edges are half the
+    multinomial n!/(x! y! z!) summed over those sizes.
+    """
+    triples = sum(
+        factorial(n) // (factorial(x) * factorial(y) * factorial(n - x - y))
+        for x in range(2, n)
+        for y in range(1, n - x - 1)
+    )
+    return 2 ** (n - 1) - 1 - n, triples // 2
 
 
 def pairwise_kg(n, k):

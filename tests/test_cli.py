@@ -529,8 +529,9 @@ class TestFlagHandling:
         ["generate", "kneser", "--n", "40", "--k", "20"],
         ["generate", "sphere", "--n", "15"],
         ["generate", "total-kneser", "--n", "15"],
-        ["verify", "proper", "--r", "8"],
+        ["verify", "proper", "--r", "9"],
         ["color", "--r", "8"],
+        ["generate", "glued", "--r", "8"],
         ["generate", "farey", "--depth", "16", "--fins"],
         ["verify", "farey-parity", "--depth", "16"],
         ["verify", "lemma2", "--n", "15"],
@@ -542,6 +543,7 @@ class TestFlagHandling:
             preexec_fn=_limit_child_memory,
         )
         assert result.returncode == 64 and result.stdout == "" and "error" in result.stderr
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
     def test_exact_help_names_the_default_mode(self, run):
         code, out, _ = run(["chi", "--help"])
@@ -787,6 +789,19 @@ class TestPartitionMemory:
         assert head["vertex_labels"] == [p.label for p in kneser.spherelike_partitions(13)]
 
 
+class TestCoverMemory:
+    def test_verify_proper_r8_fits(self, cli_env):
+        # r = 8 is the cap the 32-bit color fields set; the 18.8 MB report
+        # is checked at its ends, whose counts are S_16's closed forms
+        result = _run_limited(cli_env, ["verify", "proper", "--r", "8"], CHILD_AS_BYTES)
+        vertices, edges = oracles.sphere_graph_counts(16)
+        assert (vertices, edges) == (32_751, 20_900_922)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout.startswith(
+            f'{{"r":8,"vertices":{vertices},"edges":{edges},"violations":[],"homologous_pairs":[{{')
+        assert result.stdout.endswith('}],"ok":true}\n')
+
+
 # runs the CLI as ``python -m sphere_chroma.cli`` does, then writes the
 # exit code and every loaded module with its file to stderr as JSON
 LOADED_MODULES_PROBE = """
@@ -829,8 +844,7 @@ class TestStartup:
     @pytest.mark.parametrize("argv, names", [
         (["count", "--r", "3", "--rank-mode", "paper"], ["counting"]),
         (["generate", "sphere", "--n", "5"], ["graphbase", "kneser", "spheres"]),
-        (["verify", "proper", "--r", "3"],
-         ["counting", "covercolor", "graphbase", "kneser", "spheres"]),
+        (["verify", "proper", "--r", "3"], ["counting", "covercolor", "graphbase", "kneser"]),
         (["generate", "farey", "--depth", "2"], ["farey", "graphbase"]),
         (["verify", "farey-parity", "--depth", "12"], ["farey", "graphbase"]),
         # the exact chi of a shallow ball runs the search
@@ -858,7 +872,7 @@ class TestStartup:
         # the shipped reference coloring needs importlib.resources
         out, code, modules = self._loaded(cli_env, argv, "-S")
         assert code == 0 and json.loads(out)
-        assert "sphere_chroma.spheres" in modules
+        assert "sphere_chroma.kneser" in modules
         assert "importlib.resources" not in modules
 
     def test_generate_farey_loads_no_partition_modules(self, cli_env):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -60,8 +61,8 @@ class TestModelAndCovers:
         assert CutSystemModel(3).n_boundary == 6
 
     def test_model_range(self):
-        assert CutSystemModel(7).r == 7
-        for r in (1, 8, 13):
+        assert CutSystemModel(8).r == 8
+        for r in (1, 9, 13):
             with pytest.raises(ValueError):
                 CutSystemModel(r)
 
@@ -268,9 +269,26 @@ class TestColorTable:
         with pytest.raises(ValueError, match="r <= 8"):
             color_table(CutSystemModel(7)._replace(r=9))
 
-    def test_vertex_order_matches_glued_graph(self):
-        model = CutSystemModel(3)
-        assert color_table(model, True).labels == glued_sphere_graph(model, True).labels
+    @pytest.mark.parametrize("cuts", [False, True])
+    @pytest.mark.parametrize("r", range(3, 8))
+    def test_vertex_order_matches_glued_graph(self, r, cuts):
+        model = CutSystemModel(r)
+        assert color_table(model, cuts).labels == glued_sphere_graph(model, cuts).labels
+
+    def test_holds_its_fields_once(self):
+        # the fields are computed a block of vertices at a time and each
+        # block is dropped once packed into its keys, so the peak is the
+        # table it returns plus one block: no second copy of every field
+        model = CutSystemModel(7)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = color_table(model)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.keys) == 8_177
+        assert peak - base <= 1.3 * (held - base)
 
     def test_sphere_color_reads_the_same_classes(self):
         model = CutSystemModel(3)
@@ -296,18 +314,6 @@ class TestGluedGraph:
 
 
 class TestProperness:
-    def test_table_and_graph_vertex_lists_checked(self, monkeypatch):
-        real = covercolor._glued_rows
-
-        def swapped(model, include_cut_spheres=False):
-            labels, rows = real(model, include_cut_spheres)
-            labels[0], labels[1] = labels[1], labels[0]
-            return labels, rows
-
-        monkeypatch.setattr(covercolor, "_glued_rows", swapped)
-        with pytest.raises(RuntimeError, match="list different vertices"):
-            verify_coloring_proper(CutSystemModel(3))
-
     @pytest.mark.parametrize("r", [3, 4])
     def test_passes(self, r):
         report = verify_coloring_proper(CutSystemModel(r))
@@ -345,6 +351,11 @@ class TestProperness:
         assert doc["r"] == 3 and doc["ok"] is True
         assert doc["vertices"] == 25 and doc["edges"] == 105
 
+    @pytest.mark.parametrize("r", range(3, 8))
+    def test_counts_match_closed_forms(self, r):
+        report = verify_coloring_proper(CutSystemModel(r))
+        assert (report.vertices, report.edges) == oracles.sphere_graph_counts(2 * r)
+
     @pytest.mark.parametrize("r", [3, 4, 5])
     @pytest.mark.parametrize("cuts", [False, True])
     def test_matches_exhaustive_table_scan(self, r, cuts):
@@ -369,7 +380,7 @@ class TestProperness:
         keys = list(clean.keys)
         keys[v] = key
         monkeypatch.setattr(
-            covercolor, "color_table",
+            covercolor, "_color_table",
             lambda *args: clean._replace(keys=tuple(keys)),
         )
         report = verify_coloring_proper(model)
@@ -454,10 +465,45 @@ class TestCounting:
         assert used_color_count(CutSystemModel(3)) == 22
 
     def test_used_color_count_capped(self):
-        # the model's own cap (r <= 7) is the only one
+        # the model's own cap (r <= 8) is the only one
         assert used_color_count(CutSystemModel(6)) == 1945
         with pytest.raises(ValueError):
-            used_color_count(CutSystemModel(8))
+            used_color_count(CutSystemModel(9))
+
+    def test_used_color_count_r7(self):
+        assert used_color_count(CutSystemModel(7)) == 7960
 
     def test_used_well_below_available(self):
         assert used_color_count(CutSystemModel(3)) < count_colors(3, "computed").x
+
+
+@pytest.fixture(scope="class")
+def table8():
+    """color_table at r = 8, where a cover's lo and hi classes fill its
+    32-bit field: built once for the tests of the class."""
+    return color_table(CutSystemModel(8))
+
+
+class TestFullFieldWidth:
+    def test_fields_match_lift_classes(self, table8):
+        # at 4r = 32 the guard bit of the lo/hi ordering is bit 16, and lo
+        # reaches the field's top bit; a fixed sample of vertices against
+        # the per-vertex reference, over all 255 covers
+        model = CutSystemModel(8)
+        covers = enumerate_double_covers(8)
+        quotients = [cover_h2(model, c) for c in covers]
+        assert table8.covers == tuple(covers) and len(covers) == 255
+        assert len(table8.labels) == 32_751
+        sample = [*range(0, len(table8.labels), 331), len(table8.labels) - 1]
+        top_bit = False
+        for v in sample:
+            p = TwoBlockPartition.from_label(table8.labels[v])
+            assert table8.hom[v] == homology_class(model, p)
+            expect = tuple(lift_classes(model, c, p, q) for c, q in zip(covers, quotients))
+            assert table8.entries(v) == expect, p.label
+            top_bit = top_bit or any(f >> 31 for f in table8.fields(v))
+        assert top_bit
+
+    def test_used_color_count_r8(self, table8, monkeypatch):
+        monkeypatch.setattr(covercolor, "color_table", lambda model: table8)
+        assert used_color_count(CutSystemModel(8)) == 32_247

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from sphere_chroma import spheres
 from sphere_chroma.graphcore import Graph, chromatic_number_exact, validate_coloring
 from sphere_chroma.kneser import MAX_GROUND_SET, remove_singleton_partitions, total_kneser
@@ -23,6 +24,15 @@ class TestSphereGraph:
     @pytest.mark.parametrize("n,vertices", [(4, 3), (5, 10), (6, 25), (7, 56), (8, 119)])
     def test_vertex_counts(self, n, vertices):
         assert sphere_graph_holed(n).n == vertices
+
+    def test_closed_form_counts(self):
+        # the oracle shares no code with the row builder
+        assert [oracles.sphere_graph_counts(n) for n in (5, 12, 14, 16)] == [
+            (10, 15), (2_035, 235_092), (8_177, 2_252_341), (32_751, 20_900_922)]
+        for n in range(4, 13):
+            labels, rows = spheres._sphere_rows(n)
+            edges = sum(row.bit_count() for row in rows) // 2
+            assert (len(labels), edges) == oracles.sphere_graph_counts(n), n
 
     def test_labels_have_no_singleton_blocks(self):
         for label in sphere_graph_holed(6).labels:
