@@ -124,7 +124,7 @@ def _write(text: str) -> None:
     the rest then raises BrokenPipeError instead of dropping it silently.
     Buffered stdout is flushed, so that its write errors are raised here
     too and not at exit.  A write error other than a broken pipe (a full
-    disk, say) is an _IOFault.
+    disk, or text stdout cannot encode) is an _IOFault.
     """
     out = sys.stdout
     if out is None:
@@ -141,6 +141,9 @@ def _write(text: str) -> None:
             data = data[raw.write(data):]
     except BrokenPipeError:
         raise
+    except UnicodeEncodeError as e:
+        # raised before any of text is written
+        raise _IOFault(f"cannot write output: {e}") from None
     except OSError as e:
         _drop_stdout()
         raise _IOFault(f"cannot write output: {e}") from None
@@ -159,22 +162,12 @@ def _emit(doc: dict) -> None:
 
 def _read_graph(path: str | None):
     """The Graph of the document in the file at path, or on stdin when
-    path is None or "-".
-
-    A file, or stdin with a file descriptor, is read by
-    ``graphcore._from_file``: in chunks when it is a regular file, with a
-    rewind and one whole read where the chunked read gives up; any other
-    stdin, such as a pipe or a ``StringIO``, is read whole.
-    """
+    path is None or "-", read by ``graphcore._from_file``."""
     from . import graphcore
     try:
         if path is None or path == "-":
             if sys.stdin is None:
                 raise _IOFault("cannot read input: stdin is closed")
-            try:
-                sys.stdin.fileno()
-            except (OSError, ValueError):
-                return graphcore.from_json(sys.stdin.read())
             return graphcore._from_file(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return graphcore._from_file(fh)
@@ -184,17 +177,26 @@ def _read_graph(path: str | None):
         raise _IOFault(f"input is not a graph document: {e}") from None
 
 
+# pieces of about 64 KB: even unbuffered stdout takes few writes
+_WRITE_PIECE = 1 << 16
+
+
 # each handler imports the library modules it runs, and no others: the
 # graph builders import graphbase alone, and only the commands that read a
 # graph (chi and export) import graphcore, its searches and its reader
 
 
 def _write_pieces(parts, end="\n") -> int:
-    """Write the strings parts and then end, joined into pieces of about
-    64 KB (``graphbase._in_pieces``), each piece as it forms."""
-    from .graphbase import _in_pieces
-    for piece in _in_pieces(parts):
-        _write(piece)
+    """Write the strings parts, joined into pieces of at least
+    ``_WRITE_PIECE`` characters but the last, and then end."""
+    piece, size = [], 0
+    for part in parts:
+        piece.append(part)
+        size += len(part)
+        if size >= _WRITE_PIECE:
+            _write("".join(piece))
+            piece, size = [], 0
+    _write("".join(piece))
     _write(end)
     return 0
 
@@ -369,7 +371,8 @@ def _cmd_export(args) -> int:
     try:
         lines = graphcore._dot_lines(g) if args.fmt == "dot" else graphcore._dimacs_lines(g, args.k)
     except ValueError as e:
-        # a label that two vertices share: DOT would merge them into one node
+        # a label that two vertices share (DOT would merge them into one
+        # node) or that UTF-8 cannot encode
         raise _IOFault(f"input cannot be written as DOT: {e}") from None
     # the export text ends in its own newline
     return _write_pieces(lines, end="")

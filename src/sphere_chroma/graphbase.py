@@ -235,58 +235,36 @@ def validate_coloring(g: Graph, coloring: Coloring):
     return None
 
 
-# Graph JSON is written in pieces of about 64 KB, so even unbuffered
-# stdout takes only a few hundred writes.
-_WRITE_PIECE = 1 << 16
-
 # the one layout graph JSON is written in, and the only one graphcore's
 # reader reads in pieces: _HEAD, the labels, _EDGES, the edges, then "]}"
 _HEAD = f'{{"format":"{GRAPH_FORMAT}","vertex_labels":'
 _EDGES = ',"edges":['
 
 
-def _in_pieces(parts):
-    """The strings parts, in order, joined into pieces of about 64 KB: a
-    piece is yielded once it passes ``_WRITE_PIECE`` characters."""
-    piece, size = [], 0
-    for part in parts:
-        piece.append(part)
-        size += len(part)
-        if size >= _WRITE_PIECE:
-            yield "".join(piece)
-            piece, size = [], 0
-    yield "".join(piece)
-
-
 def _json_pieces(labels, upper):
-    """Canonical graph JSON in pieces of about 64 KB (``_in_pieces``), from
-    labels and, per vertex i, either the list of its ascending neighbours
-    j > i or its adjacency bit row, whose bits above i are its edges.
+    """Canonical graph JSON as a stream of strings, from labels and, per
+    vertex i, either the list of its ascending neighbours j > i or its
+    adjacency bit row, whose bits above i are its edges.
 
-    Joined, the pieces are the bytes of compact ``json.dumps`` with a
+    Joined, the strings are the bytes of compact ``json.dumps`` with a
     sorted edge list.  The edges are written row by row from a table of
     "j]" tails: a list's entries index it, and a bit row's tails are
     picked off it by ``_pick`` with no list of neighbours in between.  So
-    a caller can write each piece as it forms.
+    a caller can write each string, or each run of them, as it forms.
     """
     tail = [f"{j}]" for j in range(len(labels))]
-    text = json.dumps(labels, separators=(",", ":"))
-
-    def parts():
-        yield _HEAD + text + _EDGES
-        sep = ""
-        for i, row in enumerate(upper):
-            if type(row) is int:
-                tails = _pick(row >> i + 1, tail, i + 1)
-            else:
-                tails = map(tail.__getitem__, row)
-            edges = f",[{i},".join(tails)
-            if edges:
-                yield f"{sep}[{i}," + edges
-                sep = ","
-        yield "]}"
-
-    return _in_pieces(parts())
+    yield _HEAD + json.dumps(labels, separators=(",", ":")) + _EDGES
+    sep = ""
+    for i, row in enumerate(upper):
+        if type(row) is int:
+            tails = _pick(row >> i + 1, tail, i + 1)
+        else:
+            tails = map(tail.__getitem__, row)
+        edges = f",[{i},".join(tails)
+        if edges:
+            yield f"{sep}[{i}," + edges
+            sep = ","
+    yield "]}"
 
 
 def to_json(g: Graph) -> str:

@@ -19,6 +19,7 @@ of guessing.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import stat
@@ -425,8 +426,9 @@ def _dot_quote(label: str) -> str:
 def export_dot(g: Graph, coloring: Coloring | None = None) -> str:
     """Undirected DOT text; vertices in list order, edges in sorted index order.
 
-    DOT names a node by its label, so a label that two vertices share is
-    a ValueError naming it, as is a coloring that is not proper.
+    DOT names a node by its label, so a label that two vertices share or
+    that UTF-8 cannot encode is a ValueError naming it, as is a coloring
+    that is not proper.
     """
     return "".join(_dot_lines(g, coloring))
 
@@ -441,6 +443,12 @@ def _dot_lines(g: Graph, coloring: Coloring | None = None):
     repeated = [x for x, count in Counter(g.labels).items() if count > 1]
     if repeated:
         raise ValueError(f"vertex label {repeated[0]!r} names more than one vertex")
+    for x in g.labels:
+        try:
+            x.encode()
+        except UnicodeEncodeError:
+            # a lone surrogate: valid in JSON text, but it has no UTF-8 bytes
+            raise ValueError(f"vertex label {x!r} cannot be encoded as UTF-8") from None
     names = [_dot_quote(x) for x in g.labels]
 
     def lines():
@@ -470,8 +478,8 @@ _decode_value = json.JSONDecoder().raw_decode
 def _add_edges(rows, edges, first: int):
     """OR each [i, j] of edges into the bit rows, checking each edge.
 
-    This is the checker that names a fault; ``_edges_in_pieces`` runs it
-    only once its unchecked loop has failed, and ``from_json`` on the
+    This is the checker that names a fault; it runs only in the second
+    run of ``_edges_in_pieces`` and in ``_checked_graph`` on the
     whole-document path.  Each edge is checked for shape, self-loop,
     i < j, range and duplicate, in that order; edges[k] is element
     first + k of the document's list.  Returns the message of the first
@@ -539,44 +547,39 @@ def _read_on(kept: str, more):
     return "".join(parts), more
 
 
-def _edges_in_pieces(text: str, a: int, n: int, more=None, size=0):
+def _edges_in_pieces(text: str, a: int, n: int, more=None, size=0, check=False):
     """(rows, first edge fault or None, text, end) for the edges array
     whose elements start at ``text[a]``, read one piece at a time; ``end``
-    is the index past the array in the text returned.  None when a streamed
-    document (see ``_read_in_pieces``) has an edge fault.
+    is the index past the array in the text returned, None after a fault.
 
     A piece runs from an element to the "]" of the first "],[" at least
     ``_READ_PIECE`` characters on, and must parse as a complete array;
     the last piece is decoded up to the array's close.  A streamed
-    document drops the text before the piece and reads on until its text
-    holds that cut or the document's end, so it is cut as the whole text.
+    document (see ``_read_in_pieces``) drops the text before the piece
+    and reads on until its text holds that cut or the document's end, so
+    it is cut as the whole text.
 
-    Each piece is ORed into the rows by ``_or_edges``, whose loop tests
-    only i < j and takes the bits from a table of ``1 << k``, k < n.  The
-    table holds about n²/14 bytes, so it is built only when that is no
-    more than the document's size (``size``, or the length of text); a
-    sparse document on many vertices (the finned Farey ball) shifts each
-    bit instead.  The loop may skip the checks because two screens on the
-    piece's text pass first: no "-" (so no negative number) and no "e"
-    (so no true, false or exponent float, and bool is the one non-int a
-    list index accepts).  Every other bad element stops the loop: a non-pair fails to unpack,
-    a float, string, list or null fails to compare, index or shift, and
-    j >= n indexes past the table or the rows.  A duplicate ORs in no
-    new bit, so after the last piece the rows must hold two bits per
-    edge.  When a screen, the loop or that count fails, the pieces are
-    read again from the start with the checker ``_add_edges`` into fresh
-    rows, which names the first bad edge; a streamed document has
-    dropped them and gives up.  The loop stops for good at its first
-    failure, but every piece is still parsed first, so a later syntax
-    error still wins.
+    The fast run ORs each piece into the rows by ``_or_edges``, whose
+    loop tests only i < j and takes the bits from a table of ``1 << k``,
+    k < n.  The table holds about n²/14 bytes, so it is built only when
+    that is no more than the document's size (``size``, or the length of
+    text); a sparse document on many vertices (the finned Farey ball)
+    shifts each bit instead.  The loop may skip the checks because two
+    screens on the piece's text pass first: no "-" (so no negative
+    number) and no "e" (so no true, false or exponent float, and bool is
+    the one non-int a list index accepts).  Every other bad element stops
+    the loop: a non-pair fails to unpack, a float, string, list or null
+    fails to compare, index or shift, and j >= n indexes past the table
+    or the rows.  A duplicate ORs in no new bit, so after the last piece
+    the rows must hold two bits per edge.  When a screen, the loop or
+    that count fails, the rows are None, but every piece is still
+    parsed, so a later syntax error still wins.  With ``check`` the
+    per-edge checker ``_add_edges`` takes the place of the OR, and the
+    run stops at its first fault.
     """
     rows = [0] * n
-    pow2 = [1 << k for k in range(n)] if n * n // 14 <= max(size, len(text)) else None
-    # (start, stop) of each piece's elements in text, to read them again;
-    # a streamed document drops them
-    spans = None if more else []
+    pow2 = None if check or n * n // 14 > max(size, len(text)) else [1 << k for k in range(n)]
     count = 0
-    fast = True
     while True:
         cut = text.find("],[", a + _READ_PIECE)
         if cut < 0 and more:
@@ -589,43 +592,33 @@ def _edges_in_pieces(text: str, a: int, n: int, more=None, size=0):
         else:
             stop = cut + 1
             edges = json.loads(f"[{text[a:stop]}]")
-        if spans is not None:
-            spans.append((a, stop))
-        if fast:
-            count += len(edges)
-            fast = (text.find("-", a, stop) < 0 and text.find("e", a, stop) < 0
-                    and _or_edges(rows, pow2, edges))
+        if check:
+            fault = _add_edges(rows, edges, count)
+            if fault is not None:
+                return rows, fault, text, None
+        elif rows is not None and not (text.find("-", a, stop) < 0 and text.find("e", a, stop) < 0
+                                       and _or_edges(rows, pow2, edges)):
+            rows = None
+        count += len(edges)
         if cut < 0:
             break
         a = cut + 2
-    if fast and sum(map(int.bit_count, rows)) == 2 * count:
-        return rows, None, text, stop + 1
-    if spans is None:
-        return None
-    # a screen, the loop or the bit count failed: name the first bad edge
-    rows = [0] * n
-    done = 0
-    for lo, hi in spans:
-        edges = json.loads(f"[{text[lo:hi]}]")
-        fault = _add_edges(rows, edges, done)
-        if fault is not None:
-            break
-        done += len(edges)
-    return rows, fault, text, stop + 1
+    if rows is not None and sum(map(int.bit_count, rows)) != 2 * count:
+        rows = None
+    return rows, None, text, stop + 1
 
 
-def _read_in_pieces(text: str, more=None, size=0):
+def _read_in_pieces(text: str, more=None, size=0, check=False):
     """(members other than edges, rows, first edge fault) of a graph
     document in the layout ``_json_pieces`` writes, its edges array read
-    in pieces; None for any other text, or when a streamed document has
-    an edge fault or a chunk that does not decode.
+    by ``_edges_in_pieces`` (rows None: run again with ``check``); None
+    for any other text, or a chunk that does not decode.
 
     The layout is ``_HEAD``, the labels, ``_EDGES``, the edges, "]}" and
-    only whitespace after that.  A streamed document is text, then each
-    chunk ``more()`` returns until it returns "" (see ``_read_on``), and
-    ``size`` is its size.  It is read until ``_EDGES`` appears, so the
-    labels are decoded once, and its edges are read in pieces from then
-    on.
+    only whitespace.  A streamed document is text, then each chunk
+    ``more()`` returns until it returns "" (see ``_read_on``), and
+    ``size`` is its size; it is read until ``_EDGES`` appears, so the
+    labels are decoded once.
     """
     try:
         while more and _EDGES not in text:
@@ -633,15 +626,14 @@ def _read_in_pieces(text: str, more=None, size=0):
         if not text.startswith(_HEAD):
             return None
         labels, idx = _decode_value(text, len(_HEAD))
-        # only the count of the labels is needed here; from_json checks
-        # them before it looks at the edges
+        # only the count of the labels is needed here; _checked_graph
+        # checks them before it looks at the edges
         if not (isinstance(labels, list) and text.startswith(_EDGES, idx)):
             return None
-        read = _edges_in_pieces(text, idx + len(_EDGES), len(labels), more, size)
-        if read is None:
-            return None
-        rows, fault, text, idx = read
-        if not text.startswith("}", idx) or _skip_ws(text, idx + 1).end() != len(text):
+        rows, fault, text, idx = _edges_in_pieces(
+            text, idx + len(_EDGES), len(labels), more, size, check)
+        if fault is None and (not text.startswith("}", idx)
+                              or _skip_ws(text, idx + 1).end() != len(text)):
             return None
     except (ValueError, RecursionError):
         # a syntax error, an int too long to convert, nesting too deep, or
@@ -658,68 +650,73 @@ def from_json(text: str) -> Graph:
     ``json.dumps`` of the same keys in the same order has it too) has its
     ``edges`` array read in pieces of about 4 KB: each is cut at a "],["
     between two elements, parsed by the json module and ORed into the
-    bit rows before the next is read, so the edge list is never held as
-    Python objects whole.  The OR loop checks nothing per edge but i < j;
-    screens on each piece's text, failed unpacks and indexes, and one
-    bit count after the last piece stand in for the rest (see
-    ``_edges_in_pieces``).  Only when one of them fails does the
-    per-edge checker ``_add_edges`` read the pieces again, to name the
-    first bad edge.
+    bit rows unchecked before the next is read, so the edge list is never
+    held as Python objects whole.  Only when that fast run meets a fault
+    (see ``_edges_in_pieces``) does the piece loop run once more, with
+    the per-edge checker ``_add_edges``.
 
-    Any other text goes whole to ``json.loads``: another layout, a JSON
-    syntax error, labels that are not a list, or a piece that does not
-    parse as a complete array (a "],[" nested in an element or inside a
-    string).  So ``json.loads`` produces every syntax diagnostic.  A
-    document with the default separators or an indent has no "],[" to
-    cut at, so pieces would hold its whole edge list as one.
+    Any other text goes whole to ``json.loads`` (``_from_whole``): another
+    layout, a JSON syntax error, labels that are not a list, or a piece
+    that does not parse as a complete array (a "],[" nested in an element
+    or inside a string).  So ``json.loads`` produces every syntax
+    diagnostic.  A document with the default separators or an indent has
+    no "],[" to cut at, so pieces would hold its whole edge list as one.
 
     Both ways name a fault with the one per-edge checker, and report the
     same fault for a document with several: a syntax error, then the top
     level, the format, the labels, the edges field, then the first bad
     edge.  Every fault is a SchemaError; an int past Python's digit limit,
     or nesting too deep to parse, keeps the json module's message.
-
-    ``_from_file`` feeds the same piece reader a regular file in chunks,
-    and falls back to this function where that reader gives up.
     """
     parsed = _read_in_pieces(text)
-    if parsed is None:
-        try:
-            parsed = json.loads(text), None, None
-        except json.JSONDecodeError as e:
-            raise SchemaError(
-                f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-            ) from None
-        except (ValueError, RecursionError) as e:
-            # an int past Python's digit limit, or nesting too deep for
-            # the json module: its message stands
-            raise SchemaError(str(e)) from None
-    return _checked_graph(*parsed)
+    if parsed is not None and parsed[1] is None:
+        parsed = _read_in_pieces(text, check=True)
+    return _from_whole(text) if parsed is None else _checked_graph(*parsed)
+
+
+def _from_whole(text: str) -> Graph:
+    """The Graph of text by one ``json.loads``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:
+        # an int past Python's digit limit, or nesting too deep: the json
+        # module's message stands
+        raise SchemaError(str(e)) from None
+    return _checked_graph(doc, None, None)
 
 
 def _from_file(fh) -> Graph:
-    """``from_json`` of the text of fh, a file open for reading text.
+    """``from_json`` of the text of fh from where it stands, decoded as
+    strict UTF-8 whatever fh was opened with (stdin takes the locale's).
 
     A regular file is fed to the piece reader in chunks of
-    ``_READ_CHUNK`` characters, and only the text it has not yet parsed
-    is held, so the document's text is never held whole; the table rule
-    takes the file's size from ``os.fstat``.  Where the reader gives up
-    (on another layout or anything else ``from_json`` hands to
-    ``json.loads``, on an edge fault to name, or on a chunk that does not
-    decode), the file is rewound and ``from_json`` reads it whole from
-    where the read began, so every diagnostic and decode error is that of
-    one whole read.  Any other file, such as a pipe, is read whole at
-    once: giving up starts again from the beginning, and a pipe cannot be
-    read twice.
+    ``_READ_CHUNK`` characters, holding only the text not yet parsed;
+    the table rule takes its size from ``os.fstat``.  On an edge fault
+    it is rewound to where the read began for the checker's run; where
+    the reader gives up, it is rewound and ``_from_whole`` reads it, so
+    every diagnostic and decode error is that of one whole read.  Any
+    other stream (a pipe, or one with no file descriptor) cannot be
+    read twice, and is read whole.
     """
-    info = os.fstat(fh.fileno())
-    if stat.S_ISREG(info.st_mode):
-        start = fh.tell()
-        parsed = _read_in_pieces("", partial(fh.read, _READ_CHUNK), info.st_size)
-        if parsed is not None:
-            return _checked_graph(*parsed)
+    if isinstance(fh, io.TextIOWrapper):
+        fh.reconfigure(encoding="utf-8")
+    try:
+        info = os.fstat(fh.fileno())
+    except (OSError, ValueError):
+        info = None
+    if info is None or not stat.S_ISREG(info.st_mode):
+        return from_json(fh.read())
+    start = fh.tell()
+    parsed = _read_in_pieces("", partial(fh.read, _READ_CHUNK), info.st_size)
+    if parsed is not None and parsed[1] is None:
         fh.seek(start)
-    return from_json(fh.read())
+        parsed = _read_in_pieces("", partial(fh.read, _READ_CHUNK), info.st_size, check=True)
+    if parsed is None:
+        fh.seek(start)
+        return _from_whole(fh.read())
+    return _checked_graph(*parsed)
 
 
 def _checked_graph(doc, rows, fault) -> Graph:

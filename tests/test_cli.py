@@ -476,6 +476,15 @@ class TestExport:
         code, out, _ = run(["export", "dimacs", "--k", "2"], stdin_text=doc)
         assert (code, out) == (0, "p cnf 4 4\n1 2 0\n3 4 0\n-1 -3 0\n-2 -4 0\n")
 
+    def test_dot_refuses_a_label_utf8_cannot_encode(self, run):
+        # a lone surrogate is valid JSON, and chi reads it; DOT writes the
+        # label as text, so the export refuses it before any line
+        doc = '{"format":"sphere-chroma-graph-v1","vertex_labels":["\\ud800","b"],"edges":[[0,1]]}'
+        assert run(["chi"], doc) == (0, '{"chi":2}\n', "")
+        assert run(["export", "dot"], doc) == (
+            74, "", "sphere-chroma: input cannot be written as DOT: "
+                    "vertex label '\\ud800' cannot be encoded as UTF-8\n")
+
     def test_dot(self, run):
         _, doc, _ = run(["generate", "farey", "--depth", "0"])
         code, out, _ = run(["export", "dot"], stdin_text=doc)
@@ -930,6 +939,51 @@ class TestInstalledScript:
         file_read, pipe_read = ((r.returncode, r.stdout, r.stderr) for r in results)
         assert file_read == pipe_read
         assert file_read[0] == (74 if fault else 0)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("label, edges, expected", [
+        ("\u96ea".encode(), b"[[0,1]]", (0, '{"chi":2}\n', "")),
+        ("\u96ea".encode(), b"[[0,1],[0,1]]", (
+            74, "", "sphere-chroma: input is not a graph document: "
+                    "field 'edges'[1]: duplicate edge [0,1]\n")),
+        (b"\xff", b"[[0,1]]", (
+            74, "", "sphere-chroma: cannot read input: 'utf-8' codec can't decode byte 0xff "
+                    "in position 53: invalid start byte\n")),
+    ], ids=["sound", "duplicate-edge", "not-utf-8"])
+    def test_stdin_is_read_as_utf8(self, cli_env, tmp_path, encoding, label, edges, expected):
+        # a label outside the stream encoding, or bytes that are not UTF-8:
+        # --input, a file on stdin and a pipe all decode the document as
+        # strict UTF-8
+        path = tmp_path / "u.json"
+        path.write_bytes(b'{"format":"sphere-chroma-graph-v1","vertex_labels":["' + label
+                         + b'","b"],"edges":' + edges + b"}\n")
+        quoted = shlex.quote(str(path))
+        results = [subprocess.run(command, shell=True, capture_output=True, text=True, timeout=60,
+                                  env={**cli_env, "PYTHONIOENCODING": encoding})
+                   for command in (f"{CLI} chi --input {quoted}", f"{CLI} chi < {quoted}",
+                                   f"cat {quoted} | {CLI} chi")]
+        assert [(r.returncode, r.stdout, r.stderr) for r in results] == [expected] * 3
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("label, encoding, stderr", [
+        ("\\ud800", "utf-8", "input cannot be written as DOT: "
+                              "vertex label '\\ud800' cannot be encoded as UTF-8"),
+        ("\u96ea", "latin-1", "cannot write output: 'latin-1' codec can't encode character "
+                              "'\\u96ea' in position 11: ordinal not in range(256)"),
+    ], ids=["surrogate", "outside-latin-1"])
+    def test_dot_label_that_cannot_be_written_exits_74(self, cli_env, tmp_path, label, encoding,
+                                                       stderr, unbuffered):
+        # the label is read, but cannot be written: an output fault, not a
+        # bad flag, with nothing on stdout
+        path = tmp_path / "g.json"
+        path.write_text('{"format":"sphere-chroma-graph-v1",'
+                        f'"vertex_labels":["{label}","b"],"edges":[[0,1]]}}', encoding="utf-8")
+        result = subprocess.run(
+            f"{CLI} export dot --input {shlex.quote(str(path))}", shell=True, capture_output=True,
+            text=True, timeout=60,
+            env={**cli_env, "PYTHONIOENCODING": encoding, "PYTHONUNBUFFERED": unbuffered})
+        assert (result.returncode, result.stdout, result.stderr) == (
+            74, "", f"sphere-chroma: {stderr}\n")
 
     @pytest.mark.parametrize("command, code, stderr", [
         ("chi <&-", 74, "sphere-chroma: cannot read input: stdin is closed\n"),

@@ -725,11 +725,16 @@ class TestJsonPieces:
         # edge each, so the repeat is in another piece than the first
         text = ('{"format":"sphere-chroma-graph-v1","vertex_labels":["a","b","c"],'
                 '"edges":[[0,1],[1,2],[0,1]]}')
+        # the fast run marks the fault with no rows; the second run, with
+        # the checker, names it and stops at the piece that holds it
         with mock.patch.object(graphcore, "_READ_PIECE", piece):
-            _, _, fault = graphcore._read_in_pieces(text)
-            with pytest.raises(SchemaError) as caught:
+            _, rows, fault = graphcore._read_in_pieces(text)
+            with mock.patch.object(graphcore, "_add_edges", wraps=graphcore._add_edges) as checker, \
+                    pytest.raises(SchemaError) as caught:
                 from_json(text)
-        assert fault == str(caught.value) == "field 'edges'[2]: duplicate edge [0,1]"
+        assert rows is None and fault is None
+        assert str(caught.value) == "field 'edges'[2]: duplicate edge [0,1]"
+        assert [call.args[2] for call in checker.call_args_list] == ([0] if piece > 1 else [0, 1, 2])
 
     @pytest.mark.parametrize("build, shifted", [
         (lambda: sphere_graph_holed(8), False),
@@ -795,6 +800,22 @@ class ChunkReadsOnly:
         raise AssertionError("the chunked read gave up")
 
 
+class ChunkReadsAndRewinds(ChunkReadsOnly):
+    """A ChunkReadsOnly that may be rewound to where the read began, as
+    the second run of the piece loop is; it counts the rewinds."""
+
+    def __init__(self, fh):
+        super().__init__(fh)
+        self.start = fh.tell()
+        self.rewinds = 0
+
+    def seek(self, *args):
+        if args != (self.start,):
+            raise AssertionError(f"seek{args} is not a rewind to the start")
+        self.rewinds += 1
+        return self.fh.seek(*args)
+
+
 class TestStreamedRead:
     """``_from_file`` feeds a regular file to the piece reader in chunks
     and must agree with ``from_json`` of the file's whole text."""
@@ -853,6 +874,32 @@ class TestStreamedRead:
         path.write_text(to_json(g) + "\n")
         with open(path, encoding="utf-8") as fh, mock.patch.object(graphcore, "_READ_CHUNK", chunk):
             assert graphcore._from_file(ChunkReadsOnly(fh)) == g
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_edge_fault_is_named_in_chunks(self, tmp_path, n, at):
+        # a repeated edge in the first or the last piece: the fast run and
+        # the checker's run each read the file in chunks, with one rewind
+        # between them, and name the repeat as from_json does
+        g = sphere_graph_holed(n)
+        edges = g.sorted_edges
+        text = to_json(g)
+        if at == "first":
+            first = "[%d,%d]" % edges[0]
+            text = text.replace(first, f"{first},{first}", 1)
+            expected = "field 'edges'[1]: duplicate edge [%d,%d]" % edges[0]
+        else:
+            text = text[:-2] + ",[%d,%d]]}" % edges[-1]
+            expected = f"field 'edges'[{len(edges)}]: duplicate edge [%d,%d]" % edges[-1]
+        path = tmp_path / "g.json"
+        path.write_text(text + "\n")
+        with open(path, encoding="utf-8") as fh, pytest.raises(SchemaError) as caught:
+            wrapped = ChunkReadsAndRewinds(fh)
+            graphcore._from_file(wrapped)
+        assert wrapped.rewinds == 1
+        with pytest.raises(SchemaError) as whole:
+            from_json(text)
+        assert str(caught.value) == str(whole.value) == expected
 
     def test_holds_only_the_unparsed_tail(self, tmp_path):
         # S_11 is 755 KB; read in 4 KB chunks, the text held at once stays
@@ -913,7 +960,7 @@ class TestStreamedRead:
         path = tmp_path / "s9.json"
         path.write_text(text)
         with open(path, encoding="utf-8") as fh, \
-                mock.patch.object(graphcore, "from_json", side_effect=AssertionError("read whole")), \
+                mock.patch.object(graphcore, "_from_whole", side_effect=AssertionError("read whole")), \
                 mock.patch.object(graphcore, "_or_edges", wraps=graphcore._or_edges) as loop:
             got = graphcore._from_file(fh)
         assert len(loop.call_args_list) > 1
