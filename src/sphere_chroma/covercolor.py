@@ -34,6 +34,14 @@ of a vertex project to the vertex's own class.  Once that is checked for
 every vertex and cover, two adjacent vertices in different classes have
 disjoint lift sets in every cover, and only edges inside one class need
 their colors compared.
+
+Those edges need no row of the glued graph.  A vertex's class is the
+parity of its block in each pair {2i-1, 2i}, so a nested split of the
+same class differs from it by whole pairs: it is the vertex's block
+with a union of the pairs outside it added, or one of the pairs inside
+it taken away (``_nested_rows``).  Nor does the edge count: a k|n-k
+split meets 2^k - k + 2^(n-k) - (n-k) - 4 others, the splits that cut
+a block of 2..k-1 boundaries from its k or of 2..n-k-1 from its n-k.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from itertools import chain
 
 # the counting bound, re-exported here; `count` imports its module alone
 from .counting import CountReport, count_colors
-from .graphbase import Graph, _bits, _checked_rows, _class_masks
+from .graphbase import Graph, _bits, _checked_rows
 from .kneser import TwoBlockPartition, _partition_rows, _sphere_partitions
 
 __all__ = [
@@ -72,8 +80,8 @@ __all__ = [
 
 # r <= 8 is the limit the packed colors set: a cover's two lift classes,
 # 2r bits each, fill one 32-bit field at r = 8 (see _FIELD_BITS).
-# `verify proper` runs to it: 0.5-0.8 s and 23.2 MB at r = 7, 5.2-6.6 s
-# and 68.2 MB at r = 8 (CPU time and peak RSS of CLI calls, 2-vCPU VM,
+# `verify proper` runs to it: 0.2-0.35 s and 23.0 MB at r = 7, 1.2-1.6 s
+# and 67.8 MB at r = 8 (CPU time and peak RSS of CLI calls, 2-vCPU VM,
 # Python 3.11.7), half of it the 34 MB of packed colors
 MAX_R_ENUMERATE = 8
 # `color` and `generate glued` write every vertex's colors or every edge,
@@ -295,29 +303,50 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
 
 
 def _glued_rows(model: CutSystemModel, include_cut_spheres: bool = False):
-    """glued_sphere_graph's labels (a list) and rows (one at a time)."""
+    """glued_sphere_graph's labels (a list) and rows (one at a time):
+    S_{2r}'s rows, each cut sphere adjacent to every vertex."""
+    parts, _, labels = _vertices(model, include_cut_spheres)
+    base, n = len(parts), len(labels)
+    full = (1 << n) - 1
+    cuts = full ^ (1 << base) - 1
+    rows = (row | cuts for row in _partition_rows(parts, model.n_boundary))
+    return labels, _checked_rows(chain(rows, (full ^ 1 << v for v in range(base, n))), n)
+
+
+def _vertices(model: CutSystemModel, include_cut_spheres: bool):
+    """The model's sphere partitions, and the block masks and labels of
+    the glued model's vertices: the cut sphere g_i is the one-boundary
+    block {2i-1}.  Raises ``ValueError`` for r > 8, whose colors do not
+    fit a field."""
+    if 4 * model.r > _FIELD_BITS:
+        raise ValueError(
+            f"color_table packs 4r bits per cover into {_FIELD_BITS}, so r <= 8; got r={model.r}")
     parts = _sphere_partitions(model.n_boundary)
-    return _labels(model, parts, include_cut_spheres), _rows(model, parts, include_cut_spheres)
-
-
-def _labels(model: CutSystemModel, parts, include_cut_spheres: bool) -> list[str]:
-    """The vertex labels of the glued model whose sphere partitions are parts."""
-    labels = [p.label for p in parts]
+    masks, labels = [p.mask for p in parts], [p.label for p in parts]
     if include_cut_spheres:
+        masks += [1 << (2 * i - 2) for i in range(1, model.r + 1)]
         labels += [f"g{i}" for i in range(1, model.r + 1)]
-    return labels
+    return parts, masks, labels
 
 
-def _rows(model: CutSystemModel, parts, include_cut_spheres: bool):
-    """The glued rows, one at a time, of the model whose sphere partitions
-    are parts: S_{2r}'s rows, each cut sphere adjacent to every vertex."""
-    rows = _partition_rows(parts, model.n_boundary)
-    if not include_cut_spheres:
-        return rows
-    base, n = len(parts), len(parts) + model.r
-    cuts = ((1 << n) - 1) ^ ((1 << base) - 1)
-    rows = chain((row | cuts for row in rows), (((1 << n) - 1) ^ (1 << v) for v in range(base, n)))
-    return _checked_rows(rows, n)
+def _nested_rows(masks, n: int, steps, vertices):
+    """The row of each vertex in ``vertices``, one at a time, among the
+    vertices whose blocks over the n boundaries are ``masks``.
+
+    With a the vertex's block, its neighbours are the splits with a block
+    a ^ u, for u a nonempty union of ``steps`` that lies outside a or one
+    that lies inside a; a block and its complement name one split.  With
+    every boundary as a step that is every neighbour; with the pairs
+    {2i-1, 2i}, every neighbour in the vertex's own class.
+    """
+    full = (1 << n) - 1
+    index = array("i", [-1]) * (full + 1)
+    for v, m in enumerate(masks):
+        index[m] = index[m ^ full] = v
+    for a in (masks[v] for v in vertices):
+        hits = (index[a ^ u] for side in (~a, a)
+                for u in _span_table([s for s in steps if s & side == s])[1:])
+        yield sum(1 << w for w in hits if w >= 0)
 
 
 # A packed color holds one field per cover: the vertex's lo and hi lift
@@ -379,22 +408,7 @@ def color_table(model: CutSystemModel, include_cut_spheres: bool = False) -> Col
     few masked shifts of it (see the module docstring).  Raises
     ``ValueError`` for r > 8, whose classes do not fit a field.
     """
-    return _color_table(model, _table_parts(model), include_cut_spheres)
-
-
-def _table_parts(model: CutSystemModel) -> list[TwoBlockPartition]:
-    """The model's sphere partitions, once its colors are known to fit."""
-    if 4 * model.r > _FIELD_BITS:
-        raise ValueError(
-            f"color_table packs 4r bits per cover into {_FIELD_BITS}, so r <= 8; got r={model.r}")
-    return _sphere_partitions(model.n_boundary)
-
-
-def _table_and_rows(model: CutSystemModel, include_cut_spheres: bool):
-    """color_table and the glued rows (one at a time), from one list of
-    the model's sphere partitions."""
-    parts = _table_parts(model)
-    return _color_table(model, parts, include_cut_spheres), _rows(model, parts, include_cut_spheres)
+    return _color_table(model, *_vertices(model, include_cut_spheres)[1:])
 
 
 # Vertices per batch of _color_table.  A batch's fields, 4 bytes per cover
@@ -406,13 +420,10 @@ def _table_and_rows(model: CutSystemModel, include_cut_spheres: bool):
 _BATCH = 1024
 
 
-def _color_table(model: CutSystemModel, parts, include_cut_spheres: bool) -> ColorTable:
-    """color_table of the model whose sphere partitions are parts."""
+def _color_table(model: CutSystemModel, masks: list[int], labels: list[str]) -> ColorTable:
+    """color_table of the vertices with block masks ``masks``."""
     r = model.r
     covers = enumerate_double_covers(r)
-    masks = [p.mask for p in parts]
-    if include_cut_spheres:
-        masks += [1 << (2 * i - 2) for i in range(1, r + 1)]
     hom_of = _span_table([1 << (j // 2) for j in range(model.n_boundary)])
     # per cover: bit 2(i-1) set where phi_i = 1, and the echelon rows of
     # its H_2 with their pivots
@@ -424,8 +435,7 @@ def _color_table(model: CutSystemModel, parts, include_cut_spheres: bool) -> Col
     keys = []
     for start in range(0, len(masks), _BATCH):
         keys += _batch_keys(r, masks[start:start + _BATCH], plans)
-    return ColorTable(r, tuple(covers), tuple(_labels(model, parts, include_cut_spheres)),
-                      tuple(hom_of[m] for m in masks), tuple(keys))
+    return ColorTable(r, tuple(covers), tuple(labels), tuple(hom_of[m] for m in masks), tuple(keys))
 
 
 def _batch_keys(r: int, masks: list[int], plans) -> list[int]:
@@ -499,15 +509,17 @@ def verify_coloring_proper(
     are compared; for each the report records a violation when the colors
     are equal, else the first cover (in canonical order) whose lift sets
     split the pair.  A vertex failing the projection check is reported
-    and compared with all of its neighbours.  The table and the glued
-    rows come from one list of partitions, and the rows are scanned as
-    they are built; the edge count is half their popcounts.
+    and compared with all of its neighbours.  No row of S_{2r} is built:
+    a vertex's neighbours in its own class come from ``_nested_rows`` with
+    the pairs as steps, a failed vertex's from every boundary, and the
+    edge count from each vertex's degree.
     """
     if model.r < 3:
         raise ValueError(
             "verify_coloring_proper needs r >= 3; r = 2 is handled by the farey module"
         )
-    table, rows = _table_and_rows(model, include_cut_spheres)
+    masks, labels = _vertices(model, include_cut_spheres)[1:]
+    table = _color_table(model, masks, labels)
     labels, hom, keys = table.labels, table.hom, table.keys
     witness = [c.bitstring for c in table.covers]
     covers = len(table.covers)
@@ -520,22 +532,28 @@ def verify_coloring_proper(
     spread = _span_table([1 << (2 * i) for i in range(model.r)])
     every_field = (1 << w | 1) * ones
     bad = [v for v, key in enumerate(keys) if (key ^ key >> 1) & even != spread[hom[v]] * every_field]
-    bad_mask = sum(1 << v for v in bad)
-    same_class = _class_masks(hom)
+    n = model.n_boundary
+    # a failed vertex is compared with every neighbour: its row has every
+    # boundary as a step, and it joins the rows of those neighbours
+    extra = dict(zip(bad, _nested_rows(masks, n, [1 << j for j in range(n)], bad)))
+    for v in bad:
+        for i in _bits(extra[v]):
+            extra[i] = extra.get(i, 0) | 1 << v
     violations = []
     homologous = []
-    degrees = 0
-    for i, row in enumerate(rows):
-        degrees += row.bit_count()
-        if not bad_mask >> i & 1:
-            row &= same_class[hom[i]] | bad_mask
-        for j in _bits(row >> (i + 1), i + 1):
+    for i, row in enumerate(_nested_rows(masks, n, _pairs(n), range(len(masks)))):
+        for j in _bits((row | extra.get(i, 0)) >> (i + 1), i + 1):
             diff = keys[i] ^ keys[j]
             if not diff:
                 violations.append((labels[i], labels[j]))
             elif hom[i] == hom[j]:
                 t = covers - 1 - (diff.bit_length() - 1) // _FIELD_BITS
                 homologous.append((labels[i], labels[j], witness[t]))
+    # degrees from the module docstring's count, which reads V - 1 for g_i,
+    # a 1|n-1 split that meets all V sphere partitions: so the r cut
+    # spheres add r to every vertex's degree
+    cut = model.r if include_cut_spheres else 0
+    degrees = sum(2**k + 2 ** (n - k) - n - 4 + cut for k in map(int.bit_count, masks))
     return ProperColoringReport(
         model.r,
         len(labels),
@@ -547,6 +565,11 @@ def verify_coloring_proper(
     )
 
 
+def _pairs(n: int) -> list[int]:
+    """The boundary pairs {2i-1, 2i} of n boundaries, as masks."""
+    return [3 << j for j in range(0, n, 2)]
+
+
 def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]]:
     """Negative control: color by homology class alone, ignoring covers.
 
@@ -555,14 +578,11 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     the construction.  Runs on no CLI path; it stays public as acceptance
     criterion 5's negative control.
     """
-    table, rows = _table_and_rows(model, False)
-    same_class = _class_masks(table.hom)
-    out = []
-    for i, row in enumerate(rows):
-        name = _hom_label(table.hom[i], model.r)
-        for j in _bits((row & same_class[table.hom[i]]) >> (i + 1), i + 1):
-            out.append((table.labels[i], table.labels[j], name))
-    return out
+    masks, labels = _vertices(model, False)[1:]
+    hom = _color_table(model, masks, labels).hom
+    rows = _nested_rows(masks, model.n_boundary, _pairs(model.n_boundary), range(len(masks)))
+    return [(labels[i], labels[j], _hom_label(hom[i], model.r))
+            for i, row in enumerate(rows) for j in _bits(row >> (i + 1), i + 1)]
 
 
 def used_color_count(model: CutSystemModel) -> int:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from sphere_chroma import covercolor
+from sphere_chroma import covercolor, kneser
 from sphere_chroma.covercolor import (
     CutSystemModel,
     DoubleCover,
@@ -313,6 +313,25 @@ class TestGluedGraph:
             assert g.degree(v) == g.n - 1
 
 
+class TestNestedWalk:
+    @pytest.mark.parametrize("cuts", [False, True])
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_rows_match_the_glued_graph(self, r, cuts):
+        # every boundary as a step gives every neighbour; the pairs
+        # {2i-1, 2i} give the neighbours in the vertex's own class
+        model = CutSystemModel(r)
+        n = model.n_boundary
+        g = glued_sphere_graph(model, cuts)
+        masks, labels = covercolor._vertices(model, cuts)[1:]
+        assert tuple(labels) == g.labels
+        every = range(len(masks))
+        assert tuple(covercolor._nested_rows(masks, n, [1 << j for j in range(n)], every)) == g.adj
+        hom = color_table(model, cuts).hom
+        same_class = [sum(1 << v for v in every if hom[v] == hom[u]) for u in every]
+        pairs = covercolor._nested_rows(masks, n, [3 << j for j in range(0, n, 2)], every)
+        assert list(pairs) == [row & same_class[u] for u, row in enumerate(g.adj)]
+
+
 class TestProperness:
     @pytest.mark.parametrize("r", [3, 4])
     def test_passes(self, r):
@@ -351,12 +370,17 @@ class TestProperness:
         assert doc["r"] == 3 and doc["ok"] is True
         assert doc["vertices"] == 25 and doc["edges"] == 105
 
+    @pytest.mark.parametrize("cuts", [False, True])
     @pytest.mark.parametrize("r", range(3, 8))
-    def test_counts_match_closed_forms(self, r):
-        report = verify_coloring_proper(CutSystemModel(r))
-        assert (report.vertices, report.edges) == oracles.sphere_graph_counts(2 * r)
+    def test_counts_match_closed_forms(self, r, cuts):
+        # each cut sphere meets every sphere partition and the other cut spheres
+        report = verify_coloring_proper(CutSystemModel(r), cuts)
+        v, e = oracles.sphere_graph_counts(2 * r)
+        if cuts:
+            v, e = v + r, e + r * v + r * (r - 1) // 2
+        assert (report.vertices, report.edges) == (v, e)
 
-    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
     @pytest.mark.parametrize("cuts", [False, True])
     def test_matches_exhaustive_table_scan(self, r, cuts):
         model = CutSystemModel(r)
@@ -395,10 +419,64 @@ class TestProperness:
             # the failed vertex is compared across classes too
             assert (clean.labels[v], clean.labels[u]) in report.violations
 
+    @pytest.mark.parametrize(
+        "key_of, failures, violations",
+        [
+            (("g1", 0), ("g1",), (("1 2|3 4 5 6", "g1"),)),
+            (("g3", 5), ("g3",), (("1 3 4|2 5 6", "g3"), ("1 5 6|2 3 4", "g3"))),
+            ((2, "g2"), (), (("1 2 3|4 5 6", "g2"),)),
+        ],
+    )
+    def test_corrupted_cut_sphere_is_caught(self, monkeypatch, key_of, failures, violations):
+        # a vertex given another's key, with the cut spheres included: a
+        # failed cut sphere is compared with every neighbour, and a sphere
+        # given its cut sphere's key collides with it in their class
+        model = CutSystemModel(3)
+        clean = color_table(model, True)
+        v, u = (clean.labels.index(x) if isinstance(x, str) else x for x in key_of)
+        keys = list(clean.keys)
+        keys[v] = clean.keys[u]
+        monkeypatch.setattr(
+            covercolor, "_color_table",
+            lambda *args: clean._replace(keys=tuple(keys)),
+        )
+        report = verify_coloring_proper(model, True)
+        assert not report.ok
+        assert report.projection_failures == failures
+        assert report.violations == violations
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_builds_no_rows(self, monkeypatch, r):
+        # the check and the negative control walk nested splits; neither
+        # looks up the row builder or its column drop
+        model = CutSystemModel(r)
+        expected = [oracles.exhaustive_proper_report(model, cuts) for cuts in (False, True)]
+
+        def refuse(*args):
+            raise AssertionError("a row of S_2r was built")
+
+        monkeypatch.setattr(covercolor, "_partition_rows", refuse)
+        monkeypatch.setattr(kneser, "_drop_columns", refuse)
+        assert [verify_coloring_proper(model, cuts) for cuts in (False, True)] == expected
+        assert homology_only_violations(model)
+
     def test_negative_control_fails(self):
         hits = homology_only_violations(CutSystemModel(3))
         assert hits
         assert ("1 3|2 4 5 6", "1 3 5 6|2 4", "g1+g2") in hits
+
+    @pytest.mark.parametrize("r, count", [(3, 9), (4, 118), (5, 875)])
+    def test_negative_control_lists_every_same_class_edge(self, r, count):
+        model = CutSystemModel(r)
+        g = glued_sphere_graph(model)
+        hom = color_table(model).hom
+        expected = [
+            (g.labels[i], g.labels[j], covercolor._hom_label(hom[i], r))
+            for i, j in g.sorted_edges
+            if hom[i] == hom[j]
+        ]
+        assert len(expected) == count
+        assert homology_only_violations(model) == expected
 
     def test_colors_separate_all_non_homologous_neighbors(self):
         # non-homologous adjacent spheres must get different colors from
