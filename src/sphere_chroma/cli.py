@@ -201,11 +201,12 @@ def _write_pieces(parts, end="\n") -> int:
     return 0
 
 
-def _write_graph(labels, upper) -> int:
+def _write_graph(labels, upper, positions=None) -> int:
     """Write the graph JSON of labels and, per vertex, its higher
-    neighbours or its bit row (``graphbase._json_pieces``)."""
+    neighbours or its bit row, whose bits are at ``positions``
+    (``graphbase._json_pieces``)."""
     from .graphbase import _json_pieces
-    return _write_pieces(_json_pieces(labels, upper))
+    return _write_pieces(_json_pieces(labels, upper, positions))
 
 
 def _generate_kneser(args) -> int:
@@ -216,13 +217,12 @@ def _generate_kneser(args) -> int:
 
 def _generate_total_kneser(args) -> int:
     from . import kneser
-    parts = kneser.all_partitions(args.n)
-    return _write_graph([p.label for p in parts], kneser._partition_rows(parts, args.n))
+    return _write_graph(*kneser._split_rows(args.n, False))
 
 
 def _generate_sphere(args) -> int:
-    from . import spheres
-    return _write_graph(*spheres._sphere_rows(args.n))
+    from . import kneser
+    return _write_graph(*kneser._split_rows(args.n, True))
 
 
 def _written_model(r: int):

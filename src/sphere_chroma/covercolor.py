@@ -54,7 +54,7 @@ from itertools import chain
 # the counting bound, re-exported here; `count` imports its module alone
 from .counting import CountReport, count_colors
 from .graphbase import Graph, _bits, _checked_rows
-from .kneser import TwoBlockPartition, _partition_rows, _sphere_partitions
+from .kneser import TwoBlockPartition, _labels, _partition_rows, _positions
 
 __all__ = [
     "CutSystemModel",
@@ -305,28 +305,28 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
 def _glued_rows(model: CutSystemModel, include_cut_spheres: bool = False):
     """glued_sphere_graph's labels (a list) and rows (one at a time):
     S_{2r}'s rows, each cut sphere adjacent to every vertex."""
-    parts, _, labels = _vertices(model, include_cut_spheres)
-    base, n = len(parts), len(labels)
+    positions, _, labels = _vertices(model, include_cut_spheres)
+    base, n = len(positions), len(labels)
     full = (1 << n) - 1
     cuts = full ^ (1 << base) - 1
-    rows = (row | cuts for row in _partition_rows(parts, model.n_boundary))
+    rows = (row | cuts for row in _partition_rows(positions, model.n_boundary))
     return labels, _checked_rows(chain(rows, (full ^ 1 << v for v in range(base, n))), n)
 
 
 def _vertices(model: CutSystemModel, include_cut_spheres: bool):
-    """The model's sphere partitions, and the block masks and labels of
-    the glued model's vertices: the cut sphere g_i is the one-boundary
-    block {2i-1}.  Raises ``ValueError`` for r > 8, whose colors do not
-    fit a field."""
+    """The positions of the model's sphere partitions, and the block
+    masks and labels of the glued model's vertices: the cut sphere g_i is
+    the one-boundary block {2i-1}.  Raises ``ValueError`` for r > 8,
+    whose colors do not fit a field."""
     if 4 * model.r > _FIELD_BITS:
         raise ValueError(
             f"color_table packs 4r bits per cover into {_FIELD_BITS}, so r <= 8; got r={model.r}")
-    parts = _sphere_partitions(model.n_boundary)
-    masks, labels = [p.mask for p in parts], [p.label for p in parts]
+    positions = _positions(model.n_boundary, True)
+    masks, labels = [2 * h + 1 for h in positions], _labels(model.n_boundary, positions)
     if include_cut_spheres:
         masks += [1 << (2 * i - 2) for i in range(1, model.r + 1)]
         labels += [f"g{i}" for i in range(1, model.r + 1)]
-    return parts, masks, labels
+    return positions, masks, labels
 
 
 def _nested_rows(masks, n: int, steps, vertices):

@@ -125,19 +125,23 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _class_masks(keys) -> dict:
-    """Mask of the vertices v with ``keys[v] == k``, per distinct k; each made
-    once from a flag byte per vertex of its span, not an OR per vertex."""
+    """Mask of the vertices v with ``keys[v] == k``, per distinct k."""
     members: dict = {}
     for v, k in enumerate(keys):
         members.setdefault(k, []).append(v)
-    masks = {}
-    for k, vs in members.items():
-        flags = bytearray(vs[-1] - vs[0] + 1)
-        for v in vs:
-            flags[v - vs[0]] = 1
-        # the flags, last vertex first, read as binary digits
-        masks[k] = int(flags[::-1].translate(_DIGITS), 2) << vs[0]
-    return masks
+    return {k: _mask_of(vs) for k, vs in members.items()}
+
+
+def _mask_of(members) -> int:
+    """The bits at ``members`` (ascending), made once from a flag byte per
+    bit of their span, not an OR per member."""
+    if not members:
+        return 0
+    flags = bytearray(members[-1] - members[0] + 1)
+    for v in members:
+        flags[v - members[0]] = 1
+    # the flags, last member first, read as binary digits
+    return int(flags[::-1].translate(_DIGITS), 2) << members[0]
 
 
 def _bits(mask: int, base: int = 0) -> list[int]:
@@ -165,7 +169,12 @@ def _pick(mask: int, items, base: int = 0):
 
 def _drop_columns(rows, gone):
     """Each of rows less its bits at ``gone``, highest first so the rest do
-    not move: bit v goes by ``row & low | row >> 1 & ~low``, low = 2^v - 1."""
+    not move: bit v goes by ``row & low | row >> 1 & ~low``, low = 2^v - 1.
+
+    Four full-width steps per column and row, so only the builders of a
+    ``Graph`` run it: the one compaction of the partition graphs'
+    mask-space rows (``kneser._partition_rows``), singleton removal on a
+    built graph, and the peeling of universal vertices."""
     lows = [(1 << v) - 1 for v in gone]
     for row in rows:
         for low in lows:
@@ -241,23 +250,32 @@ _HEAD = f'{{"format":"{GRAPH_FORMAT}","vertex_labels":'
 _EDGES = ',"edges":['
 
 
-def _json_pieces(labels, upper):
+def _json_pieces(labels, upper, positions=None):
     """Canonical graph JSON as a stream of strings, from labels and, per
     vertex i, either the list of its ascending neighbours j > i or its
     adjacency bit row, whose bits above i are its edges.
 
-    Joined, the strings are the bytes of compact ``json.dumps`` with a
-    sorted edge list.  The edges are written row by row from a table of
-    "j]" tails: a list's entries index it, and a bit row's tails are
-    picked off it by ``_pick`` with no list of neighbours in between.  So
-    a caller can write each string, or each run of them, as it forms.
+    A row's bits may stand at ``positions``, vertex j's bit at
+    ``positions[j]`` (ascending), as the partition graphs' mask-space rows
+    have them; by default vertex j's bit is bit j.  Joined, the strings
+    are the bytes of compact ``json.dumps`` with a sorted edge list.  The
+    edges are written row by row from a table of "j]" tails indexed by bit
+    position: a list's entries index it, and a bit row's tails are picked
+    off it by ``_pick`` with no list of neighbours in between.  So a
+    caller can write each string, or each run of them, as it forms.
     """
     tail = [f"{j}]" for j in range(len(labels))]
+    if positions is None:
+        positions = range(len(labels))
+    elif positions:
+        tail, index = [""] * (positions[-1] + 1), tail
+        for h, t in zip(positions, index):
+            tail[h] = t
     yield _HEAD + json.dumps(labels, separators=(",", ":")) + _EDGES
     sep = ""
-    for i, row in enumerate(upper):
+    for i, (h, row) in enumerate(zip(positions, upper, strict=True)):
         if type(row) is int:
-            tails = _pick(row >> i + 1, tail, i + 1)
+            tails = _pick(row >> h + 1, tail, h + 1)
         else:
             tails = map(tail.__getitem__, row)
         edges = f",[{i},".join(tails)

@@ -23,10 +23,24 @@ So the neighbours of a are the supersets of a, the proper subsets of a
 that contain element 1, and the supersets of ~a | 1, the full set
 excluded.  The families are disjoint: a common member of the first two
 would be a itself, of the first and third the full set, and no subset
-of a contains ~a.  Over positions h = c >> 1, with F = 2^(n-1) - 1 the
-full set and A = a >> 1, they are Sup(A), Sub(A) and Sup(F ^ A): bit
-indicators that n - 1 shift-or steps grow from one bit, so a row costs
-O(n) big-int steps, where a pair scan tests every other vertex.
+of a contains ~a.  Over positions h = c >> 1 (the split whose block
+holding element 1 has mask 2h + 1), with F = 2^(n-1) - 1 the full set
+and A = a >> 1, they are Sup(A), Sub(A) and Sup(F ^ A): bit indicators
+built from two tables of submask indicators (``_mask_rows``), so a row
+costs a few big-int steps, where a pair scan tests every other vertex.
+
+The rows stay in mask space: bit h of a row stands for the split at
+position h, whichever vertices a graph keeps.  A graph's vertex list is
+a list of positions, and its keep mask has their bits; each row is the
+three families AND-ed with the keep mask, less its own bit, and no
+column is deleted.  ``generate sphere``, ``generate total-kneser`` and
+``verify lemma2`` take the rows so: the writer picks each edge's index
+from a table indexed by position, and the lemma names positions by
+their labels only when its two sides differ.  The one compaction to
+vertex indices, by ``graphbase._drop_columns``, is ``_partition_rows``,
+for the builders of a ``Graph`` (``_split_graph``, behind ``total_kneser``
+and ``spheres.sphere_graph_holed``, ``_partition_graph`` and
+``covercolor._glued_rows``).
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ import math
 from collections import namedtuple
 from itertools import combinations, compress
 
-from .graphbase import Graph, _checked_rows, _class_masks, _drop_columns
+from .graphbase import Graph, _checked_rows, _class_masks, _drop_columns, _mask_of
 
 __all__ = [
     "TwoBlockPartition",
@@ -49,8 +63,8 @@ __all__ = [
 ]
 
 # Caps on what a CLI call may build (CHANGES.md): `generate total-kneser
-# --n 14` takes 0.9 s at 27 MB peak RSS, n = 15 3.6 s and 56 MB for
-# 91 MB of JSON (in-process, written piece by piece).  The kg cap is set
+# --n 14` takes 0.4 s of CPU at 18.0 MB peak RSS, n = 15 1.2 s and 21 MB
+# for 91 MB of JSON (in-process, written piece by piece).  The kg cap is set
 # by output size, not memory: `generate kneser --n 3500 --k 1`, the
 # densest kg at the cap, writes 69.6 MB of JSON in 0.4 s at 18.6 MB peak
 # RSS (2-vCPU VM, Python 3.11.7).
@@ -196,71 +210,116 @@ def _check_ground_set(n: int) -> None:
 def all_partitions(n: int) -> list[TwoBlockPartition]:
     """All 2^(n-1) - 1 canonical partitions, ascending by block_a mask."""
     _check_ground_set(n)
-    full = (1 << n) - 1
-    return [TwoBlockPartition(n, m) for m in range(1, full, 2)]
+    return [TwoBlockPartition(n, 2 * h + 1) for h in _positions(n, False)]
 
 
 def spherelike_partitions(n: int) -> list[TwoBlockPartition]:
     """The canonical partitions with both blocks of size at least 2."""
     _check_ground_set(n)
-    return _sphere_partitions(n)
+    return [TwoBlockPartition(n, 2 * h + 1) for h in _positions(n, True)]
 
 
-def _sphere_partitions(n: int) -> list[TwoBlockPartition]:
-    """spherelike_partitions(n) past the ground-set cap: the cover code,
-    whose cap is its own, builds them for n = 16."""
-    full = (1 << n) - 1
-    parts = (TwoBlockPartition(n, m) for m in range(1, full, 2))
-    return [p for p in parts if p.min_block_size >= 2]
+def _positions(n: int, spherelike: bool) -> list[int]:
+    """The positions of all 2^(n-1) - 1 splits of {1..n}, ascending, or
+    of those whose blocks both have at least 2 elements: block a, of
+    popcount 2..n-2.  Not capped: the lemma and the cover code list them
+    for n = 16."""
+    every = range(2 ** (n - 1) - 1)
+    if not spherelike:
+        return list(every)
+    return [h for h in every if 1 < (2 * h + 1).bit_count() < n - 1]
 
 
-def _partition_rows(parts: list[TwoBlockPartition], n: int):
-    """Rows of the nested-pair graph on ``parts``, strictly ascending by
-    mask (checked at the call), one at a time: the module docstring's
-    three families less bits A and F, less each position not in ``parts``."""
-    pos = [p.mask >> 1 for p in parts]
-    if any(x >= y for x, y in zip(pos, pos[1:])):
-        raise ValueError("partitions must be strictly ascending by mask")
+def _labels(n: int, positions) -> list[str]:
+    """The label of the split at each of ``positions``: both blocks'
+    digit strings are built for every position, one element at a time
+    (element e joins block a at the positions with bit e - 2 set)."""
+    a, b = ["1"], [""]
+    for e in _element_names(n)[1:]:
+        a += [f"{x} {e}" for x in a]
+        b = [f"{x} {e}" if x else e for x in b] + b
+    return [f"{a[h]}|{b[h]}" for h in positions]
+
+
+# the submask indicator of a position splits into a table of its low
+# _LOW_BITS bits and one of the rest (see _mask_rows)
+_LOW_BITS = 5
+
+
+def _mask_rows(positions, keep: int, n: int):
+    """The mask-space row of each of ``positions``, one at a time: the
+    module docstring's three families, less the row's own bit, AND-ed
+    with ``keep``.
+
+    With P(Z) the indicator of Z's submasks, Sub(A) = P(A), Sup(A) =
+    P(F ^ A) << A and Sup(F ^ A) = P(A) << (F ^ A).  P(Z) is the product
+    of 1 + 2^(2^i) over the bits 2^i of Z; its terms are the distinct
+    submasks, so it has no carries, and it is the product of the
+    table entries of Z's low _LOW_BITS bits and of the rest.
+    """
     full = (1 << (n - 1)) - 1
-    keep = set(pos)
-    steps = [1 << i for i in range(n - 1)]
+    k = min(_LOW_BITS, n - 1)
+    # low[z] = P(z) for z < 2^k, high[z] = P(z << k)
+    low, high = [1], [1]
+    for i in range(n - 1):
+        table = low if i < k else high
+        table += [x | x << (1 << i) for x in table]
+    part = (1 << k) - 1
+    for h in positions:
+        g = full ^ h
+        inside = low[h & part] * high[h >> k]
+        outside = low[g & part] * high[g >> k]
+        yield ((outside << h | inside | inside << g) ^ 1 << h) & keep
 
-    def rows():
-        for h in pos:
-            sup = sub = 1 << h
-            sup_out = 1 << (full ^ h)
-            for s in steps:
-                if h & s:
-                    sub |= sub >> s
-                    sup_out |= sup_out << s
-                else:
-                    sup |= sup << s
-            yield (sup | sub | sup_out) & ~(1 << h | 1 << full)
 
-    gone = [h for h in range(full - 1, -1, -1) if h not in keep]
-    return _checked_rows(_drop_columns(rows(), gone), len(pos))
+def _partition_rows(positions: list[int], n: int):
+    """Rows of the nested-pair graph on the splits at ``positions``,
+    strictly ascending (checked at the call), one at a time: the
+    mask-space rows under the keep mask of ``positions``, compacted to
+    vertex indices by ``_drop_columns``.  This is the one compaction;
+    the streams that ``generate`` writes and ``verify lemma2`` compares
+    stay in mask space."""
+    if any(x >= y for x, y in zip(positions, positions[1:])):
+        raise ValueError("partitions must be strictly ascending by mask")
+    keep = set(positions)
+    # the rows have no bit above the last position
+    gone = [h for h in range(positions[-1] if positions else -1, -1, -1) if h not in keep]
+    rows = _mask_rows(positions, _mask_of(positions), n)
+    return _checked_rows(_drop_columns(rows, gone), len(positions))
 
 
 def _partition_graph(parts: list[TwoBlockPartition], n: int) -> Graph:
     """Nested-pair graph on ``parts``: ``_partition_rows`` as a Graph."""
-    return Graph.from_rows([p.label for p in parts], _partition_rows(parts, n))
+    return Graph.from_rows([p.label for p in parts], _partition_rows([p.mask >> 1 for p in parts], n))
+
+
+def _split_rows(n: int, spherelike: bool):
+    """The labels of S_n's vertices when ``spherelike``, else of TK_n's
+    (a list), their mask-space rows (one at a time) and their positions
+    (a list): what ``generate sphere`` and ``generate total-kneser`` write.
+    Capped at ``MAX_GROUND_SET``."""
+    _check_ground_set(n)
+    positions = _positions(n, spherelike)
+    return _labels(n, positions), _mask_rows(positions, _mask_of(positions), n), positions
+
+
+def _split_graph(n: int, spherelike: bool) -> Graph:
+    """S_n when ``spherelike``, else TK_n, as a Graph: ``_split_rows``
+    compacted.  Capped at ``MAX_GROUND_SET``."""
+    _check_ground_set(n)
+    positions = _positions(n, spherelike)
+    return Graph.from_rows(_labels(n, positions), _partition_rows(positions, n))
 
 
 def total_kneser(n: int) -> Graph:
     """Graph on all two-block partitions of {1..n}, edges between nested pairs."""
-    parts = all_partitions(n)
-    return _partition_graph(parts, n)
-
-
-def _without_singletons(labels, rows):
-    """Labels (a list) and rows (one at a time, less the dropped columns)
-    of the partition vertices with no one-element block."""
-    kept = [TwoBlockPartition.from_label(x).min_block_size >= 2 for x in labels]
-    gone = [v for v in range(len(kept) - 1, -1, -1) if not kept[v]]
-    return list(compress(labels, kept)), _drop_columns(compress(rows, kept), gone)
+    return _split_graph(n, False)
 
 
 def remove_singleton_partitions(g: Graph) -> Graph:
     """g without the partition vertices that have a one-element block, in
-    one pass over the rows; the others keep their order."""
-    return Graph.from_rows(*_without_singletons(g.labels, g.adj))
+    one pass over the rows; the others keep their order, and a kept row
+    loses the dropped vertices' bits."""
+    kept = [TwoBlockPartition.from_label(x).min_block_size >= 2 for x in g.labels]
+    gone = [v for v in range(len(kept) - 1, -1, -1) if not kept[v]]
+    return Graph.from_rows(compress(g.labels, kept), _drop_columns(compress(g.adj, kept), gone))

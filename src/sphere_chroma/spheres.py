@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import partial
+from itertools import compress
 
-from .graphbase import Coloring, Graph, _bits
-from .kneser import (
-    TwoBlockPartition,
-    all_partitions,
-    kg,
-    spherelike_partitions,
-    _partition_rows,
-    _without_singletons,
-)
+from .graphbase import Coloring, Graph, _bits, _mask_of
+from .kneser import TwoBlockPartition, _labels, _mask_rows, _positions, _split_graph, kg
 
 __all__ = [
     "SphereKneserReport",
@@ -34,28 +29,54 @@ __all__ = [
     "reference_coloring_on",
 ]
 
+# `verify lemma2` compares mask-space rows and holds no graph, so its cap
+# is its own, the ground set of `verify proper --r 8`: CLI calls take
+# 0.13-0.15 s of CPU at 17.0 MB peak RSS at n = 15, and 0.28-0.50 s at
+# 21.6 MB at n = 16 (2-vCPU VM, Python 3.11.7); in-process, n = 17 took
+# 1.0 s and 37.5 MB, each step past it about three times the work
+MAX_LEMMA_N = 16
+
+
 def sphere_graph_holed(n: int) -> Graph:
     """Sphere graph of the n-holed 3-sphere (empty for n < 4)."""
-    return Graph.from_rows(*_sphere_rows(n))
+    return _split_graph(n, True)
 
 
 def _sphere_rows(n: int):
-    """sphere_graph_holed(n)'s labels (a list) and rows (one at a time)."""
-    parts = spherelike_partitions(n)
-    return [p.label for p in parts], _partition_rows(parts, n)
+    """S_n's vertex positions (a list) and mask-space rows (one at a time)."""
+    positions = _positions(n, True)
+    return positions, _mask_rows(positions, _mask_of(positions), n)
 
 
-def _row_diff(names, lhs_rows, rhs_rows):
+def _no_one_element_block(n: int) -> list[bool]:
+    """Per position of TK_n, whether neither block of its split has one
+    element: whether block a's popcount is neither 1 nor n - 1."""
+    return [(2 * h + 1).bit_count() not in (1, n - 1) for h in range(2 ** (n - 1) - 1)]
+
+
+def _row_diff(at, lhs_rows, rhs_rows, names):
     """(missing, extra): the edges of the rhs rows that the lhs rows lack,
-    and of the lhs rows that the rhs rows lack, each as sorted label pairs
-    (names[i], names[j]), i < j.  The rows are read in step, as they come.
+    and of the lhs rows that the rhs rows lack, each as sorted label pairs,
+    the lower bit first.  The rows are read in step with ``at``, the
+    ascending bit position of each row's vertex, as they come; ``names()``
+    gives the label at each bit position, and runs only when rows differ.
     """
     missing, extra = [], []
-    for i, (x, y) in enumerate(zip(lhs_rows, rhs_rows, strict=True)):
+    for h, x, y in zip(at, lhs_rows, rhs_rows, strict=True):
         if x != y:
-            missing += [(names[i], names[j]) for j in _bits((y & ~x) >> (i + 1), i + 1)]
-            extra += [(names[i], names[j]) for j in _bits((x & ~y) >> (i + 1), i + 1)]
-    return tuple(sorted(missing)), tuple(sorted(extra))
+            missing += [(h, j) for j in _bits((y & ~x) >> (h + 1), h + 1)]
+            extra += [(h, j) for j in _bits((x & ~y) >> (h + 1), h + 1)]
+    if not (missing or extra):
+        return (), ()
+    label = names()
+    named = lambda pairs: tuple(sorted((label[i], label[j]) for i, j in pairs))
+    return named(missing), named(extra)
+
+
+def _named_edges(label, at, rows) -> set:
+    """The edges of the rows, read in step with ``at`` as in ``_row_diff``,
+    as label pairs."""
+    return {(label[h], label[j]) for h, row in zip(at, rows) for j in _bits(row >> (h + 1), h + 1)}
 
 
 # The reports are named tuples rather than dataclasses: the same field
@@ -81,26 +102,34 @@ class SphereKneserReport(namedtuple(
 def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
-    Both sides stream rows from ``kneser._partition_rows``, compared row
-    by row as they come by ``_row_diff``; they differ only in how they
-    reach the vertex list (spherelike partitions directly, or all
-    partitions with the singletons removed afterwards).  The engine independent of it is the
+    Both sides are rows in mask space from ``kneser._mask_rows``,
+    compared row by row as they come by ``_row_diff``.  The S_n side
+    walks the positions with both blocks of size at least 2, under their
+    keep mask; the TK_n side walks every position, under the keep mask of
+    the positions with no one-element block (from popcounts), and drops
+    the other rows.  The engine independent of the shared walk is the
     pair-by-pair nesting test ``pairwise_partition_graph`` in
     ``tests/oracles.py``, which ``tests/test_kneser.py`` compares against.
-    ``kneser.all_partitions`` caps n at ``MAX_GROUND_SET``.  The report
-    carries the symmetric difference of the edge sets (as label pairs)
-    when they differ, from the two graphs when the label lists differ.
+    n is capped at ``MAX_LEMMA_N``.  The report carries the symmetric
+    difference of the edge sets (as label pairs) when they differ, from
+    the two vertex lists' edge sets when the lists differ; labels are
+    built only then.
     """
-    names, lhs_rows = _sphere_rows(n)
-    every = all_partitions(n)
-    rhs_names, rhs_rows = _without_singletons([p.label for p in every], _partition_rows(every, n))
-    labels_equal = names == rhs_names
+    if not 2 <= n <= MAX_LEMMA_N:
+        raise ValueError(f"need 2 <= n <= {MAX_LEMMA_N}, got n={n}")
+    positions, lhs_rows = _sphere_rows(n)
+    every = range(2 ** (n - 1) - 1)
+    kept = _no_one_element_block(n)
+    rhs_positions = list(compress(every, kept))
+    rhs_rows = compress(_mask_rows(every, _mask_of(rhs_positions), n), kept)
+    labels_equal = positions == rhs_positions
+    names = partial(_labels, n, every)
     if labels_equal:
-        missing, extra = _row_diff(names, lhs_rows, rhs_rows)
+        missing, extra = _row_diff(positions, lhs_rows, rhs_rows, names)
     else:
-        lhs, rhs = Graph.from_rows(names, lhs_rows), Graph.from_rows(rhs_names, rhs_rows)
-        lhs_named = {(lhs.labels[i], lhs.labels[j]) for i, j in lhs.sorted_edges}
-        rhs_named = {(rhs.labels[i], rhs.labels[j]) for i, j in rhs.sorted_edges}
+        label = names()
+        lhs_named = _named_edges(label, positions, lhs_rows)
+        rhs_named = _named_edges(label, rhs_positions, rhs_rows)
         missing = tuple(sorted(rhs_named - lhs_named))
         extra = tuple(sorted(lhs_named - rhs_named))
     ok = labels_equal and not missing and not extra
@@ -135,7 +164,7 @@ def verify_petersen_isomorphism() -> PetersenIsoReport:
     # the kg(5, 2) vertex at each sphere-graph vertex, and its row in that order
     at = [image.index(x) for x in big.labels]
     carried = (sum(1 << b for b, u in enumerate(at) if small.adj[v] >> u & 1) for v in at)
-    missing, extra = _row_diff(big.labels, big.adj, carried)
+    missing, extra = _row_diff(range(big.n), big.adj, carried, lambda: big.labels)
     if missing:
         return PetersenIsoReport(False, missing[0], "edge of kg(5,2) has no nested image")
     if extra:

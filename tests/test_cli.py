@@ -103,6 +103,27 @@ class TestGenerate:
         assert len(expected) > 2 * 2**16
         assert (code, out) == (0, expected)
 
+    @pytest.mark.parametrize("family", ["sphere", "total-kneser"])
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_stdout_is_the_pairwise_document(self, run, family, n):
+        # the mask-space rows, written, against the pair-by-pair nesting test
+        parts = (kneser.spherelike_partitions if family == "sphere" else kneser.all_partitions)(n)
+        expected = oracles.graph_json(oracles.pairwise_partition_graph(parts)) + "\n"
+        assert run(["generate", family, "--n", str(n)]) == (0, expected, "")
+
+    def test_partition_streams_drop_no_columns(self, run, monkeypatch):
+        # generate sphere, generate total-kneser and verify lemma2 write and
+        # compare rows in mask space; none compacts a row
+        def refuse(*args):
+            raise AssertionError("a column was dropped")
+
+        monkeypatch.setattr(kneser, "_drop_columns", refuse)
+        for family, parts in (("sphere", kneser.spherelike_partitions(8)),
+                              ("total-kneser", kneser.all_partitions(8))):
+            expected = oracles.graph_json(oracles.pairwise_partition_graph(parts)) + "\n"
+            assert run(["generate", family, "--n", "8"]) == (0, expected, "")
+        assert run(["verify", "lemma2", "--n", "8"]) == (0, '{"lemma":"sphere-kneser","n":8,"ok":true}\n', "")
+
     def test_writer_writes_pieces_of_at_most_128_kb(self, monkeypatch):
         class Sink(io.StringIO):
             def write(self, text):
@@ -254,6 +275,11 @@ class TestVerify:
         code, out, _ = run(["verify", "lemma2", "--n", "5"])
         assert code == 0
         assert out == '{"lemma":"sphere-kneser","n":5,"ok":true}\n'
+
+    def test_lemma2_past_the_ground_set_cap(self, run):
+        # the lemma has its own cap, above the one on the graphs it compares
+        assert run(["verify", "lemma2", "--n", "15"]) == (
+            0, '{"lemma":"sphere-kneser","n":15,"ok":true}\n', "")
 
     def test_lemma2_failure_exits_2(self, run, monkeypatch):
         monkeypatch.setattr(
@@ -543,7 +569,7 @@ class TestFlagHandling:
         ["generate", "glued", "--r", "8"],
         ["generate", "farey", "--depth", "16", "--fins"],
         ["verify", "farey-parity", "--depth", "16"],
-        ["verify", "lemma2", "--n", "15"],
+        ["verify", "lemma2", "--n", "17"],
     ])
     def test_sizes_past_the_caps_exit_64(self, cli_env, argv):
         result = subprocess.run(
@@ -852,7 +878,7 @@ class TestStartup:
 
     @pytest.mark.parametrize("argv, names", [
         (["count", "--r", "3", "--rank-mode", "paper"], ["counting"]),
-        (["generate", "sphere", "--n", "5"], ["graphbase", "kneser", "spheres"]),
+        (["generate", "sphere", "--n", "5"], ["graphbase", "kneser"]),
         (["verify", "proper", "--r", "3"], ["counting", "covercolor", "graphbase", "kneser"]),
         (["generate", "farey", "--depth", "2"], ["farey", "graphbase"]),
         (["verify", "farey-parity", "--depth", "12"], ["farey", "graphbase"]),

@@ -18,6 +18,21 @@ from sphere_chroma.kneser import (
 from sphere_chroma.spheres import sphere_graph_holed
 
 
+def shift_or_families(h, n):
+    """Sup(A), Sub(A) and Sup(F ^ A) over positions, A = h, F the full
+    set, each grown from one bit by one shift-or step per element."""
+    full = 2 ** (n - 1) - 1
+    sup = sub = 1 << h
+    sup_out = 1 << (full ^ h)
+    for s in (1 << i for i in range(n - 1)):
+        if h & s:
+            sub |= sub >> s
+            sup_out |= sup_out << s
+        else:
+            sup |= sup << s
+    return sup | sub | sup_out
+
+
 class TestTwoBlockPartition:
     def test_complement_canonicalization(self):
         # the block containing 1 is always block_a
@@ -221,18 +236,25 @@ class TestRowBuilder:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_row_stream_is_the_graph_rows(self, n):
+        # the walk's mask-space rows are the three families grown by single
+        # shift-or steps, less the own bit, under the keep mask; compacted
+        # to vertex indices they are the graph's rows
         for parts in (spherelike_partitions(n), all_partitions(n)):
-            assert tuple(kneser._partition_rows(parts, n)) == kneser._partition_graph(parts, n).adj
+            positions = [p.mask >> 1 for p in parts]
+            keep = sum(1 << h for h in positions)
+            expected = [shift_or_families(h, n) & keep & ~(1 << h) for h in positions]
+            assert list(kneser._mask_rows(positions, keep, n)) == expected
+            assert tuple(kneser._partition_rows(positions, n)) == kneser._partition_graph(parts, n).adj
 
     def test_unsorted_list_refused_at_the_call(self):
         # the stream is not started: the order is checked before any row
         with pytest.raises(ValueError, match="strictly ascending"):
-            kneser._partition_rows(spherelike_partitions(6)[::-1], 6)
+            kneser._partition_rows([p.mask >> 1 for p in spherelike_partitions(6)][::-1], 6)
 
     def test_streamed_rows_are_checked(self, monkeypatch):
-        # a builder row with its own bit set is refused when it is yielded
-        monkeypatch.setattr(kneser, "_drop_columns", lambda rows, gone: (1 << v for v, _ in enumerate(rows)))
-        rows = kneser._partition_rows(all_partitions(4), 4)
+        # a walked row with its own bit set is refused when it is yielded
+        monkeypatch.setattr(kneser, "_mask_rows", lambda positions, keep, n: (1 << v for v, _ in enumerate(positions)))
+        rows = kneser._partition_rows(list(range(7)), 4)
         with pytest.raises(ValueError, match="self-loop"):
             next(rows)
 

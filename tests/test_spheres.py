@@ -5,7 +5,9 @@ import pytest
 import oracles
 from sphere_chroma import spheres
 from sphere_chroma.graphcore import Graph, chromatic_number_exact, validate_coloring
-from sphere_chroma.kneser import MAX_GROUND_SET, remove_singleton_partitions, total_kneser
+from sphere_chroma.kneser import (
+    all_partitions, remove_singleton_partitions, spherelike_partitions, total_kneser,
+)
 from sphere_chroma.spheres import (
     load_reference_three_coloring,
     reference_coloring_on,
@@ -62,14 +64,16 @@ class TestSphereKneserLemma:
             assert direct.sorted_edges == via_removal.sorted_edges
 
     def test_differences_named_from_the_rows(self, monkeypatch):
-        # drop one sphere-graph edge and add one non-edge: the report names
-        # each as a label pair
+        # drop one sphere-graph edge and add one non-edge in the S_n side's
+        # mask-space rows: the report names each as a label pair
         g = sphere_graph_holed(6)
         present = set(g.sorted_edges)
         dropped = g.sorted_edges[3]
         added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in present)
-        edges = [e for e in g.sorted_edges if e != dropped] + [added]
-        monkeypatch.setattr(spheres, "_sphere_rows", lambda n: (list(g.labels), iter(Graph(g.labels, edges).adj)))
+        corrupt = Graph(g.labels, [e for e in g.sorted_edges if e != dropped] + [added])
+        positions = [p.mask >> 1 for p in spherelike_partitions(6)]
+        rows = [sum(1 << positions[j] for j in corrupt.neighbors(i)) for i in range(g.n)]
+        monkeypatch.setattr(spheres, "_sphere_rows", lambda n: (positions, iter(rows)))
         report = verify_lemma_sphere_kneser(6)
         assert not report.ok and report.label_lists_equal
         name = lambda e: (g.labels[e[0]], g.labels[e[1]])
@@ -77,32 +81,33 @@ class TestSphereKneserLemma:
         assert report.extra_edges == (name(added),)
 
     def test_label_mismatch_named_by_edge_sets(self, monkeypatch):
-        # swap the labels of vertices 0 and 1 on the total-Kneser route: the
-        # label lists differ, so the report compares label-pair edge sets
-        real = spheres._without_singletons
+        # on the total-Kneser side, keep the 1|2 3 4 5 split and drop the
+        # 1 2|3 4 5 one: the vertex lists differ, so the report compares
+        # label-pair edge sets
+        real = spheres._no_one_element_block
 
-        def swapped(labels, rows):
-            labels, rows = real(labels, rows)
-            labels[0], labels[1] = labels[1], labels[0]
-            return labels, rows
+        def corrupted(n):
+            kept = real(n)
+            kept[0], kept[1] = True, False
+            return kept
 
-        monkeypatch.setattr(spheres, "_without_singletons", swapped)
-        g = sphere_graph_holed(5)
-        labels = list(g.labels)
-        named = {(labels[i], labels[j]) for i, j in g.sorted_edges}
-        labels[0], labels[1] = labels[1], labels[0]
-        relabeled = {(labels[i], labels[j]) for i, j in g.sorted_edges}
+        monkeypatch.setattr(spheres, "_no_one_element_block", corrupted)
+        parts = all_partitions(5)
+        kept = [parts[0]] + [p for p in parts[2:] if p.min_block_size >= 2]
+        named = lambda g: {(g.labels[i], g.labels[j]) for i, j in g.sorted_edges}
+        sphere = named(sphere_graph_holed(5))
+        total = named(oracles.pairwise_partition_graph(kept))
         report = verify_lemma_sphere_kneser(5)
         assert not report.ok and not report.label_lists_equal
-        assert report.missing_edges == tuple(sorted(relabeled - named))
-        assert report.extra_edges == tuple(sorted(named - relabeled))
+        assert report.missing_edges == tuple(sorted(total - sphere))
+        assert report.extra_edges == tuple(sorted(sphere - total))
         assert report.missing_edges and report.extra_edges
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             verify_lemma_sphere_kneser(1)
         with pytest.raises(ValueError):
-            verify_lemma_sphere_kneser(MAX_GROUND_SET + 1)
+            verify_lemma_sphere_kneser(spheres.MAX_LEMMA_N + 1)
 
 
 class TestPetersenIsomorphism:
