@@ -262,19 +262,26 @@ def _json_pieces(labels, upper, positions=None):
     edges are written row by row from a table of "j]" tails indexed by bit
     position: a list's entries index it, and a bit row's tails are picked
     off it by ``_pick`` with no list of neighbours in between.  So a
-    caller can write each string, or each run of them, as it forms.
+    caller can write each string, or each run of them, as it forms.  A
+    bit row with a bit at no vertex's position, or at its own, is a
+    ValueError, raised before its edges are written.
     """
     tail = [f"{j}]" for j in range(len(labels))]
     if positions is None:
         positions = range(len(labels))
-    elif positions:
-        tail, index = [""] * (positions[-1] + 1), tail
-        for h, t in zip(positions, index):
-            tail[h] = t
+        off = -1 << len(labels)
+    else:
+        off = ~_mask_of(positions)
+        if positions:
+            tail, index = [""] * (positions[-1] + 1), tail
+            for h, t in zip(positions, index):
+                tail[h] = t
     yield _HEAD + json.dumps(labels, separators=(",", ":")) + _EDGES
     sep = ""
     for i, (h, row) in enumerate(zip(positions, upper, strict=True)):
         if type(row) is int:
+            if row & off or row >> h & 1:
+                raise ValueError(f"row {i} has a bit at no vertex's position or at its own")
             tails = _pick(row >> h + 1, tail, h + 1)
         else:
             tails = map(tail.__getitem__, row)

@@ -26,21 +26,21 @@ would be a itself, of the first and third the full set, and no subset
 of a contains ~a.  Over positions h = c >> 1 (the split whose block
 holding element 1 has mask 2h + 1), with F = 2^(n-1) - 1 the full set
 and A = a >> 1, they are Sup(A), Sub(A) and Sup(F ^ A): bit indicators
-built from two tables of submask indicators (``_mask_rows``), so a row
-costs a few big-int steps, where a pair scan tests every other vertex.
+that n - 1 shift-or steps grow from one bit (``_mask_rows``), so a row
+costs O(n) big-int steps, where a pair scan tests every other vertex.
 
 The rows stay in mask space: bit h of a row stands for the split at
 position h, whichever vertices a graph keeps.  A graph's vertex list is
 a list of positions, and its keep mask has their bits; each row is the
 three families AND-ed with the keep mask, less its own bit, and no
 column is deleted.  ``generate sphere``, ``generate total-kneser`` and
-``verify lemma2`` take the rows so: the writer picks each edge's index
-from a table indexed by position, and the lemma names positions by
-their labels only when its two sides differ.  The one compaction to
-vertex indices, by ``graphbase._drop_columns``, is ``_partition_rows``,
-for the builders of a ``Graph`` (``_split_graph``, behind ``total_kneser``
-and ``spheres.sphere_graph_holed``, ``_partition_graph`` and
-``covercolor._glued_rows``).
+``verify lemma2`` take the rows so (``_kept_rows``): the writer picks
+each edge's index from a table indexed by position, and the lemma names
+positions by their labels only when its two sides differ.  The one
+compaction to vertex indices, by ``graphbase._drop_columns``, is
+``_partition_rows``, for the builders of a ``Graph``:
+``_partition_graph`` (behind ``total_kneser`` and
+``spheres.sphere_graph_holed``) and ``covercolor._glued_rows``.
 """
 
 from __future__ import annotations
@@ -241,56 +241,50 @@ def _labels(n: int, positions) -> list[str]:
     return [f"{a[h]}|{b[h]}" for h in positions]
 
 
-# the submask indicator of a position splits into a table of its low
-# _LOW_BITS bits and one of the rest (see _mask_rows)
-_LOW_BITS = 5
-
-
 def _mask_rows(positions, keep: int, n: int):
     """The mask-space row of each of ``positions``, one at a time: the
-    module docstring's three families, less the row's own bit, AND-ed
-    with ``keep``.
-
-    With P(Z) the indicator of Z's submasks, Sub(A) = P(A), Sup(A) =
-    P(F ^ A) << A and Sup(F ^ A) = P(A) << (F ^ A).  P(Z) is the product
-    of 1 + 2^(2^i) over the bits 2^i of Z; its terms are the distinct
-    submasks, so it has no carries, and it is the product of the
-    table entries of Z's low _LOW_BITS bits and of the rest.
-    """
+    module docstring's three families, each grown from one bit by one
+    shift-or step per element, AND-ed with ``keep``, less the row's own
+    bit."""
     full = (1 << (n - 1)) - 1
-    k = min(_LOW_BITS, n - 1)
-    # low[z] = P(z) for z < 2^k, high[z] = P(z << k)
-    low, high = [1], [1]
-    for i in range(n - 1):
-        table = low if i < k else high
-        table += [x | x << (1 << i) for x in table]
-    part = (1 << k) - 1
+    steps = [1 << i for i in range(n - 1)]
     for h in positions:
-        g = full ^ h
-        inside = low[h & part] * high[h >> k]
-        outside = low[g & part] * high[g >> k]
-        yield ((outside << h | inside | inside << g) ^ 1 << h) & keep
+        sup = sub = 1 << h
+        sup_out = 1 << (full ^ h)
+        for s in steps:
+            if h & s:
+                sub |= sub >> s
+                sup_out |= sup_out << s
+            else:
+                sup |= sup << s
+        yield (sup | sub | sup_out) & keep & ~(1 << h)
+
+
+def _kept_rows(positions, n: int):
+    """The mask-space rows of ``positions`` (a list) under their own keep
+    mask, one at a time: the rows of the graph on those splits."""
+    return _mask_rows(positions, _mask_of(positions), n)
 
 
 def _partition_rows(positions: list[int], n: int):
     """Rows of the nested-pair graph on the splits at ``positions``,
     strictly ascending (checked at the call), one at a time: the
-    mask-space rows under the keep mask of ``positions``, compacted to
-    vertex indices by ``_drop_columns``.  This is the one compaction;
-    the streams that ``generate`` writes and ``verify lemma2`` compares
-    stay in mask space."""
+    ``_kept_rows``, compacted to vertex indices by ``_drop_columns``.
+    This is the one compaction; the streams that ``generate`` writes and
+    ``verify lemma2`` compares stay in mask space."""
     if any(x >= y for x, y in zip(positions, positions[1:])):
         raise ValueError("partitions must be strictly ascending by mask")
     keep = set(positions)
     # the rows have no bit above the last position
     gone = [h for h in range(positions[-1] if positions else -1, -1, -1) if h not in keep]
-    rows = _mask_rows(positions, _mask_of(positions), n)
-    return _checked_rows(_drop_columns(rows, gone), len(positions))
+    return _checked_rows(_drop_columns(_kept_rows(positions, n), gone), len(positions))
 
 
-def _partition_graph(parts: list[TwoBlockPartition], n: int) -> Graph:
-    """Nested-pair graph on ``parts``: ``_partition_rows`` as a Graph."""
-    return Graph.from_rows([p.label for p in parts], _partition_rows([p.mask >> 1 for p in parts], n))
+def _partition_graph(positions: list[int], n: int) -> Graph:
+    """Nested-pair graph on the splits at ``positions``: their labels and
+    ``_partition_rows``, as a Graph.  The one builder of the partition
+    graphs."""
+    return Graph.from_rows(_labels(n, positions), _partition_rows(positions, n))
 
 
 def _split_rows(n: int, spherelike: bool):
@@ -300,20 +294,13 @@ def _split_rows(n: int, spherelike: bool):
     Capped at ``MAX_GROUND_SET``."""
     _check_ground_set(n)
     positions = _positions(n, spherelike)
-    return _labels(n, positions), _mask_rows(positions, _mask_of(positions), n), positions
-
-
-def _split_graph(n: int, spherelike: bool) -> Graph:
-    """S_n when ``spherelike``, else TK_n, as a Graph: ``_split_rows``
-    compacted.  Capped at ``MAX_GROUND_SET``."""
-    _check_ground_set(n)
-    positions = _positions(n, spherelike)
-    return Graph.from_rows(_labels(n, positions), _partition_rows(positions, n))
+    return _labels(n, positions), _kept_rows(positions, n), positions
 
 
 def total_kneser(n: int) -> Graph:
     """Graph on all two-block partitions of {1..n}, edges between nested pairs."""
-    return _split_graph(n, False)
+    _check_ground_set(n)
+    return _partition_graph(_positions(n, False), n)
 
 
 def remove_singleton_partitions(g: Graph) -> Graph:

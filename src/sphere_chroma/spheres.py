@@ -17,7 +17,10 @@ from functools import partial
 from itertools import compress
 
 from .graphbase import Coloring, Graph, _bits, _mask_of
-from .kneser import TwoBlockPartition, _labels, _mask_rows, _positions, _split_graph, kg
+from .kneser import (
+    TwoBlockPartition, _check_ground_set, _kept_rows, _labels, _mask_rows, _partition_graph,
+    _positions, kg,
+)
 
 __all__ = [
     "SphereKneserReport",
@@ -31,27 +34,24 @@ __all__ = [
 
 # `verify lemma2` compares mask-space rows and holds no graph, so its cap
 # is its own, the ground set of `verify proper --r 8`: CLI calls take
-# 0.13-0.15 s of CPU at 17.0 MB peak RSS at n = 15, and 0.28-0.50 s at
-# 21.6 MB at n = 16 (2-vCPU VM, Python 3.11.7); in-process, n = 17 took
-# 1.0 s and 37.5 MB, each step past it about three times the work
+# 0.58 s of CPU at 16.1 MB peak RSS at n = 15, and 1.55 s at 17.8 MB at
+# n = 16 (median of 5, 2-vCPU VM, Python 3.11.7), each step about three
+# times the work of the one before
 MAX_LEMMA_N = 16
 
 
 def sphere_graph_holed(n: int) -> Graph:
     """Sphere graph of the n-holed 3-sphere (empty for n < 4)."""
-    return _split_graph(n, True)
+    _check_ground_set(n)
+    return _partition_graph(_positions(n, True), n)
 
 
-def _sphere_rows(n: int):
-    """S_n's vertex positions (a list) and mask-space rows (one at a time)."""
-    positions = _positions(n, True)
-    return positions, _mask_rows(positions, _mask_of(positions), n)
-
-
-def _no_one_element_block(n: int) -> list[bool]:
-    """Per position of TK_n, whether neither block of its split has one
-    element: whether block a's popcount is neither 1 nor n - 1."""
-    return [(2 * h + 1).bit_count() not in (1, n - 1) for h in range(2 ** (n - 1) - 1)]
+def _one_element_splits(n: int) -> set[int]:
+    """The positions of TK_n's splits with a one-element block: the split
+    of each element from the rest, made by ``TwoBlockPartition``, not
+    picked out by popcount as ``kneser._positions`` picks S_n's vertices
+    (n splits, one when n = 2)."""
+    return {TwoBlockPartition.from_block(n, [e]).mask >> 1 for e in range(1, n + 1)}
 
 
 def _row_diff(at, lhs_rows, rhs_rows, names):
@@ -104,22 +104,28 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
 
     Both sides are rows in mask space from ``kneser._mask_rows``,
     compared row by row as they come by ``_row_diff``.  The S_n side
-    walks the positions with both blocks of size at least 2, under their
-    keep mask; the TK_n side walks every position, under the keep mask of
-    the positions with no one-element block (from popcounts), and drops
-    the other rows.  The engine independent of the shared walk is the
-    pair-by-pair nesting test ``pairwise_partition_graph`` in
-    ``tests/oracles.py``, which ``tests/test_kneser.py`` compares against.
-    n is capped at ``MAX_LEMMA_N``.  The report carries the symmetric
-    difference of the edge sets (as label pairs) when they differ, from
-    the two vertex lists' edge sets when the lists differ; labels are
-    built only then.
+    walks the positions whose blocks both have 2 or more elements
+    (``kneser._positions``, by popcount), under their keep mask
+    (``kneser._kept_rows``).  The TK_n side walks every position, under
+    the keep mask of all but ``_one_element_splits`` (made from the
+    one-element blocks themselves), and drops those splits' rows.  So
+    the vertex lists come by two routes, but the edges of both sides
+    come from the one shared walk: ``verify lemma2`` checks that walk
+    against no other engine, at any n.  The engine independent of it is
+    the pair-by-pair nesting test ``pairwise_partition_graph`` in
+    ``tests/oracles.py``, which the tests compare the walk's graphs and
+    written documents with for n <= 9.  n is capped at ``MAX_LEMMA_N``.
+    The report carries the symmetric difference of the edge sets (as
+    label pairs) when they differ, from the two vertex lists' edge sets
+    when the lists differ; labels are built only then.
     """
     if not 2 <= n <= MAX_LEMMA_N:
         raise ValueError(f"need 2 <= n <= {MAX_LEMMA_N}, got n={n}")
-    positions, lhs_rows = _sphere_rows(n)
+    positions = _positions(n, True)
+    lhs_rows = _kept_rows(positions, n)
     every = range(2 ** (n - 1) - 1)
-    kept = _no_one_element_block(n)
+    single = _one_element_splits(n)
+    kept = [h not in single for h in every]
     rhs_positions = list(compress(every, kept))
     rhs_rows = compress(_mask_rows(every, _mask_of(rhs_positions), n), kept)
     labels_equal = positions == rhs_positions

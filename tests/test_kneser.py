@@ -221,7 +221,7 @@ class TestRowBuilder:
         parts = all_partitions(n)
         keep = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
         parts = [p for p, k in zip(parts, keep) if k]
-        assert kneser._partition_graph(parts, n) == oracles.pairwise_partition_graph(parts)
+        assert kneser._partition_graph([p.mask >> 1 for p in parts], n) == oracles.pairwise_partition_graph(parts)
 
     @pytest.mark.parametrize("order", ["descending", "repeated", "swapped"])
     def test_unsorted_list_refused(self, order):
@@ -232,7 +232,7 @@ class TestRowBuilder:
             "swapped": [parts[1], parts[0]] + parts[2:],
         }[order]
         with pytest.raises(ValueError, match="strictly ascending"):
-            kneser._partition_graph(bad, 6)
+            kneser._partition_graph([p.mask >> 1 for p in bad], 6)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_row_stream_is_the_graph_rows(self, n):
@@ -244,7 +244,17 @@ class TestRowBuilder:
             keep = sum(1 << h for h in positions)
             expected = [shift_or_families(h, n) & keep & ~(1 << h) for h in positions]
             assert list(kneser._mask_rows(positions, keep, n)) == expected
-            assert tuple(kneser._partition_rows(positions, n)) == kneser._partition_graph(parts, n).adj
+            assert tuple(kneser._partition_rows(positions, n)) == kneser._partition_graph(positions, n).adj
+
+    @pytest.mark.parametrize("stray", [0, 1, 2, 4])
+    def test_writer_refuses_a_row_off_its_positions(self, stray):
+        # vertices at positions 1 and 3: a bit at 0, 2 or 4 stands for no
+        # vertex, and bit 1 is the first row's own
+        from sphere_chroma.graphbase import _json_pieces
+        clean = "".join(_json_pieces(["a", "b"], [1 << 3, 1 << 1], [1, 3]))
+        assert clean.endswith('"edges":[[0,1]]}')
+        with pytest.raises(ValueError, match="no vertex's position or at its own"):
+            "".join(_json_pieces(["a", "b"], [1 << 3 | 1 << stray, 1 << 1], [1, 3]))
 
     def test_unsorted_list_refused_at_the_call(self):
         # the stream is not started: the order is checked before any row

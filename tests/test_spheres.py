@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from sphere_chroma import spheres
+from sphere_chroma import kneser, spheres
 from sphere_chroma.graphcore import Graph, chromatic_number_exact, validate_coloring
 from sphere_chroma.kneser import (
     all_partitions, remove_singleton_partitions, spherelike_partitions, total_kneser,
@@ -32,7 +32,7 @@ class TestSphereGraph:
         assert [oracles.sphere_graph_counts(n) for n in (5, 12, 14, 16)] == [
             (10, 15), (2_035, 235_092), (8_177, 2_252_341), (32_751, 20_900_922)]
         for n in range(4, 13):
-            labels, rows = spheres._sphere_rows(n)
+            labels, rows, _ = kneser._split_rows(n, True)
             edges = sum(row.bit_count() for row in rows) // 2
             assert (len(labels), edges) == oracles.sphere_graph_counts(n), n
 
@@ -73,7 +73,7 @@ class TestSphereKneserLemma:
         corrupt = Graph(g.labels, [e for e in g.sorted_edges if e != dropped] + [added])
         positions = [p.mask >> 1 for p in spherelike_partitions(6)]
         rows = [sum(1 << positions[j] for j in corrupt.neighbors(i)) for i in range(g.n)]
-        monkeypatch.setattr(spheres, "_sphere_rows", lambda n: (positions, iter(rows)))
+        monkeypatch.setattr(spheres, "_kept_rows", lambda positions, n: iter(rows))
         report = verify_lemma_sphere_kneser(6)
         assert not report.ok and report.label_lists_equal
         name = lambda e: (g.labels[e[0]], g.labels[e[1]])
@@ -84,14 +84,8 @@ class TestSphereKneserLemma:
         # on the total-Kneser side, keep the 1|2 3 4 5 split and drop the
         # 1 2|3 4 5 one: the vertex lists differ, so the report compares
         # label-pair edge sets
-        real = spheres._no_one_element_block
-
-        def corrupted(n):
-            kept = real(n)
-            kept[0], kept[1] = True, False
-            return kept
-
-        monkeypatch.setattr(spheres, "_no_one_element_block", corrupted)
+        real = spheres._one_element_splits
+        monkeypatch.setattr(spheres, "_one_element_splits", lambda n: real(n) - {0} | {1})
         parts = all_partitions(5)
         kept = [parts[0]] + [p for p in parts[2:] if p.min_block_size >= 2]
         named = lambda g: {(g.labels[i], g.labels[j]) for i, j in g.sorted_edges}
@@ -102,6 +96,14 @@ class TestSphereKneserLemma:
         assert report.missing_edges == tuple(sorted(total - sphere))
         assert report.extra_edges == tuple(sorted(sphere - total))
         assert report.missing_edges and report.extra_edges
+
+    @pytest.mark.parametrize("n", range(2, spheres.MAX_LEMMA_N + 1))
+    def test_one_element_splits_are_the_rest(self, n):
+        # the TK_n side's dropped splits, made from one-element blocks, are
+        # exactly the positions the S_n side's popcounts leave out
+        single = spheres._one_element_splits(n)
+        assert len(single) == (1 if n == 2 else n)
+        assert set(range(2 ** (n - 1) - 1)) - single == set(kneser._positions(n, True))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
