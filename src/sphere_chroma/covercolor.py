@@ -53,7 +53,7 @@ from itertools import chain
 
 # the counting bound, re-exported here; `count` imports its module alone
 from .counting import CountReport, count_colors
-from .graphbase import Graph, _bits, _checked_rows
+from .graphbase import Graph, _bits
 from .kneser import TwoBlockPartition, _labels, _partition_rows, _positions
 
 __all__ = [
@@ -304,13 +304,14 @@ def glued_sphere_graph(model: CutSystemModel, include_cut_spheres: bool = False)
 
 def _glued_rows(model: CutSystemModel, include_cut_spheres: bool = False):
     """glued_sphere_graph's labels (a list) and rows (one at a time):
-    S_{2r}'s rows, each cut sphere adjacent to every vertex."""
+    S_{2r}'s rows, each cut sphere adjacent to every vertex.  The rows are
+    checked where they are used, by ``Graph.from_rows`` or the writer."""
     positions, _, labels = _vertices(model, include_cut_spheres)
     base, n = len(positions), len(labels)
     full = (1 << n) - 1
     cuts = full ^ (1 << base) - 1
     rows = (row | cuts for row in _partition_rows(positions, model.n_boundary))
-    return labels, _checked_rows(chain(rows, (full ^ 1 << v for v in range(base, n))), n)
+    return labels, chain(rows, (full ^ 1 << v for v in range(base, n)))
 
 
 def _vertices(model: CutSystemModel, include_cut_spheres: bool):
@@ -576,12 +577,14 @@ def homology_only_violations(model: CutSystemModel) -> list[tuple[str, str, str]
     Returns the adjacent pairs that collide, with the shared class; for
     r >= 3 this list is nonempty, which is what forces the covers into
     the construction.  Runs on no CLI path; it stays public as acceptance
-    criterion 5's negative control.
+    criterion 5's negative control.  The class of a block mask is read
+    from the span table that ``_color_table`` reads it from, so the
+    control computes no cover's lift classes.
     """
     masks, labels = _vertices(model, False)[1:]
-    hom = _color_table(model, masks, labels).hom
+    hom = _span_table([1 << (j // 2) for j in range(model.n_boundary)])
     rows = _nested_rows(masks, model.n_boundary, _pairs(model.n_boundary), range(len(masks)))
-    return [(labels[i], labels[j], _hom_label(hom[i], model.r))
+    return [(labels[i], labels[j], _hom_label(hom[masks[i]], model.r))
             for i, row in enumerate(rows) for j in _bits(row >> (i + 1), i + 1)]
 
 

@@ -8,11 +8,12 @@ with the first branched vertex pinned to color 0.  Its state is a
 handful of vertex masks: the uncolored vertices, one "has a neighbour of
 color c" mask per color, and a saturation counter sliced into bit
 planes, so a node costs a few big-int operations per color and per
-plane, not one step per neighbour.  A node that descends pushes its
-parent's masks and color-loop position as one tuple, and backtracking
-pops it; a dead node pushes nothing.  Universal vertices are peeled off
-before the search, each with a color of its own, so the node budget and
-the reported node counts are those of the peeled search.  When a node
+plane, not one step per neighbour; DSATUR keeps its saturations in the
+same masks and planes.  A node that descends pushes its parent's masks
+and color-loop position as one tuple, and backtracking pops it; a dead
+node pushes nothing.  Universal vertices are peeled off before the
+search, each with a color of its own, so the node budget and the
+reported node counts are those of the peeled search.  When a node
 budget runs out the engine reports an explicit undecided outcome instead
 of guessing.
 """
@@ -112,52 +113,46 @@ class ChiUndecided(namedtuple(
 def greedy_dsatur(g: Graph) -> Coloring:
     """Greedy coloring in saturation order; ties broken by least vertex index.
 
-    ``buckets[s]`` masks the uncolored vertices that see exactly s distinct
-    neighbour colors, so the next vertex is the lowest bit of the highest
-    nonempty bucket.  ``seen[c]`` masks the vertices with a neighbour of
-    color c; coloring a vertex c lifts only its neighbours outside
-    ``seen[c]``, one bucket at a time.  With c colors that is O(V * c)
+    The saturations are kept as in ``_k_colorable``: plane p holds bit p
+    of each uncolored vertex's count of distinct neighbour colors, so the
+    next vertex is the lowest of those left after walking the planes from
+    the top.  ``seen[c]`` masks the vertices with a neighbour of color c;
+    coloring a vertex c adds one, by ripple carry, to its uncolored
+    neighbours outside ``seen[c]``.  With c colors that is O(V * log c)
     big-int operations and no per-vertex scan.
     """
     n = g.n
     adj = g.adj
     color = [-1] * n
     uncolored = (1 << n) - 1
-    buckets = [uncolored]
+    planes: list[int] = []
     seen: list[int] = []
-    top = 0
     for _ in range(n):
-        while not buckets[top]:
-            top -= 1
-        b = buckets[top]
-        low = b & -b
-        buckets[top] = b ^ low
+        best = uncolored
+        for plane in reversed(planes):
+            t = best & plane
+            if t:
+                best = t
+        low = best & -best
         uncolored ^= low
-        best = low.bit_length() - 1
+        v = low.bit_length() - 1
         c = 0
         while c < len(seen) and seen[c] & low:
             c += 1
         if c == len(seen):
             seen.append(0)
-        color[best] = c
-        row = adj[best]
-        grow = row & uncolored & ~seen[c]
+        color[v] = c
+        row = adj[v]
+        carry = row & uncolored & ~seen[c]
         seen[c] |= row
-        if not grow:
-            continue
-        if top + 1 == len(buckets):
-            buckets.append(0)
-        # top down, so a vertex lifted into bucket s + 1 is not lifted again
-        for s in range(top, -1, -1):
-            moved = buckets[s] & grow
-            if moved:
-                buckets[s] ^= moved
-                buckets[s + 1] |= moved
-                grow ^= moved
-                if not grow:
-                    break
-        if buckets[top + 1]:
-            top += 1
+        p = 0
+        while carry:
+            if p == len(planes):
+                planes.append(0)
+            t = planes[p] & carry
+            planes[p] ^= carry
+            carry = t
+            p += 1
     return _canonical_coloring(color)
 
 
@@ -345,8 +340,6 @@ def chromatic_number_exact(g: Graph, budget: int | None = None):
     """
     _check_budget(budget)
     n = g.n
-    if n == 0:
-        return ChiCertificate(0, Coloring(()), 0, None)
     ub_col = greedy_dsatur(g)
     ub = ub_col.size
     lb = _clique_bound(g.adj, ub)

@@ -50,7 +50,7 @@ import math
 from collections import namedtuple
 from itertools import combinations, compress
 
-from .graphbase import Graph, _checked_rows, _class_masks, _drop_columns, _mask_of
+from .graphbase import Graph, _class_masks, _drop_columns, _mask_of
 
 __all__ = [
     "TwoBlockPartition",
@@ -70,11 +70,6 @@ __all__ = [
 # RSS (2-vCPU VM, Python 3.11.7).
 MAX_GROUND_SET = 14
 MAX_KG_VERTICES = 3500
-
-
-# mask digits ("0"/"1", element 1 first) to 0/1 flags for each block
-_IN_BLOCK_A = bytes.maketrans(b"01", b"\x00\x01")
-_IN_BLOCK_B = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @functools.cache
@@ -150,11 +145,7 @@ class TwoBlockPartition(namedtuple("TwoBlockPartition", "n mask")):
     @property
     def label(self) -> str:
         """"1 2|3 4 5" form: block_a, then block_b, each ascending."""
-        names = _element_names(self.n)
-        digits = f"{self.mask:0{self.n}b}".encode()[::-1]  # element 1 first
-        a = " ".join(compress(names, digits.translate(_IN_BLOCK_A)))
-        b = " ".join(compress(names, digits.translate(_IN_BLOCK_B)))
-        return f"{a}|{b}"
+        return f"{' '.join(map(str, self.block_a))}|{' '.join(map(str, self.block_b))}"
 
     def __str__(self):
         return self.label
@@ -271,13 +262,14 @@ def _partition_rows(positions: list[int], n: int):
     strictly ascending (checked at the call), one at a time: the
     ``_kept_rows``, compacted to vertex indices by ``_drop_columns``.
     This is the one compaction; the streams that ``generate`` writes and
-    ``verify lemma2`` compares stay in mask space."""
+    ``verify lemma2`` compares stay in mask space.  Each row is checked
+    once, where it is used: by ``Graph.from_rows``, or by the writer."""
     if any(x >= y for x, y in zip(positions, positions[1:])):
         raise ValueError("partitions must be strictly ascending by mask")
     keep = set(positions)
     # the rows have no bit above the last position
     gone = [h for h in range(positions[-1] if positions else -1, -1, -1) if h not in keep]
-    return _checked_rows(_drop_columns(_kept_rows(positions, n), gone), len(positions))
+    return _drop_columns(_kept_rows(positions, n), gone)
 
 
 def _partition_graph(positions: list[int], n: int) -> Graph:

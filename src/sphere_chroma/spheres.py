@@ -14,12 +14,10 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import partial
-from itertools import compress
 
-from .graphbase import Coloring, Graph, _bits, _mask_of
+from .graphbase import Coloring, Graph, _bits
 from .kneser import (
-    TwoBlockPartition, _check_ground_set, _kept_rows, _labels, _mask_rows, _partition_graph,
-    _positions, kg,
+    TwoBlockPartition, _check_ground_set, _kept_rows, _labels, _partition_graph, _positions, kg,
 )
 
 __all__ = [
@@ -73,10 +71,16 @@ def _row_diff(at, lhs_rows, rhs_rows, names):
     return named(missing), named(extra)
 
 
-def _named_edges(label, at, rows) -> set:
-    """The edges of the rows, read in step with ``at`` as in ``_row_diff``,
-    as label pairs."""
-    return {(label[h], label[j]) for h, row in zip(at, rows) for j in _bits(row >> (h + 1), h + 1)}
+def _rows_at_every(positions: list[int], size: int, n: int):
+    """The mask-space row at each of ``size`` positions, one at a time:
+    the walk's row under the keep mask of ``positions`` (ascending) at
+    each of them, 0 at the rest, which one flag byte per position tells
+    apart."""
+    on = bytearray(size)
+    for h in positions:
+        on[h] = 1
+    rows = _kept_rows(positions, n)
+    return (next(rows) if f else 0 for f in on)
 
 
 # The reports are named tuples rather than dataclasses: the same field
@@ -102,42 +106,35 @@ class SphereKneserReport(namedtuple(
 def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
-    Both sides are rows in mask space from ``kneser._mask_rows``,
-    compared row by row as they come by ``_row_diff``.  The S_n side
-    walks the positions whose blocks both have 2 or more elements
-    (``kneser._positions``, by popcount), under their keep mask
-    (``kneser._kept_rows``).  The TK_n side walks every position, under
-    the keep mask of all but ``_one_element_splits`` (made from the
-    one-element blocks themselves), and drops those splits' rows.  So
-    the vertex lists come by two routes, but the edges of both sides
-    come from the one shared walk: ``verify lemma2`` checks that walk
-    against no other engine, at any n.  The engine independent of it is
-    the pair-by-pair nesting test ``pairwise_partition_graph`` in
-    ``tests/oracles.py``, which the tests compare the walk's graphs and
-    written documents with for n <= 9.  n is capped at ``MAX_LEMMA_N``.
-    The report carries the symmetric difference of the edge sets (as
-    label pairs) when they differ, from the two vertex lists' edge sets
-    when the lists differ; labels are built only then.
+    Both sides are rows in mask space from ``kneser._kept_rows``, one at
+    every position, 0 at a split off the side's vertex list
+    (``_rows_at_every``), compared row by row as they come by
+    ``_row_diff``.  The S_n side walks the positions whose blocks both
+    have 2 or more elements (``kneser._positions``, by popcount), under
+    their keep mask.  The TK_n side walks every position but
+    ``_one_element_splits`` (made from the one-element blocks
+    themselves), under the keep mask of those.  So the vertex lists come
+    by two routes, but the edges of both sides come from the one shared
+    walk: ``verify lemma2`` checks that walk against no other engine, at
+    any n.  The engine independent of it is the pair-by-pair nesting test
+    ``pairwise_partition_graph`` in ``tests/oracles.py``, which the tests
+    compare the walk's graphs and written documents with for n <= 9.  n
+    is capped at ``MAX_LEMMA_N``.  A row holds a vertex's edges to the
+    higher positions on its side, so the row diff is the symmetric
+    difference of the two edge sets, which the report carries as label
+    pairs, whether or not the vertex lists differ; labels are built only
+    when the edges differ.
     """
     if not 2 <= n <= MAX_LEMMA_N:
         raise ValueError(f"need 2 <= n <= {MAX_LEMMA_N}, got n={n}")
-    positions = _positions(n, True)
-    lhs_rows = _kept_rows(positions, n)
     every = range(2 ** (n - 1) - 1)
+    positions = _positions(n, True)
     single = _one_element_splits(n)
-    kept = [h not in single for h in every]
-    rhs_positions = list(compress(every, kept))
-    rhs_rows = compress(_mask_rows(every, _mask_of(rhs_positions), n), kept)
+    rhs_positions = [h for h in every if h not in single]
+    missing, extra = _row_diff(
+        every, _rows_at_every(positions, len(every), n),
+        _rows_at_every(rhs_positions, len(every), n), partial(_labels, n, every))
     labels_equal = positions == rhs_positions
-    names = partial(_labels, n, every)
-    if labels_equal:
-        missing, extra = _row_diff(positions, lhs_rows, rhs_rows, names)
-    else:
-        label = names()
-        lhs_named = _named_edges(label, positions, lhs_rows)
-        rhs_named = _named_edges(label, rhs_positions, rhs_rows)
-        missing = tuple(sorted(rhs_named - lhs_named))
-        extra = tuple(sorted(lhs_named - rhs_named))
     ok = labels_equal and not missing and not extra
     return SphereKneserReport(n, ok, labels_equal, missing, extra)
 

@@ -167,6 +167,29 @@ class TestChi:
         assert set(parsed) == {"lower", "upper"}
         assert parsed["lower"] <= 5 <= parsed["upper"]
 
+    # DSATUR's color count and the clique bound on the benchmark's graphs,
+    # in `generate` order: the benchmark checks only 1 <= lower <= upper,
+    # so these pins are what catch a change of either count
+    @pytest.mark.parametrize("argv, line", [
+        (["sphere", "--n", "9"], '{"lower":6,"upper":18}\n'),
+        (["total-kneser", "--n", "9"], '{"lower":15,"upper":27}\n'),
+        (["sphere", "--n", "10"], '{"lower":7,"upper":27}\n'),
+    ], ids=["sphere 9", "total-kneser 9", "sphere 10"])
+    def test_bounds_pinned(self, run, argv, line):
+        _, doc, _ = run(["generate", *argv])
+        assert run(["chi", "--bounds"], stdin_text=doc) == (0, line, "")
+
+    # the larger graphs in-process, with the two calls `chi --bounds` makes
+    @pytest.mark.parametrize("build, lower, upper", [
+        (lambda: spheres.sphere_graph_holed(12), 9, 42),
+        (lambda: kneser.total_kneser(12), 21, 54),
+        (lambda: farey.add_fins(farey.farey_ball(11)), 3, 3),
+    ], ids=["sphere 12", "total-kneser 12", "farey 11 fins"])
+    def test_bounds_pinned_in_process(self, build, lower, upper):
+        g = build()
+        colors = graphcore.greedy_dsatur(g).size
+        assert (graphcore._clique_bound(g.adj, colors), colors) == (lower, upper)
+
     @pytest.mark.parametrize("duplicate", [False, True], ids=["sound", "duplicate-edge"])
     def test_stdin_file_reads_as_input_file(self, run, monkeypatch, tmp_path, duplicate):
         # a regular file on stdin goes to the chunked file reader, and the

@@ -386,7 +386,7 @@ class TestUniversalPeeling:
 
 
 class TestSelectionMatchesScan:
-    """The bucketed DSATUR pick and the degree-class clique pick choose the
+    """The bit-plane DSATUR pick and the degree-class clique pick choose the
     same vertex at every step as the per-vertex scans in oracles.  The
     clique seeds stopped at the DSATUR size find the same clique size:
     no clique outgrows a proper coloring."""

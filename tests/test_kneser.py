@@ -262,11 +262,15 @@ class TestRowBuilder:
             kneser._partition_rows([p.mask >> 1 for p in spherelike_partitions(6)][::-1], 6)
 
     def test_streamed_rows_are_checked(self, monkeypatch):
-        # a walked row with its own bit set is refused when it is yielded
+        # a walked row with its own bit set is refused where the rows are
+        # used: by Graph.from_rows, and by the writer of `generate`
+        from sphere_chroma.graphbase import _json_pieces
         monkeypatch.setattr(kneser, "_mask_rows", lambda positions, keep, n: (1 << v for v, _ in enumerate(positions)))
-        rows = kneser._partition_rows(list(range(7)), 4)
         with pytest.raises(ValueError, match="self-loop"):
-            next(rows)
+            kneser._partition_graph(list(range(7)), 4)
+        labels, rows, positions = kneser._split_rows(4, False)
+        with pytest.raises(ValueError, match="at its own"):
+            "".join(_json_pieces(labels, rows, positions))
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_remove_singletons_matches_pairwise_nested(self, n):

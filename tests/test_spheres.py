@@ -65,16 +65,27 @@ class TestSphereKneserLemma:
 
     def test_differences_named_from_the_rows(self, monkeypatch):
         # drop one sphere-graph edge and add one non-edge in the S_n side's
-        # mask-space rows: the report names each as a label pair
+        # mask-space rows, a row at every position and the first side
+        # walked: the report names each as a label pair
         g = sphere_graph_holed(6)
         present = set(g.sorted_edges)
         dropped = g.sorted_edges[3]
         added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in present)
         corrupt = Graph(g.labels, [e for e in g.sorted_edges if e != dropped] + [added])
         positions = [p.mask >> 1 for p in spherelike_partitions(6)]
-        rows = [sum(1 << positions[j] for j in corrupt.neighbors(i)) for i in range(g.n)]
-        monkeypatch.setattr(spheres, "_kept_rows", lambda positions, n: iter(rows))
+        rows = [0] * (2**5 - 1)
+        for i, h in enumerate(positions):
+            rows[h] = sum(1 << positions[j] for j in corrupt.neighbors(i))
+        real = spheres._rows_at_every
+        sides = []
+
+        def rows_at_every(at, size, n):
+            sides.append(at)
+            return iter(rows) if len(sides) == 1 else real(at, size, n)
+
+        monkeypatch.setattr(spheres, "_rows_at_every", rows_at_every)
         report = verify_lemma_sphere_kneser(6)
+        assert sides == [positions, positions]
         assert not report.ok and report.label_lists_equal
         name = lambda e: (g.labels[e[0]], g.labels[e[1]])
         assert report.missing_edges == (name(dropped),)
