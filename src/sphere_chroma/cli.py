@@ -58,10 +58,10 @@ def _build_parser() -> _Parser:
     g.set_defaults(run=_generate_kneser)
     g = gsub.add_parser("total-kneser")
     g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_generate_total_kneser)
+    g.set_defaults(run=_generate_splits, spherelike=False)
     g = gsub.add_parser("sphere")
     g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_generate_sphere)
+    g.set_defaults(run=_generate_splits, spherelike=True)
     g = gsub.add_parser("glued")
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--with-cut-spheres", action="store_true")
@@ -215,14 +215,10 @@ def _generate_kneser(args) -> int:
     return _write_graph(g.labels, g.adj)
 
 
-def _generate_total_kneser(args) -> int:
+def _generate_splits(args) -> int:
+    """`generate sphere` when ``args.spherelike``, else `generate total-kneser`."""
     from . import kneser
-    return _write_graph(*kneser._split_rows(args.n, False))
-
-
-def _generate_sphere(args) -> int:
-    from . import kneser
-    return _write_graph(*kneser._split_rows(args.n, True))
+    return _write_graph(*kneser._split_rows(args.n, args.spherelike))
 
 
 def _written_model(r: int):

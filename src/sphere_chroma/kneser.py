@@ -33,13 +33,14 @@ The rows stay in mask space: bit h of a row stands for the split at
 position h, whichever vertices a graph keeps.  A graph's vertex list is
 a list of positions, and its keep mask has their bits; each row is the
 three families AND-ed with the keep mask, less its own bit, and no
-column is deleted.  ``generate sphere``, ``generate total-kneser`` and
-``verify lemma2`` take the rows so (``_kept_rows``): the writer picks
-each edge's index from a table indexed by position, and the lemma names
-positions by their labels only when its two sides differ.  The one
-compaction to vertex indices, by ``graphbase._drop_columns``, is
-``_partition_rows``, for the builders of a ``Graph``:
-``_partition_graph`` (behind ``total_kneser`` and
+column is deleted.  ``generate sphere`` and ``generate total-kneser``
+take the rows so (``_kept_rows``), and the writer picks each edge's
+index from a table indexed by position.  ``verify lemma2`` walks TK_n's
+rows once, every position kept, and ANDs each with the keep mask of
+each of its two sides; it names positions by their labels only when the
+sides differ.  The one compaction to vertex indices, by
+``graphbase._drop_columns``, is ``_partition_rows``, for the builders
+of a ``Graph``: ``_partition_graph`` (behind ``total_kneser`` and
 ``spheres.sphere_graph_holed``) and ``covercolor._glued_rows``.
 """
 
@@ -70,12 +71,6 @@ __all__ = [
 # RSS (2-vCPU VM, Python 3.11.7).
 MAX_GROUND_SET = 14
 MAX_KG_VERTICES = 3500
-
-
-@functools.cache
-def _element_names(n: int) -> tuple[str, ...]:
-    """Digit string of each element of {1..n}, element e at index e - 1."""
-    return tuple(map(str, range(1, n + 1)))
 
 
 # A named tuple rather than a dataclass: the same field names, repr,
@@ -226,7 +221,7 @@ def _labels(n: int, positions) -> list[str]:
     digit strings are built for every position, one element at a time
     (element e joins block a at the positions with bit e - 2 set)."""
     a, b = ["1"], [""]
-    for e in _element_names(n)[1:]:
+    for e in map(str, range(2, n + 1)):
         a += [f"{x} {e}" for x in a]
         b = [f"{x} {e}" if x else e for x in b] + b
     return [f"{a[h]}|{b[h]}" for h in positions]
@@ -252,8 +247,9 @@ def _mask_rows(positions, keep: int, n: int):
 
 
 def _kept_rows(positions, n: int):
-    """The mask-space rows of ``positions`` (a list) under their own keep
-    mask, one at a time: the rows of the graph on those splits."""
+    """The mask-space rows of ``positions`` (ascending, a list or a range)
+    under their own keep mask, one at a time: the rows of the graph on
+    those splits."""
     return _mask_rows(positions, _mask_of(positions), n)
 
 

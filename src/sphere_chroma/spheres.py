@@ -15,7 +15,7 @@ import json
 from collections import namedtuple
 from functools import partial
 
-from .graphbase import Coloring, Graph, _bits
+from .graphbase import Coloring, Graph, _bits, _mask_of
 from .kneser import (
     TwoBlockPartition, _check_ground_set, _kept_rows, _labels, _partition_graph, _positions, kg,
 )
@@ -32,9 +32,8 @@ __all__ = [
 
 # `verify lemma2` compares mask-space rows and holds no graph, so its cap
 # is its own, the ground set of `verify proper --r 8`: CLI calls take
-# 0.58 s of CPU at 16.1 MB peak RSS at n = 15, and 1.55 s at 17.8 MB at
-# n = 16 (median of 5, 2-vCPU VM, Python 3.11.7), each step about three
-# times the work of the one before
+# 0.39 s of CPU at 16.1 MB peak RSS at n = 15, and 0.99 s at 17.3 MB at
+# n = 16 (median of 7 and 9 calls, 2-vCPU VM, Python 3.11.7)
 MAX_LEMMA_N = 16
 
 
@@ -52,15 +51,16 @@ def _one_element_splits(n: int) -> set[int]:
     return {TwoBlockPartition.from_block(n, [e]).mask >> 1 for e in range(1, n + 1)}
 
 
-def _row_diff(at, lhs_rows, rhs_rows, names):
+def _row_diff(pairs, names):
     """(missing, extra): the edges of the rhs rows that the lhs rows lack,
     and of the lhs rows that the rhs rows lack, each as sorted label pairs,
-    the lower bit first.  The rows are read in step with ``at``, the
-    ascending bit position of each row's vertex, as they come; ``names()``
-    gives the label at each bit position, and runs only when rows differ.
+    the lower bit first.  ``pairs`` gives (lhs, rhs) rows as they come,
+    the row at index h that of the vertex at bit position h, and each row
+    holds that vertex's edges to higher positions; ``names()`` gives the
+    label at each bit position, and runs only when rows differ.
     """
     missing, extra = [], []
-    for h, x, y in zip(at, lhs_rows, rhs_rows, strict=True):
+    for h, (x, y) in enumerate(pairs):
         if x != y:
             missing += [(h, j) for j in _bits((y & ~x) >> (h + 1), h + 1)]
             extra += [(h, j) for j in _bits((x & ~y) >> (h + 1), h + 1)]
@@ -69,18 +69,6 @@ def _row_diff(at, lhs_rows, rhs_rows, names):
     label = names()
     named = lambda pairs: tuple(sorted((label[i], label[j]) for i, j in pairs))
     return named(missing), named(extra)
-
-
-def _rows_at_every(positions: list[int], size: int, n: int):
-    """The mask-space row at each of ``size`` positions, one at a time:
-    the walk's row under the keep mask of ``positions`` (ascending) at
-    each of them, 0 at the rest, which one flag byte per position tells
-    apart."""
-    on = bytearray(size)
-    for h in positions:
-        on[h] = 1
-    rows = _kept_rows(positions, n)
-    return (next(rows) if f else 0 for f in on)
 
 
 # The reports are named tuples rather than dataclasses: the same field
@@ -106,24 +94,27 @@ class SphereKneserReport(namedtuple(
 def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
-    Both sides are rows in mask space from ``kneser._kept_rows``, one at
-    every position, 0 at a split off the side's vertex list
-    (``_rows_at_every``), compared row by row as they come by
-    ``_row_diff``.  The S_n side walks the positions whose blocks both
-    have 2 or more elements (``kneser._positions``, by popcount), under
-    their keep mask.  The TK_n side walks every position but
-    ``_one_element_splits`` (made from the one-element blocks
-    themselves), under the keep mask of those.  So the vertex lists come
-    by two routes, but the edges of both sides come from the one shared
-    walk: ``verify lemma2`` checks that walk against no other engine, at
-    any n.  The engine independent of it is the pair-by-pair nesting test
-    ``pairwise_partition_graph`` in ``tests/oracles.py``, which the tests
-    compare the walk's graphs and written documents with for n <= 9.  n
-    is capped at ``MAX_LEMMA_N``.  A row holds a vertex's edges to the
-    higher positions on its side, so the row diff is the symmetric
-    difference of the two edge sets, which the report carries as label
-    pairs, whether or not the vertex lists differ; labels are built only
-    when the edges differ.
+    One walk, ``kneser._kept_rows`` over every position, gives TK_n's
+    row at each split in mask space.  Each side's row there is that row
+    under the side's keep mask at a split on its vertex list, and 0 off
+    it; ``_row_diff`` compares the two as they come.  The S_n side's list
+    is the positions whose blocks both have 2 or more elements
+    (``kneser._positions``, by popcount); the TK_n side's is every
+    position but ``_one_element_splits``, made from the one-element
+    blocks themselves.  So the vertex lists come by two routes, and the
+    edges of both sides from the one walk, which ``verify lemma2`` checks
+    against no other engine.  The tests do: the pair-by-pair nesting test
+    ``pairwise_partition_graph`` in ``tests/oracles.py`` for n <= 9, the
+    closed-form degree of every row on both sides for n <= 14 and of a
+    seeded sample of S_n's rows at n = 15 and 16, and
+    ``covercolor._nested_rows``, which builds S_n's rows by another
+    route, on every row for n <= 12, and at n = 14 on every row's
+    same-class part and a seeded sample of whole rows.  n is capped at
+    ``MAX_LEMMA_N``.  A row holds a vertex's edges to the higher
+    positions on its side, so the row diff is the symmetric difference
+    of the two edge sets, which the report carries as label pairs,
+    whether or not the vertex lists differ; labels are built only when
+    the edges differ.
     """
     if not 2 <= n <= MAX_LEMMA_N:
         raise ValueError(f"need 2 <= n <= {MAX_LEMMA_N}, got n={n}")
@@ -131,9 +122,14 @@ def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     positions = _positions(n, True)
     single = _one_element_splits(n)
     rhs_positions = [h for h in every if h not in single]
-    missing, extra = _row_diff(
-        every, _rows_at_every(positions, len(every), n),
-        _rows_at_every(rhs_positions, len(every), n), partial(_labels, n, every))
+    # one flag byte per position marks the S_n side's list
+    on = bytearray(len(every))
+    for h in positions:
+        on[h] = 1
+    lhs, rhs = _mask_of(positions), _mask_of(rhs_positions)
+    pairs = ((row & lhs if on[h] else 0, 0 if h in single else row & rhs)
+             for h, row in enumerate(_kept_rows(every, n)))
+    missing, extra = _row_diff(pairs, partial(_labels, n, every))
     labels_equal = positions == rhs_positions
     ok = labels_equal and not missing and not extra
     return SphereKneserReport(n, ok, labels_equal, missing, extra)
@@ -167,7 +163,7 @@ def verify_petersen_isomorphism() -> PetersenIsoReport:
     # the kg(5, 2) vertex at each sphere-graph vertex, and its row in that order
     at = [image.index(x) for x in big.labels]
     carried = (sum(1 << b for b, u in enumerate(at) if small.adj[v] >> u & 1) for v in at)
-    missing, extra = _row_diff(range(big.n), big.adj, carried, lambda: big.labels)
+    missing, extra = _row_diff(zip(big.adj, carried, strict=True), lambda: big.labels)
     if missing:
         return PetersenIsoReport(False, missing[0], "edge of kg(5,2) has no nested image")
     if extra:

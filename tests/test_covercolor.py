@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -24,6 +25,7 @@ from sphere_chroma.covercolor import (
     used_color_count,
     verify_coloring_proper,
 )
+from sphere_chroma.graphbase import _class_masks
 from sphere_chroma.kneser import TwoBlockPartition, spherelike_partitions
 from sphere_chroma.spheres import sphere_graph_holed
 
@@ -315,7 +317,7 @@ class TestGluedGraph:
 
 class TestNestedWalk:
     @pytest.mark.parametrize("cuts", [False, True])
-    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
     def test_rows_match_the_glued_graph(self, r, cuts):
         # every boundary as a step gives every neighbour; the pairs
         # {2i-1, 2i} give the neighbours in the vertex's own class
@@ -330,6 +332,27 @@ class TestNestedWalk:
         same_class = [sum(1 << v for v in every if hom[v] == hom[u]) for u in every]
         pairs = covercolor._nested_rows(masks, n, [3 << j for j in range(0, n, 2)], every)
         assert list(pairs) == [row & same_class[u] for u, row in enumerate(g.adj)]
+
+    @pytest.mark.parametrize("cuts", [False, True])
+    def test_rows_match_the_glued_rows_r7(self, cuts):
+        # past the exhaustive oracle's r = 6: the same-class rows that
+        # `verify proper --r 7` walks, against the shift-or walk's rows
+        # AND-ed with each class mask, and every neighbour of a seeded
+        # sample of vertices
+        model = CutSystemModel(7)
+        n = model.n_boundary
+        masks, labels = covercolor._vertices(model, cuts)[1:]
+        glued_labels, rows = covercolor._glued_rows(model, cuts)
+        rows = list(rows)
+        assert glued_labels == labels
+        hom = color_table(model, cuts).hom
+        same_class = _class_masks(hom)
+        every = range(len(masks))
+        pairs = covercolor._nested_rows(masks, n, [3 << j for j in range(0, n, 2)], every)
+        assert list(pairs) == [row & same_class[hom[u]] for u, row in enumerate(rows)]
+        sample = sorted(random.Random(7).sample(every, 200))
+        walked = covercolor._nested_rows(masks, n, [1 << j for j in range(n)], sample)
+        assert list(walked) == [rows[v] for v in sample]
 
 
 class TestProperness:

@@ -1,12 +1,14 @@
+import random
 from itertools import combinations
 
 import pytest
 
 import oracles
 from sphere_chroma import kneser, spheres
+from sphere_chroma.graphbase import _mask_of
 from sphere_chroma.graphcore import Graph, chromatic_number_exact, validate_coloring
 from sphere_chroma.kneser import (
-    all_partitions, remove_singleton_partitions, spherelike_partitions, total_kneser,
+    all_partitions, remove_singleton_partitions, total_kneser,
 )
 from sphere_chroma.spheres import (
     load_reference_three_coloring,
@@ -36,10 +38,39 @@ class TestSphereGraph:
             edges = sum(row.bit_count() for row in rows) // 2
             assert (len(labels), edges) == oracles.sphere_graph_counts(n), n
 
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_closed_form_degrees(self, n):
+        # a k|n-k split has degree 2^k + 2^(n-k) - n - 4 in S_n and n more
+        # in TK_n, a count that shares nothing with the row walk
+        for spherelike in (False, True):
+            _, rows, positions = kneser._split_rows(n, spherelike)
+            degrees = [row.bit_count() for row in rows]
+            assert degrees == [split_degree(n, h, spherelike) for h in positions], spherelike
+        # the last pass is S_n's
+        assert (len(positions), sum(degrees) // 2) == oracles.sphere_graph_counts(n)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_closed_form_degrees_sampled(self, n):
+        # past the ground-set cap, a seeded sample of S_n's rows, which only
+        # `verify lemma2` builds there
+        positions = kneser._positions(n, True)
+        sample = sorted(random.Random(n).sample(positions, 500))
+        rows = kneser._mask_rows(sample, _mask_of(positions), n)
+        assert [row.bit_count() for row in rows] == [split_degree(n, h, True) for h in sample]
+        degrees = sum(split_degree(n, h, True) for h in positions)
+        assert (len(positions), degrees // 2) == oracles.sphere_graph_counts(n)
+
     def test_labels_have_no_singleton_blocks(self):
         for label in sphere_graph_holed(6).labels:
             a, b = label.split("|")
             assert len(a.split()) >= 2 and len(b.split()) >= 2
+
+
+def split_degree(n, h, spherelike):
+    """Degree of the split at position h (block 2h + 1) in S_n, or in TK_n
+    when not ``spherelike``, from its block sizes."""
+    k = (2 * h + 1).bit_count()
+    return 2**k + 2 ** (n - k) - 4 - (n if spherelike else 0)
 
 
 def with_edge_toggled(g, edge):
@@ -63,33 +94,33 @@ class TestSphereKneserLemma:
             assert direct.labels == via_removal.labels
             assert direct.sorted_edges == via_removal.sorted_edges
 
-    def test_differences_named_from_the_rows(self, monkeypatch):
-        # drop one sphere-graph edge and add one non-edge in the S_n side's
-        # mask-space rows, a row at every position and the first side
-        # walked: the report names each as a label pair
+    def test_differences_named_from_the_rows(self):
+        # S_6's rows with one edge dropped and one non-edge added, paired
+        # with S_6's own: the row diff names each as a label pair, the
+        # lower bit first
         g = sphere_graph_holed(6)
         present = set(g.sorted_edges)
         dropped = g.sorted_edges[3]
         added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in present)
         corrupt = Graph(g.labels, [e for e in g.sorted_edges if e != dropped] + [added])
-        positions = [p.mask >> 1 for p in spherelike_partitions(6)]
-        rows = [0] * (2**5 - 1)
-        for i, h in enumerate(positions):
-            rows[h] = sum(1 << positions[j] for j in corrupt.neighbors(i))
-        real = spheres._rows_at_every
-        sides = []
-
-        def rows_at_every(at, size, n):
-            sides.append(at)
-            return iter(rows) if len(sides) == 1 else real(at, size, n)
-
-        monkeypatch.setattr(spheres, "_rows_at_every", rows_at_every)
-        report = verify_lemma_sphere_kneser(6)
-        assert sides == [positions, positions]
-        assert not report.ok and report.label_lists_equal
+        missing, extra = spheres._row_diff(zip(corrupt.adj, g.adj, strict=True), lambda: g.labels)
         name = lambda e: (g.labels[e[0]], g.labels[e[1]])
-        assert report.missing_edges == (name(dropped),)
-        assert report.extra_edges == (name(added),)
+        assert missing == (name(dropped),) and extra == (name(added),)
+        # labels are asked for only when the rows differ
+        assert spheres._row_diff(zip(g.adj, g.adj), lambda: 1 / 0) == ((), ())
+
+    def test_walks_once(self, monkeypatch):
+        # one walk of TK_n's rows, over every position, feeds both sides
+        real = spheres._kept_rows
+        walks = []
+
+        def kept_rows(positions, n):
+            walks.append(list(positions))
+            return real(positions, n)
+
+        monkeypatch.setattr(spheres, "_kept_rows", kept_rows)
+        assert verify_lemma_sphere_kneser(8).ok
+        assert walks == [list(range(2**7 - 1))]
 
     def test_label_mismatch_named_by_edge_sets(self, monkeypatch):
         # on the total-Kneser side, keep the 1|2 3 4 5 split and drop the
