@@ -44,75 +44,104 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="sphere-chroma", description=__doc__.splitlines()[0])
+class _Reparse(Exception):
+    """Raised where the parser of one command would print."""
+
+
+class _BranchParser(_Parser):
+    """The parser of one command prints nothing: where it would print
+    help, usage or an error it raises _Reparse, and ``main`` parses again
+    with the parser of every command, whose bytes those are."""
+
+    def print_usage(self, file=None):
+        raise _Reparse
+
+    print_help = print_usage
+
+
+# the commands, in the order help lists them
+_COMMANDS = ("generate", "chi", "color", "verify", "count", "export")
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or a ``_BranchParser`` of the one
+    command of ``_COMMANDS`` named, with all of its subcommands."""
+    p = (_Parser if command is None else _BranchParser)(
+        prog="sphere-chroma", description=__doc__.splitlines()[0])
     p.add_argument("--timing", action="store_true",
                    help="print elapsed wall time to stderr")
     sub = p.add_subparsers(dest="command", required=True)
+    wanted = _COMMANDS if command is None else (command,)
 
-    gen = sub.add_parser("generate", help="emit a graph as JSON")
-    gsub = gen.add_subparsers(dest="family", required=True)
-    g = gsub.add_parser("kneser")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.set_defaults(run=_generate_kneser)
-    g = gsub.add_parser("total-kneser")
-    g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_generate_splits, spherelike=False)
-    g = gsub.add_parser("sphere")
-    g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_generate_splits, spherelike=True)
-    g = gsub.add_parser("glued")
-    g.add_argument("--r", type=int, required=True)
-    g.add_argument("--with-cut-spheres", action="store_true")
-    g.set_defaults(run=_generate_glued)
-    g = gsub.add_parser("farey")
-    g.add_argument("--depth", type=int, required=True)
-    g.add_argument("--fins", action="store_true")
-    g.set_defaults(run=_generate_farey)
+    if "generate" in wanted:
+        gen = sub.add_parser("generate", help="emit a graph as JSON")
+        gsub = gen.add_subparsers(dest="family", required=True)
+        g = gsub.add_parser("kneser")
+        g.add_argument("--n", type=int, required=True)
+        g.add_argument("--k", type=int, required=True)
+        g.set_defaults(run=_generate_kneser)
+        g = gsub.add_parser("total-kneser")
+        g.add_argument("--n", type=int, required=True)
+        g.set_defaults(run=_generate_splits, spherelike=False)
+        g = gsub.add_parser("sphere")
+        g.add_argument("--n", type=int, required=True)
+        g.set_defaults(run=_generate_splits, spherelike=True)
+        g = gsub.add_parser("glued")
+        g.add_argument("--r", type=int, required=True)
+        g.add_argument("--with-cut-spheres", action="store_true")
+        g.set_defaults(run=_generate_glued)
+        g = gsub.add_parser("farey")
+        g.add_argument("--depth", type=int, required=True)
+        g.add_argument("--fins", action="store_true")
+        g.set_defaults(run=_generate_farey)
 
-    c = sub.add_parser("chi", help="chromatic number of a graph read from --input or stdin")
-    c.add_argument("--input", default=None, metavar="PATH")
-    mode = c.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="exact search, the default mode; the flag only spells it out")
-    mode.add_argument("--bounds", action="store_true")
-    c.add_argument("--budget", type=int, default=None, metavar="NODES")
-    c.set_defaults(run=_cmd_chi)
+    if "chi" in wanted:
+        c = sub.add_parser("chi", help="chromatic number of a graph read from --input or stdin")
+        c.add_argument("--input", default=None, metavar="PATH")
+        mode = c.add_mutually_exclusive_group()
+        mode.add_argument("--exact", action="store_true",
+                          help="exact search, the default mode; the flag only spells it out")
+        mode.add_argument("--bounds", action="store_true")
+        c.add_argument("--budget", type=int, default=None, metavar="NODES")
+        c.set_defaults(run=_cmd_chi)
 
-    c = sub.add_parser("color", help="per-cover lift-class color table for the glued model")
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument("--with-cut-spheres", action="store_true")
-    c.set_defaults(run=_cmd_color)
+    if "color" in wanted:
+        c = sub.add_parser("color", help="per-cover lift-class color table for the glued model")
+        c.add_argument("--r", type=int, required=True)
+        c.add_argument("--with-cut-spheres", action="store_true")
+        c.set_defaults(run=_cmd_color)
 
-    v = sub.add_parser("verify", help="run a built-in check")
-    vsub = v.add_subparsers(dest="check", required=True)
-    g = vsub.add_parser("lemma2")
-    g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_verify_lemma2)
-    vsub.add_parser("petersen").set_defaults(run=_verify_petersen)
-    g = vsub.add_parser("proper")
-    g.add_argument("--r", type=int, required=True)
-    g.add_argument("--with-cut-spheres", action="store_true")
-    g.set_defaults(run=_verify_proper)
-    g = vsub.add_parser("farey-parity")
-    g.add_argument("--depth", type=int, required=True)
-    g.set_defaults(run=_verify_farey_parity)
+    if "verify" in wanted:
+        v = sub.add_parser("verify", help="run a built-in check")
+        vsub = v.add_subparsers(dest="check", required=True)
+        g = vsub.add_parser("lemma2")
+        g.add_argument("--n", type=int, required=True)
+        g.set_defaults(run=_verify_lemma2)
+        vsub.add_parser("petersen").set_defaults(run=_verify_petersen)
+        g = vsub.add_parser("proper")
+        g.add_argument("--r", type=int, required=True)
+        g.add_argument("--with-cut-spheres", action="store_true")
+        g.set_defaults(run=_verify_proper)
+        g = vsub.add_parser("farey-parity")
+        g.add_argument("--depth", type=int, required=True)
+        g.set_defaults(run=_verify_farey_parity)
 
-    c = sub.add_parser("count", help="size of the cover-color space")
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument("--rank-mode", choices=("paper", "computed"), required=True)
-    c.set_defaults(run=_cmd_count)
+    if "count" in wanted:
+        c = sub.add_parser("count", help="size of the cover-color space")
+        c.add_argument("--r", type=int, required=True)
+        c.add_argument("--rank-mode", choices=("paper", "computed"), required=True)
+        c.set_defaults(run=_cmd_count)
 
-    e = sub.add_parser("export", help="emit DOT or DIMACS text for a graph")
-    esub = e.add_subparsers(dest="fmt", required=True)
-    g = esub.add_parser("dot")
-    g.add_argument("--input", default=None, metavar="PATH")
-    g.set_defaults(run=_cmd_export)
-    g = esub.add_parser("dimacs")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--input", default=None, metavar="PATH")
-    g.set_defaults(run=_cmd_export)
+    if "export" in wanted:
+        e = sub.add_parser("export", help="emit DOT or DIMACS text for a graph")
+        esub = e.add_subparsers(dest="fmt", required=True)
+        g = esub.add_parser("dot")
+        g.add_argument("--input", default=None, metavar="PATH")
+        g.set_defaults(run=_cmd_export)
+        g = esub.add_parser("dimacs")
+        g.add_argument("--k", type=int, required=True)
+        g.add_argument("--input", default=None, metavar="PATH")
+        g.set_defaults(run=_cmd_export)
     return p
 
 
@@ -383,9 +412,16 @@ def _warn(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word that is not an option names the command (no option of
+    # the root takes a value); where that command's parser would print,
+    # the parser of every command parses argv again
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _build_parser(command if command in _COMMANDS else None).parse_args(argv)
+        except _Reparse:
+            args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
     t0 = time.monotonic()

@@ -9,9 +9,12 @@ handful of vertex masks: the uncolored vertices, one "has a neighbour of
 color c" mask per color, and a saturation counter sliced into bit
 planes, so a node costs a few big-int operations per color and per
 plane, not one step per neighbour; DSATUR keeps its saturations in the
-same masks and planes.  A node that descends pushes its parent's masks
-and color-loop position as one tuple, and backtracking pops it; a dead
-node pushes nothing.  Universal vertices are peeled off before the
+same masks and planes.  The search holds planes 0-3 in four local
+variables and planes 4 and up, which only palettes of 16 or more colors
+need, in a list that is copied only when a carry reaches it.  A node
+that descends pushes its parent's vertex, row, masks, planes and
+color-loop position as one tuple, and backtracking pops it; a dead node
+pushes nothing.  Universal vertices are peeled off before the
 search, each with a color of its own, so the node budget and the
 reported node counts are those of the peeled search.  When a node
 budget runs out the engine reports an explicit undecided outcome instead
@@ -118,8 +121,12 @@ def greedy_dsatur(g: Graph) -> Coloring:
     next vertex is the lowest of those left after walking the planes from
     the top.  ``seen[c]`` masks the vertices with a neighbour of color c;
     coloring a vertex c adds one, by ripple carry, to its uncolored
-    neighbours outside ``seen[c]``.  With c colors that is O(V * log c)
-    big-int operations and no per-vertex scan.
+    neighbours outside ``seen[c]``.  The walk also reads off the picked
+    vertex's count; when it equals the number of colors in use, each of
+    them is on a neighbour, so the vertex takes a fresh color with no
+    first-fit scan of ``seen``.  With c colors a pick costs O(log c)
+    big-int operations, plus one per used color it scans past, and there
+    is no per-vertex scan.
     """
     n = g.n
     adj = g.adj
@@ -128,18 +135,23 @@ def greedy_dsatur(g: Graph) -> Coloring:
     planes: list[int] = []
     seen: list[int] = []
     for _ in range(n):
-        best = uncolored
+        best, count = uncolored, 0
         for plane in reversed(planes):
+            count += count
             t = best & plane
             if t:
                 best = t
+                count += 1
         low = best & -best
         uncolored ^= low
         v = low.bit_length() - 1
-        c = 0
-        while c < len(seen) and seen[c] & low:
-            c += 1
-        if c == len(seen):
+        c = len(seen)
+        if count < c:
+            # some used color is on no neighbour: the first such one
+            c = 0
+            while seen[c] & low:
+                c += 1
+        else:
             seen.append(0)
         color[v] = c
         row = adj[v]
@@ -217,18 +229,24 @@ def _k_colorable(adj, classes, n, k, node_cap):
     The state is a few big-int masks: ``uncolored``; ``seen[c]``, the
     vertices with a neighbour colored c; and a bit-sliced saturation
     counter, where plane p holds bit p of each vertex's count of distinct
-    neighbour colors.  Coloring v with c adds one, by ripple carry, to
-    each uncolored neighbour of v outside ``seen[c]``.  The select walks
-    the planes from the top to find the uncolored vertices of highest
-    count; a count of k leaves some vertex no color, a dead node.
+    neighbour colors.  Planes 0-3 are the locals p0..p3; planes 4 and up
+    are the list ``high``, which exists only when k >= 16 (a count below
+    16 has no higher bit).  Coloring v with c adds one to each uncolored
+    neighbour of v outside ``seen[c]``: the carry ripples through p0..p3
+    as nested tests and reaches ``high`` only past plane 3.  The select
+    walks the planes from the top (``high``, then p3 down to p0) to find
+    the uncolored vertices of highest count; a count of k leaves some
+    vertex no color, a dead node.
 
     The current vertex's color loop runs on local variables.  Trying a
-    color builds the child's uncolored mask, a copy of the planes with
-    the ripple, and its select, and changes nothing else, so a dead child
-    needs no undo.  A live child sets ``seen[c]``, the only state changed
-    in place, pushes one tuple (vertex, its bit, next color, color limit,
-    max_used, planes, uncolored, old ``seen[c]``) and becomes the current
-    vertex; when its colors run out, popping the tuple puts back
+    color builds the child's uncolored mask, its planes q0..q3 with the
+    ripple (a copy of ``high`` only when the carry reaches it), and its
+    select, and changes nothing else, so a dead child needs no undo.  A
+    live child sets ``seen[c]``, the only state changed in place, pushes
+    one tuple (vertex, its bit, its row, next color, color limit,
+    max_used, p0..p3, high, uncolored, old ``seen[c]``) and becomes the
+    current vertex; its color limit changes only when it opened a fresh
+    color.  When its colors run out, popping the tuple puts back
     ``seen[c]`` and resumes the parent's loop.  Neither the assignment
     nor the undo loops over neighbours.
     """
@@ -236,10 +254,13 @@ def _k_colorable(adj, classes, n, k, node_cap):
         return "sat", [], 0
     if k <= 0:
         return "unsat", None, 0
-    top = k.bit_length() - 1
-    rising = range(top + 1)
-    falling = [(p, 1 << p) for p in range(top, -1, -1)]
-    planes = [0] * (top + 1)
+    # planes 0-3 of the saturation counter are locals; planes 4 and up
+    # (bit p of the count is 1 << p) exist only from k = 16 on, in a list
+    p0 = p1 = p2 = p3 = 0
+    high = [0] * (k.bit_length() - 4) if k >= 16 else None
+    # with no budget the one compare below still runs: no search reaches
+    # 2 ** 64 nodes (half a million years at a million nodes a second)
+    cap = 1 << 64 if node_cap is None else node_cap
     seen = [0] * k
     uncolored = (1 << n) - 1
     nodes = 0
@@ -255,38 +276,71 @@ def _k_colorable(adj, classes, n, k, node_cap):
         if c == limit:
             if not stack:
                 return "unsat", None, nodes
-            v, vbit, c, limit, max_used, planes, uncolored, old = stack.pop()
+            v, vbit, row, c, limit, max_used, p0, p1, p2, p3, high, uncolored, old = stack.pop()
             seen[c - 1] = old
-            row = adj[v]
             continue
         nodes += 1
-        if node_cap is not None and nodes > node_cap:
+        if nodes > cap:
             return "budget", None, nodes - 1
         rest = uncolored ^ vbit
         if not rest:
             color = [0] * n
             for f in stack:
-                color[f[0]] = f[2] - 1
+                color[f[0]] = f[3] - 1
             color[v] = c
             return "sat", color, nodes
         old = seen[c]
         carry = row & rest & ~old
-        child = planes
+        q0 = p0
+        q1 = p1
+        q2 = p2
+        q3 = p3
+        qhigh = high
         if carry:
-            # a fresh list, so this vertex's next color starts from its planes
-            child = planes[:]
-            for p in rising:
-                t = child[p] & carry
-                child[p] ^= carry
-                carry = t
-                if not carry:
-                    break
+            q0 = p0 ^ carry
+            carry &= p0
+            if carry:
+                q1 = p1 ^ carry
+                carry &= p1
+                if carry:
+                    q2 = p2 ^ carry
+                    carry &= p2
+                    if carry:
+                        q3 = p3 ^ carry
+                        carry &= p3
+                        if carry:
+                            # a fresh list, so this vertex's next color starts from high
+                            qhigh = high[:]
+                            for p, plane in enumerate(high):
+                                qhigh[p] = plane ^ carry
+                                carry &= plane
+                                if not carry:
+                                    break
         best, count = rest, 0
-        for p, bit in falling:
-            t = best & child[p]
-            if t:
-                best = t
-                count |= bit
+        if qhigh is not None:
+            for plane in reversed(qhigh):
+                count += count
+                t = best & plane
+                if t:
+                    best = t
+                    count += 1
+            count <<= 4
+        t = best & q3
+        if t:
+            best = t
+            count |= 8
+        t = best & q2
+        if t:
+            best = t
+            count |= 4
+        t = best & q1
+        if t:
+            best = t
+            count |= 2
+        t = best & q0
+        if t:
+            best = t
+            count |= 1
         if count == k:
             c += 1
             continue
@@ -295,14 +349,20 @@ def _k_colorable(adj, classes, n, k, node_cap):
             hit = best & cls
             if hit:
                 break
-        stack.append((v, vbit, c + 1, limit, max_used, planes, uncolored, old))
+        stack.append((v, vbit, row, c + 1, limit, max_used, p0, p1, p2, p3, high, uncolored, old))
         if c == max_used:
             max_used += 1
+            limit = max_used + 1 if max_used < k else k
         vbit = hit & -hit
         v = vbit.bit_length() - 1
         row = adj[v]
-        c, limit = 0, min(max_used + 1, k)
-        planes, uncolored = child, rest
+        c = 0
+        p0 = q0
+        p1 = q1
+        p2 = q2
+        p3 = q3
+        high = qhigh
+        uncolored = rest
 
 
 def _peel_universal(adj):

@@ -625,6 +625,89 @@ class TestFlagHandling:
         assert a == b
 
 
+def full_parser_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of the parser of every command on argv,
+    exit None when it parses."""
+    try:
+        cli._build_parser().parse_args(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestBranchParser:
+    """A call whose first word names a command builds that command's
+    branch of the parser alone; help, usage and errors are still those of
+    the parser of every command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["-h", "chi"],
+        ["generate", "--help"],
+        ["generate", "sphere", "--help"],
+        ["verify", "-h"],
+        ["export", "dimacs", "--help"],
+        ["--timing", "count", "--help"],
+        ["frobnicate"],
+        [],
+        ["generate"],
+        ["generate", "nonesuch", "--n", "5"],
+        ["generate", "sphere"],
+        ["generate", "sphere", "--n", "x"],
+        ["chi", "--budget"],
+        ["chi", "--exact", "--bounds"],
+        ["count", "--r", "3", "--rank-mode", "bogus"],
+        ["verify", "petersen", "--bogus"],
+        ["--timing", "verify", "lemma2", "--n", "5", "extra"],
+    ], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_help_and_errors_are_the_full_parsers(self, run, capsys, argv):
+        code, out, err = full_parser_outcome(capsys, argv)
+        assert code in (0, 64) and (out or err)
+        assert run(argv) == (code, out, err)
+
+    def test_unrecognized_arguments_list_every_command(self, run):
+        code, out, err = run(["verify", "petersen", "--bogus"])
+        assert (code, out) == (64, "")
+        # the usage line is the root's; its wrap follows the terminal width
+        assert err.startswith("usage: sphere-chroma [-h] [--timing]")
+        assert " {generate,chi,color,verify,count,export} ...\n" in err
+        assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv, built, exit_code", [
+        (["generate", "sphere", "--n", "5"], ["generate"], 0),
+        (["--timing", "verify", "petersen"], ["verify"], 0),
+        (["count", "--r", "3", "--rank-mode", "paper"], ["count"], 0),
+        (["export", "dimacs", "--k", "2"], ["export"], 0),
+        (["chi", "--bounds"], ["chi"], 0),
+        # the one command's parser would print, so every command's prints
+        (["chi", "--budget", "x"], ["chi", None], 64),
+        (["generate", "sphere", "--help"], ["generate", None], 0),
+        # no command named: every command's parser at once
+        (["--help"], [None], 0),
+        (["frobnicate"], [None], 64),
+    ], ids=lambda x: " ".join(map(str, x)) if isinstance(x, list) else str(x))
+    def test_builds_the_named_commands_parser(self, run, monkeypatch, argv, built, exit_code):
+        calls = []
+        build = cli._build_parser
+
+        def recorded(command=None):
+            calls.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "_build_parser", recorded)
+        doc = to_json(Graph(["a", "b"], [(0, 1)]))
+        code, _, _ = run(argv, doc)
+        assert (calls, code) == (built, exit_code)
+
+    def test_one_commands_parser_holds_no_other(self):
+        parser = cli._build_parser("chi")
+        assert parser.parse_args(["chi", "--bounds"]).bounds
+        with pytest.raises(cli._Reparse):
+            parser.parse_args(["count", "--r", "3", "--rank-mode", "paper"])
+
+
 # every documented command, "#" marking a size; sizes stay small so that
 # each drawn call is cheap (the cap tests above cover the large ones).
 # The commands that read a graph from stdin are drawn half the time.

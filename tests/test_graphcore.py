@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -264,20 +265,26 @@ class TestChromaticNumberExact:
         assert result.refutation_nodes == (9, 22, 84, 1178)
 
     @pytest.mark.parametrize("n, k, nodes, pushes", [(7, 6, 379, 313), (8, 8, 3853, 3326)])
-    def test_dead_nodes_push_no_frame(self, monkeypatch, n, k, nodes, pushes):
+    def test_dead_nodes_push_no_frame(self, n, k, nodes, pushes):
         # a node that leaves some uncolored vertex no color pushes no child
         # frame; without that shortcut the child is pushed only to find no
         # color, which keeps the node count and adds one push per dead node.
-        # Every push after the first frame takes its color limit from min().
+        # A push is a call of the frame stack's append, the search's only
+        # append, counted by a profile hook on the search's own frame.
+        code = _k_colorable.__code__
         calls = []
 
-        def counting_min(*args):
-            calls.append(args)
-            return min(*args)
+        def hook(frame, event, arg):
+            if event == "c_call" and frame.f_code is code and arg.__name__ == "append":
+                calls.append(arg)
 
-        monkeypatch.setattr(graphcore, "min", counting_min, raising=False)
         g = sphere_graph_holed(n)
-        status, _, explored = _k_colorable(g.adj, _degree_classes(g.adj), g.n, k, None)
+        classes = _degree_classes(g.adj)
+        sys.setprofile(hook)
+        try:
+            status, _, explored = _k_colorable(g.adj, classes, g.n, k, None)
+        finally:
+            sys.setprofile(None)
         assert (status, explored, len(calls)) == ("unsat", nodes, pushes)
 
     def test_deterministic(self):
@@ -310,6 +317,14 @@ def varied_graphs(draw, max_n=40):
     order = list(range(n + draw(st.integers(min_value=0, max_value=5))))
     rng.shuffle(order)
     return Graph([f"v{v}" for v in range(len(order))], [(order[i], order[j]) for i, j in edges])
+
+
+def clique_and_fans(size, fans):
+    """K_size and, for each entry f of fans, one more vertex joined to
+    the first f vertices of the clique."""
+    edges = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    edges += [(size + t, j) for t, f in enumerate(fans) for j in range(f)]
+    return Graph([f"v{v}" for v in range(size + len(fans))], edges)
 
 
 def join_universal(g, positions):
@@ -453,7 +468,7 @@ class TestSearchMatchesScan:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         varied_graphs(max_n=14),
-        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=20),
         st.one_of(st.none(), st.just(1), st.integers(min_value=0, max_value=40)),
     )
     @example(Graph([]), 0, None)
@@ -461,6 +476,15 @@ class TestSearchMatchesScan:
     @example(complete_graph(6), 5, None)
     @example(complete_graph(6), 6, None)
     @example(complete_graph(6), 6, 3)
+    # counts of 16 and up, which the search keeps past its four local planes
+    @example(complete_graph(18), 17, None)
+    @example(complete_graph(18), 17, 12)
+    @example(complete_graph(18), 18, None)
+    @example(complete_graph(18), 18, 17)
+    # counts of 32 and up, which carry through two list planes; the two
+    # fan vertices make the select tell a count of 32 from a lower one
+    @example(clique_and_fans(33, (20, 10)), 32, None)
+    @example(clique_and_fans(33, (20, 10)), 33, None)
     def test_random_graphs(self, g, k, cap):
         got, want = search_both(g, k, cap)
         assert got == want
