@@ -44,38 +44,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-class _Reparse(Exception):
-    """Raised where the parser of one command would print."""
-
-
-class _BranchParser(_Parser):
-    """The parser of one command prints nothing: where it would print
-    help, usage or an error it raises _Reparse, and ``main`` parses again
-    with the parser of every command, whose bytes those are."""
-
-    def print_usage(self, file=None):
-        raise _Reparse
-
-    print_help = print_usage
-
-
-# the commands, in the order help lists them
-_COMMANDS = ("generate", "chi", "color", "verify", "count", "export")
+# the commands and their help, in the order help lists them
+_COMMANDS = {
+    "generate": "emit a graph as JSON",
+    "chi": "chromatic number of a graph read from --input or stdin",
+    "color": "per-cover lift-class color table for the glued model",
+    "verify": "run a built-in check",
+    "count": "size of the cover-color space",
+    "export": "emit DOT or DIMACS text for a graph",
+}
 
 
 def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of every command, or a ``_BranchParser`` of the one
-    command of ``_COMMANDS`` named, with all of its subcommands."""
-    p = (_Parser if command is None else _BranchParser)(
-        prog="sphere-chroma", description=__doc__.splitlines()[0])
+    """The parser of every command of ``_COMMANDS``, whose flags and
+    subcommands are added to the named command's parser alone, or to
+    every command's when command is None.
+
+    The root's usage, help, choices and errors list every command, so
+    they are the same bytes whichever command is filled."""
+    p = _Parser(prog="sphere-chroma", description=__doc__.splitlines()[0])
     p.add_argument("--timing", action="store_true",
                    help="print elapsed wall time to stderr")
     sub = p.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
     wanted = _COMMANDS if command is None else (command,)
 
     if "generate" in wanted:
-        gen = sub.add_parser("generate", help="emit a graph as JSON")
-        gsub = gen.add_subparsers(dest="family", required=True)
+        gsub = parsers["generate"].add_subparsers(dest="family", required=True)
         g = gsub.add_parser("kneser")
         g.add_argument("--n", type=int, required=True)
         g.add_argument("--k", type=int, required=True)
@@ -96,7 +91,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         g.set_defaults(run=_generate_farey)
 
     if "chi" in wanted:
-        c = sub.add_parser("chi", help="chromatic number of a graph read from --input or stdin")
+        c = parsers["chi"]
         c.add_argument("--input", default=None, metavar="PATH")
         mode = c.add_mutually_exclusive_group()
         mode.add_argument("--exact", action="store_true",
@@ -106,14 +101,13 @@ def _build_parser(command: str | None = None) -> _Parser:
         c.set_defaults(run=_cmd_chi)
 
     if "color" in wanted:
-        c = sub.add_parser("color", help="per-cover lift-class color table for the glued model")
+        c = parsers["color"]
         c.add_argument("--r", type=int, required=True)
         c.add_argument("--with-cut-spheres", action="store_true")
         c.set_defaults(run=_cmd_color)
 
     if "verify" in wanted:
-        v = sub.add_parser("verify", help="run a built-in check")
-        vsub = v.add_subparsers(dest="check", required=True)
+        vsub = parsers["verify"].add_subparsers(dest="check", required=True)
         g = vsub.add_parser("lemma2")
         g.add_argument("--n", type=int, required=True)
         g.set_defaults(run=_verify_lemma2)
@@ -127,14 +121,13 @@ def _build_parser(command: str | None = None) -> _Parser:
         g.set_defaults(run=_verify_farey_parity)
 
     if "count" in wanted:
-        c = sub.add_parser("count", help="size of the cover-color space")
+        c = parsers["count"]
         c.add_argument("--r", type=int, required=True)
         c.add_argument("--rank-mode", choices=("paper", "computed"), required=True)
         c.set_defaults(run=_cmd_count)
 
     if "export" in wanted:
-        e = sub.add_parser("export", help="emit DOT or DIMACS text for a graph")
-        esub = e.add_subparsers(dest="fmt", required=True)
+        esub = parsers["export"].add_subparsers(dest="fmt", required=True)
         g = esub.add_parser("dot")
         g.add_argument("--input", default=None, metavar="PATH")
         g.set_defaults(run=_cmd_export)
@@ -250,18 +243,21 @@ def _generate_splits(args) -> int:
     return _write_graph(*kneser._split_rows(args.n, args.spherelike))
 
 
-def _written_model(r: int):
-    """The glued model for `color` and `generate glued`, which their
-    output size caps below `verify proper`'s r."""
+def _written_model(r: int, low: int, high: int):
+    """The glued model, for r in the command's range low..high:
+    2..``MAX_R_WRITTEN`` for `color` and `generate glued`, whose output
+    size caps r, and 3..``MAX_R_ENUMERATE`` for `verify proper`, which
+    leaves r = 2 to the farey module."""
     from . import covercolor
-    if not 2 <= r <= covercolor.MAX_R_WRITTEN:
-        raise ValueError(f"r must be in 2..{covercolor.MAX_R_WRITTEN}, got {r}")
+    if not low <= r <= high:
+        raise ValueError(f"r must be in {low}..{high}, got {r}")
     return covercolor.CutSystemModel(r)
 
 
 def _generate_glued(args) -> int:
     from . import covercolor
-    return _write_graph(*covercolor._glued_rows(_written_model(args.r), args.with_cut_spheres))
+    return _write_graph(*covercolor._glued_rows(
+        _written_model(args.r, 2, covercolor.MAX_R_WRITTEN), args.with_cut_spheres))
 
 
 def _generate_farey(args) -> int:
@@ -293,7 +289,7 @@ def _cmd_chi(args) -> int:
 
 def _cmd_color(args) -> int:
     from . import covercolor
-    model = _written_model(args.r)
+    model = _written_model(args.r, 2, covercolor.MAX_R_WRITTEN)
     table = covercolor.color_table(model, args.with_cut_spheres)
     encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -339,7 +335,7 @@ def _verify_petersen(args) -> int:
 def _verify_proper(args) -> int:
     from . import covercolor
     rep = covercolor.verify_coloring_proper(
-        covercolor.CutSystemModel(args.r), args.with_cut_spheres
+        _written_model(args.r, 3, covercolor.MAX_R_ENUMERATE), args.with_cut_spheres
     )
     # the document is json.dumps of rep.to_json_dict(), written one
     # homologous pair at a time so it is never held whole: the rest comes
@@ -414,14 +410,12 @@ def _warn(line: str) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first word that is not an option names the command (no option of
-    # the root takes a value); where that command's parser would print,
-    # the parser of every command parses argv again
+    # the root takes a value), and only its parser is filled; a word that
+    # argparse reads as the command before it starts with "-", so it is
+    # an invalid choice, and no unfilled command's parser ever parses
     command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        try:
-            args = _build_parser(command if command in _COMMANDS else None).parse_args(argv)
-        except _Reparse:
-            args = _build_parser().parse_args(argv)
+        args = _build_parser(command if command in _COMMANDS else None).parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
     t0 = time.monotonic()

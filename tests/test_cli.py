@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -344,6 +345,12 @@ class TestVerify:
         assert len(parsed["witness_edge"]) == 2
         assert set(parsed["witness_edge"]) <= set(g.labels)
 
+    @pytest.mark.parametrize("r", [2, 9])
+    def test_proper_names_its_own_range(self, run, r):
+        # r = 2 is left to the farey module, r = 9 is past the enumeration cap
+        assert run(["verify", "proper", "--r", str(r)]) == (
+            64, "", f"sphere-chroma: error: r must be in 3..8, got {r}\n")
+
     def test_proper(self, run):
         code, out, _ = run(["verify", "proper", "--r", "3"])
         assert code == 0
@@ -494,6 +501,21 @@ class TestCoverPins:
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == bench_pin(pin)
 
+    # r = 7, which no benchmark call runs: the digest of the whole report,
+    # homologous pairs included, so that a pair lost at this r fails
+    R7_PINS = {
+        "verify proper --r 7":
+            "3833c5b732721f295b80394ca9f021010f5b2940a1b8709ff8133ba41b886679",
+        "verify proper --r 7 --with-cut-spheres":
+            "afd72963b8c3a5c8783258e2601784c89023e913385bc9bb60d09b370fe85152",
+    }
+
+    @pytest.mark.parametrize("argv", R7_PINS)
+    def test_r7_pairs_match_their_digest(self, run, argv):
+        code, out, err = run(argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.R7_PINS[argv]
+
 
 class TestExport:
     @pytest.mark.parametrize("fmt", [["dot"], ["dimacs", "--k", "4"]])
@@ -638,9 +660,9 @@ def full_parser_outcome(capsys, argv):
 
 
 class TestBranchParser:
-    """A call whose first word names a command builds that command's
-    branch of the parser alone; help, usage and errors are still those of
-    the parser of every command."""
+    """A call whose first word names a command fills that command's parser
+    alone; help, usage and errors are still those of the parser of every
+    command."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -661,19 +683,32 @@ class TestBranchParser:
         ["count", "--r", "3", "--rank-mode", "bogus"],
         ["verify", "petersen", "--bogus"],
         ["--timing", "verify", "lemma2", "--n", "5", "extra"],
+        # root errors after a named command
+        ["chi", "--timing"],
+        ["generate", "sphere", "--n", "5", "--bogus"],
+        ["chi", "count"],
+        ["--timing"],
+        ["color", "--r"],
     ], ids=lambda argv: " ".join(argv) or "(none)")
     def test_help_and_errors_are_the_full_parsers(self, run, capsys, argv):
         code, out, err = full_parser_outcome(capsys, argv)
         assert code in (0, 64) and (out or err)
         assert run(argv) == (code, out, err)
 
-    def test_unrecognized_arguments_list_every_command(self, run):
-        code, out, err = run(["verify", "petersen", "--bogus"])
+    @pytest.mark.parametrize("argv, error", [
+        (["verify", "petersen", "--bogus"], "unrecognized arguments: --bogus"),
+        (["chi", "--timing"], "unrecognized arguments: --timing"),
+        (["generate", "sphere", "--n", "5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["chi", "count"], "unrecognized arguments: count"),
+        (["--timing"], "the following arguments are required: command"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+    def test_root_errors_list_every_command(self, run, argv, error):
+        code, out, err = run(argv)
         assert (code, out) == (64, "")
         # the usage line is the root's; its wrap follows the terminal width
         assert err.startswith("usage: sphere-chroma [-h] [--timing]")
         assert " {generate,chi,color,verify,count,export} ...\n" in err
-        assert err.endswith("error: unrecognized arguments: --bogus\n")
+        assert err.endswith(f"sphere-chroma: error: {error}\n")
 
     @pytest.mark.parametrize("argv, built, exit_code", [
         (["generate", "sphere", "--n", "5"], ["generate"], 0),
@@ -681,9 +716,9 @@ class TestBranchParser:
         (["count", "--r", "3", "--rank-mode", "paper"], ["count"], 0),
         (["export", "dimacs", "--k", "2"], ["export"], 0),
         (["chi", "--bounds"], ["chi"], 0),
-        # the one command's parser would print, so every command's prints
-        (["chi", "--budget", "x"], ["chi", None], 64),
-        (["generate", "sphere", "--help"], ["generate", None], 0),
+        # help and errors come from the one parser built
+        (["chi", "--budget", "x"], ["chi"], 64),
+        (["generate", "sphere", "--help"], ["generate"], 0),
         # no command named: every command's parser at once
         (["--help"], [None], 0),
         (["frobnicate"], [None], 64),
@@ -701,11 +736,23 @@ class TestBranchParser:
         code, _, _ = run(argv, doc)
         assert (calls, code) == (built, exit_code)
 
+    @staticmethod
+    def _commands(parser):
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
     def test_one_commands_parser_holds_no_other(self):
         parser = cli._build_parser("chi")
         assert parser.parse_args(["chi", "--bounds"]).bounds
-        with pytest.raises(cli._Reparse):
-            parser.parse_args(["count", "--r", "3", "--rank-mode", "paper"])
+        commands = self._commands(parser)
+        assert list(commands) == list(cli._COMMANDS)
+        for name, command in commands.items():
+            options = [a.option_strings for a in command._actions]
+            assert (options == [["-h", "--help"]]) == (name != "chi")
+
+    def test_every_command_is_filled_when_none_is_named(self):
+        for command in self._commands(cli._build_parser()).values():
+            assert len(command._actions) > 1
 
 
 # every documented command, "#" marking a size; sizes stay small so that
