@@ -458,18 +458,23 @@ _DIMACS_BLOCK = 4096
 def _dimacs_lines(g: Graph, k: int):
     """``export_dimacs_kcolor`` in pieces read off the rows: each vertex's
     at-least-one clause and each edge's k conflict clauses in blocks of
-    ``_DIMACS_BLOCK`` colors."""
+    ``_DIMACS_BLOCK`` colors.  The first block is made once, each later
+    one where it is written, so that no list of blocks grows with k."""
     n = g.n
     yield f"p cnf {n * k} {n + g.m * k}\n"
-    blocks = [range(c, min(c + _DIMACS_BLOCK, k + 1)) for c in range(1, k + 1, _DIMACS_BLOCK)]
+    block = lambda start: range(start, min(start + _DIMACS_BLOCK, k + 1))
+    first = block(1)
+    later = range(_DIMACS_BLOCK + 1, k + 1, _DIMACS_BLOCK)
     for v in range(n):
-        for b in blocks:
-            yield "".join([f"{v * k + c} " for c in b])
+        yield "".join([f"{v * k + c} " for c in first])
+        for start in later:
+            yield "".join([f"{v * k + c} " for c in block(start)])
         yield "0\n"
     for i, row in enumerate(g.adj):
         for j in _bits(row >> i + 1, i + 1):
-            for b in blocks:
-                yield "".join([f"-{i * k + c} -{j * k + c} 0\n" for c in b])
+            yield "".join([f"-{i * k + c} -{j * k + c} 0\n" for c in first])
+            for start in later:
+                yield "".join([f"-{i * k + c} -{j * k + c} 0\n" for c in block(start)])
 
 
 def _dot_quote(label: str) -> str:

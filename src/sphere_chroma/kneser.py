@@ -89,10 +89,10 @@ class TwoBlockPartition(namedtuple("TwoBlockPartition", "n mask")):
         if n < 2:
             raise ValueError(f"ground set must have at least 2 elements, got n={n}")
         full = (1 << n) - 1
-        if not 0 < mask < full:
-            raise ValueError("both blocks must be nonempty")
         if mask & ~full:
             raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        if not 0 < mask < full:
+            raise ValueError("both blocks must be nonempty")
         return tuple.__new__(cls, (n, mask if mask & 1 else mask ^ full))
 
     @classmethod

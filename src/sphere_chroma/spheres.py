@@ -7,13 +7,18 @@ representatives exactly when the partitions are nested.  So the sphere
 graph here is the graph on two-block partitions of {1..n} with both
 blocks of size >= 2, with edges between nested pairs.  For n = 5 this
 is the Petersen graph, via 2-subset <-> (2, 3)-partition.
+
+The lemma that this graph is the total Kneser graph less its one-element
+splits is checked on the two vertex lists, made by two routes; both
+sides' edges are the nested pairs among those vertices, so rows are
+walked and diffed only when the lists differ, to name the edges that
+the difference moves.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import partial
 
 from .graphbase import Coloring, Graph, _bits, _mask_of
 from .kneser import (
@@ -30,10 +35,11 @@ __all__ = [
     "reference_coloring_on",
 ]
 
-# `verify lemma2` compares mask-space rows and holds no graph, so its cap
-# is its own, the ground set of `verify proper --r 8`: CLI calls take
-# 0.39 s of CPU at 16.1 MB peak RSS at n = 15, and 0.99 s at 17.3 MB at
-# n = 16 (median of 7 and 9 calls, 2-vCPU VM, Python 3.11.7)
+# `verify lemma2` holds no graph, so its cap is its own, the ground set
+# of `verify proper --r 8`.  A passing call is list work on the 2^(n-1)
+# positions: 0.07-0.09 s of CPU for the CLI call at n = 16, most of it
+# start-up.  A failing one walks every row, 1.2-1.3 s in process at
+# n = 16 (2-vCPU VM, Python 3.11).
 MAX_LEMMA_N = 16
 
 
@@ -51,22 +57,19 @@ def _one_element_splits(n: int) -> set[int]:
     return {TwoBlockPartition.from_block(n, [e]).mask >> 1 for e in range(1, n + 1)}
 
 
-def _row_diff(pairs, names):
+def _row_diff(pairs, label):
     """(missing, extra): the edges of the rhs rows that the lhs rows lack,
     and of the lhs rows that the rhs rows lack, each as sorted label pairs,
     the lower bit first.  ``pairs`` gives (lhs, rhs) rows as they come,
     the row at index h that of the vertex at bit position h, and each row
-    holds that vertex's edges to higher positions; ``names()`` gives the
-    label at each bit position, and runs only when rows differ.
+    holds that vertex's edges to higher positions; ``label`` is the list
+    of labels by bit position.
     """
     missing, extra = [], []
     for h, (x, y) in enumerate(pairs):
         if x != y:
             missing += [(h, j) for j in _bits((y & ~x) >> (h + 1), h + 1)]
             extra += [(h, j) for j in _bits((x & ~y) >> (h + 1), h + 1)]
-    if not (missing or extra):
-        return (), ()
-    label = names()
     named = lambda pairs: tuple(sorted((label[i], label[j]) for i, j in pairs))
     return named(missing), named(extra)
 
@@ -94,45 +97,42 @@ class SphereKneserReport(namedtuple(
 def verify_lemma_sphere_kneser(n: int) -> SphereKneserReport:
     """Check sphere_graph_holed(n) == total_kneser(n) minus singleton partitions.
 
-    One walk, ``kneser._kept_rows`` over every position, gives TK_n's
-    row at each split in mask space.  Each side's row there is that row
-    under the side's keep mask at a split on its vertex list, and 0 off
-    it; ``_row_diff`` compares the two as they come.  The S_n side's list
-    is the positions whose blocks both have 2 or more elements
-    (``kneser._positions``, by popcount); the TK_n side's is every
-    position but ``_one_element_splits``, made from the one-element
-    blocks themselves.  So the vertex lists come by two routes, and the
-    edges of both sides from the one walk, which ``verify lemma2`` checks
-    against no other engine.  The tests do: the pair-by-pair nesting test
-    ``pairwise_partition_graph`` in ``tests/oracles.py`` for n <= 9, the
-    closed-form degree of every row on both sides for n <= 14 and of a
-    seeded sample of S_n's rows at n = 15 and 16, and
-    ``covercolor._nested_rows``, which builds S_n's rows by another
-    route, on every row for n <= 12, and at n = 14 on every row's
-    same-class part and a seeded sample of whole rows.  n is capped at
-    ``MAX_LEMMA_N``.  A row holds a vertex's edges to the higher
-    positions on its side, so the row diff is the symmetric difference
-    of the two edge sets, which the report carries as label pairs,
-    whether or not the vertex lists differ; labels are built only when
-    the edges differ.
+    Both sides are graphs of nested pairs, so each is fixed by its vertex
+    list, and the lemma holds exactly when the two lists agree.  The S_n
+    side's list is the positions whose blocks both have 2 or more
+    elements (``kneser._positions``, by popcount); the TK_n side's is
+    every position but ``_one_element_splits``, made from the one-element
+    blocks themselves.  Their keep masks are compared first, and when
+    they are equal the passing report comes back with no row walked and
+    no label built.  n is capped at ``MAX_LEMMA_N``.
+
+    When the lists differ, one walk, ``kneser._kept_rows`` over every
+    position, gives TK_n's row at each split in mask space.  Each side's
+    row there is that row under the side's keep mask at a split on its
+    list, and 0 off it; ``_row_diff`` compares the two as they come.  A
+    row holds a vertex's edges to the higher positions on its side, so
+    the row diff is the symmetric difference of the two edge sets, which
+    the report carries as label pairs.
+
+    The walk gives the rows that ``generate`` writes, and ``verify
+    lemma2`` checks it against no other engine.  The tests do: the
+    pair-by-pair nesting test ``pairwise_partition_graph`` in
+    ``tests/oracles.py`` for n <= 9, the closed-form degree of every row
+    on both sides for n <= 14 and of a seeded sample of S_n's rows at
+    n = 15 and 16, and ``covercolor._nested_rows``, which builds S_n's
+    rows by another route, on every row for n <= 12, and at n = 14 on
+    every row's same-class part and a seeded sample of whole rows.
     """
     if not 2 <= n <= MAX_LEMMA_N:
         raise ValueError(f"need 2 <= n <= {MAX_LEMMA_N}, got n={n}")
     every = range(2 ** (n - 1) - 1)
-    positions = _positions(n, True)
-    single = _one_element_splits(n)
-    rhs_positions = [h for h in every if h not in single]
-    # one flag byte per position marks the S_n side's list
-    on = bytearray(len(every))
-    for h in positions:
-        on[h] = 1
-    lhs, rhs = _mask_of(positions), _mask_of(rhs_positions)
-    pairs = ((row & lhs if on[h] else 0, 0 if h in single else row & rhs)
+    lhs = _mask_of(_positions(n, True))
+    rhs = _mask_of(every) & ~sum(1 << h for h in _one_element_splits(n))
+    if lhs == rhs:
+        return SphereKneserReport(n, True, True, (), ())
+    pairs = ((row & lhs if lhs >> h & 1 else 0, row & rhs if rhs >> h & 1 else 0)
              for h, row in enumerate(_kept_rows(every, n)))
-    missing, extra = _row_diff(pairs, partial(_labels, n, every))
-    labels_equal = positions == rhs_positions
-    ok = labels_equal and not missing and not extra
-    return SphereKneserReport(n, ok, labels_equal, missing, extra)
+    return SphereKneserReport(n, False, False, *_row_diff(pairs, _labels(n, every)))
 
 
 class PetersenIsoReport(namedtuple(
@@ -163,7 +163,7 @@ def verify_petersen_isomorphism() -> PetersenIsoReport:
     # the kg(5, 2) vertex at each sphere-graph vertex, and its row in that order
     at = [image.index(x) for x in big.labels]
     carried = (sum(1 << b for b, u in enumerate(at) if small.adj[v] >> u & 1) for v in at)
-    missing, extra = _row_diff(zip(big.adj, carried, strict=True), lambda: big.labels)
+    missing, extra = _row_diff(zip(big.adj, carried, strict=True), big.labels)
     if missing:
         return PetersenIsoReport(False, missing[0], "edge of kg(5,2) has no nested image")
     if extra:

@@ -63,6 +63,10 @@ def test_package_all_is_the_modules_all():
     assert len(set(names)) == len(names)
 
 
+def test_package_dir_lists_every_name():
+    assert set(sphere_chroma.__all__) <= set(dir(sphere_chroma))
+
+
 def test_earlier_package_names_still_import():
     missing = [name for name in PACKAGE_NAMES_BEFORE
                if name not in sphere_chroma.__all__ or not hasattr(sphere_chroma, name)]
@@ -85,3 +89,68 @@ def test_no_assert_in_src(path):
     # python -O strips assert statements, so a runtime check must raise
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def _load_reference(monkeypatch, text):
+    # `load_reference_three_coloring` with the shipped file's text replaced
+    from importlib import resources
+
+    from sphere_chroma import spheres
+
+    class File:
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return text
+
+    monkeypatch.setattr(resources, "files", lambda package: File())
+    return spheres.load_reference_three_coloring()
+
+
+def _input_checks():
+    from sphere_chroma import covercolor, graphbase, kneser
+    model3 = covercolor.CutSystemModel(3)
+    return {
+        "cover-r-above-cap": (lambda mp: covercolor.enumerate_double_covers(9),
+                              ValueError, "r must be in 1..8, got 9"),
+        "relation-above-dim": (lambda mp: covercolor.GF2Quotient.from_relations(2, [4]),
+                               ValueError, "relation out of range for declared dimension"),
+        "cover-of-another-r": (lambda mp: covercolor.cover_h2(
+                                   model3, covercolor.DoubleCover(2, (1, 0))),
+                               ValueError, "cover has r=2, model has r=3"),
+        "partition-of-another-n": (lambda mp: covercolor.homology_class(
+                                       model3, kneser.TwoBlockPartition.from_block(4, [1])),
+                                   ValueError, "partition is over 4 labels, model has 6"),
+        "too-few-rows": (lambda mp: graphbase.Graph.from_rows(["a", "b"], [2]),
+                         ValueError, "1 adjacency rows for 2 vertices"),
+        "repeated-element": (lambda mp: kneser.TwoBlockPartition.from_block(4, [2, 2]),
+                             ValueError, "repeated element 2"),
+        "mask-above-range": (lambda mp: kneser.TwoBlockPartition(3, 9),
+                             ValueError, "mask 0x9 out of range for n=3"),
+        "negative-mask": (lambda mp: kneser.TwoBlockPartition(3, -2),
+                          ValueError, "mask -0x2 out of range for n=3"),
+        "empty-block": (lambda mp: kneser.TwoBlockPartition(3, 7),
+                        ValueError, "both blocks must be nonempty"),
+        "one-element-ground-set": (lambda mp: kneser.all_partitions(1),
+                                   ValueError, "need n >= 2, got 1"),
+        "unknown-package-name": (lambda mp: sphere_chroma.nope, AttributeError,
+                                 "module 'sphere_chroma' has no attribute 'nope'"),
+        "reference-not-a-list": (lambda mp: _load_reference(mp, "{}"),
+                                 ValueError, "reference coloring data is not a list"),
+        "reference-bad-record": (lambda mp: _load_reference(mp, '[{"partition": "1 2|3 4 5"}]'),
+                                 ValueError,
+                                 "bad reference coloring record: {'partition': '1 2|3 4 5'}"),
+    }
+
+
+INPUT_CHECKS = _input_checks()
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_names_its_fault(monkeypatch, case):
+    # each library input check, with the exception and message it raises
+    call, kind, message = INPUT_CHECKS[case]
+    with pytest.raises(kind) as err:
+        call(monkeypatch)
+    assert type(err.value) is kind and str(err.value) == message

@@ -903,9 +903,10 @@ class TestKgMemory:
         assert result.returncode == 0 and result.stderr == ""
 
 
-# address space for `export dimacs --k 10000000` on S_5: written in blocks
-# of colors, each clause group takes a few hundred KB; formed as one string
-# per vertex's at-least-one clause, the call ran out of memory under this
+# address space for `export dimacs --k 10000000` and `--k 10000000000` on
+# S_5: written in blocks of colors, each clause group takes a few hundred
+# KB; formed as one string per vertex's at-least-one clause, or with a list
+# of one range per block made first, the call ran out of memory under this
 # limit before it wrote its header
 DIMACS_AS_BYTES = 400 * 2**20
 
@@ -914,19 +915,21 @@ class TestDimacsMemory:
     def test_huge_palette_streams_to_a_closed_pipe(self, cli_env, tmp_path):
         path = tmp_path / "s5.json"
         path.write_text(to_json(spheres.sphere_graph_holed(5)))
-        # about 4 GB of output: only ever run under the limit, read 64 KB
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sphere_chroma.cli", "export", "dimacs", "--k", "10000000",
-             "--input", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env,
-            preexec_fn=lambda: _limit_child_memory(DIMACS_AS_BYTES),
-        )
-        head = proc.stdout.read(1 << 16)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 141 and err == b""
-        assert head.split(b"\n")[0] == b"p cnf 100000000 150000010"
+        # about 4 GB and 4 TB of output: only ever run under the limit, read 64 KB
+        for k, header in [("10000000", b"p cnf 100000000 150000010"),
+                          ("10000000000", b"p cnf 100000000000 150000000010")]:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sphere_chroma.cli", "export", "dimacs", "--k", k,
+                 "--input", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env,
+                preexec_fn=lambda: _limit_child_memory(DIMACS_AS_BYTES),
+            )
+            head = proc.stdout.read(1 << 16)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 141 and err == b"", k
+            assert head.split(b"\n")[0] == header
 
 
 class TestFareyMemory:
@@ -980,7 +983,10 @@ class TestPartitionMemory:
 class TestCoverMemory:
     def test_verify_proper_r8_fits(self, cli_env):
         # r = 8 is the cap the 32-bit color fields set; the 18.8 MB report
-        # is checked at its ends, whose counts are S_16's closed forms
+        # is checked at its ends, whose counts are S_16's closed forms, and
+        # pinned whole by its digest, as the r = 7 reports are.  Only r = 8
+        # fills bit 31 of a color field, so only this pin sees a witness
+        # cover picked from a wrong bit there.
         result = _run_limited(cli_env, ["verify", "proper", "--r", "8"], CHILD_AS_BYTES)
         vertices, edges = oracles.sphere_graph_counts(16)
         assert (vertices, edges) == (32_751, 20_900_922)
@@ -988,6 +994,8 @@ class TestCoverMemory:
         assert result.stdout.startswith(
             f'{{"r":8,"vertices":{vertices},"edges":{edges},"violations":[],"homologous_pairs":[{{')
         assert result.stdout.endswith('}],"ok":true}\n')
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "aba72bc7e2b5e37641025bc38ec433eb4159c1cd0d3c99641bc82f728ec91615")
 
 
 # runs the CLI as ``python -m sphere_chroma.cli`` does, then writes the

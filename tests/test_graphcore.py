@@ -86,6 +86,7 @@ class TestGraph:
         assert cycle(5) == cycle(5)
         assert cycle(5) != cycle(6)
         assert hash(cycle(5)) == hash(cycle(5))
+        assert cycle(3) != cycle(3).adj
 
     def test_complete_graph(self):
         g = complete_graph(4)
@@ -102,6 +103,8 @@ class TestColoring:
     def test_stores_tuple_and_refuses_mapping(self):
         assert Coloring([0, 1, 0]).colors == (0, 1, 0)
         assert Coloring([0, 1, 0]) == Coloring((0, 1, 0))
+        assert Coloring([0, 1, 0]) != (0, 1, 0)
+        assert repr(Coloring([0, 1, 0])) == "Coloring((0, 1, 0))"
         with pytest.raises(TypeError, match="sequence"):
             Coloring({0: 0, 1: 1, 2: 0})
 
@@ -520,12 +523,13 @@ class TestDimacsExport:
         assert export_dimacs_kcolor(Graph(["a"]), 1).endswith("\n")
 
     def test_matches_the_edge_list_text(self):
-        # the rows give the text that the sorted edge list gives
-        g, k = sphere_graph_holed(8), 3
-        lines = [f"p cnf {g.n * k} {g.n + g.m * k}"]
-        lines += [" ".join(str(v * k + c + 1) for c in range(k)) + " 0" for v in range(g.n)]
-        lines += [f"-{i * k + c + 1} -{j * k + c + 1} 0" for i, j in g.sorted_edges for c in range(k)]
-        assert export_dimacs_kcolor(g, k) == "\n".join(lines) + "\n"
+        # the rows give the text that the sorted edge list gives, also for
+        # palettes of one block of colors, one more, and two more
+        for g, k in [(sphere_graph_holed(8), 3), *((complete_graph(3), k) for k in (4096, 4097, 8193))]:
+            lines = [f"p cnf {g.n * k} {g.n + g.m * k}"]
+            lines += [" ".join(str(v * k + c + 1) for c in range(k)) + " 0" for v in range(g.n)]
+            lines += [f"-{i * k + c + 1} -{j * k + c + 1} 0" for i, j in g.sorted_edges for c in range(k)]
+            assert export_dimacs_kcolor(g, k) == "\n".join(lines) + "\n", k
 
 
 class TestDotExport:

@@ -44,7 +44,7 @@ class TestTwoBlockPartition:
 
     def test_label(self):
         p = TwoBlockPartition.from_block(5, [2, 4, 5])
-        assert p.label == "1 3|2 4 5"
+        assert p.label == "1 3|2 4 5" == str(p)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_label_matches_block_tuples_for_every_mask(self, n):

@@ -103,15 +103,25 @@ class TestSphereKneserLemma:
         dropped = g.sorted_edges[3]
         added = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in present)
         corrupt = Graph(g.labels, [e for e in g.sorted_edges if e != dropped] + [added])
-        missing, extra = spheres._row_diff(zip(corrupt.adj, g.adj, strict=True), lambda: g.labels)
+        missing, extra = spheres._row_diff(zip(corrupt.adj, g.adj, strict=True), g.labels)
         name = lambda e: (g.labels[e[0]], g.labels[e[1]])
         assert missing == (name(dropped),) and extra == (name(added),)
-        # labels are asked for only when the rows differ
-        assert spheres._row_diff(zip(g.adj, g.adj), lambda: 1 / 0) == ((), ())
+        assert spheres._row_diff(zip(g.adj, g.adj), g.labels) == ((), ())
 
     def test_walks_once(self, monkeypatch):
-        # one walk of TK_n's rows, over every position, feeds both sides
-        real = spheres._kept_rows
+        # equal vertex lists settle the lemma: a passing run walks no row
+        # and builds no label
+        def refuse(*args):
+            raise AssertionError("a passing lemma walks no row and builds no label")
+
+        real, real_splits = spheres._kept_rows, spheres._one_element_splits
+        monkeypatch.setattr(spheres, "_kept_rows", refuse)
+        monkeypatch.setattr(spheres, "_labels", refuse)
+        for n in range(2, spheres.MAX_LEMMA_N + 1):
+            assert verify_lemma_sphere_kneser(n) == (n, True, True, (), ()), n
+        monkeypatch.undo()
+        # differing vertex lists: one walk of TK_n's rows, over every
+        # position, feeds both sides
         walks = []
 
         def kept_rows(positions, n):
@@ -119,25 +129,33 @@ class TestSphereKneserLemma:
             return real(positions, n)
 
         monkeypatch.setattr(spheres, "_kept_rows", kept_rows)
-        assert verify_lemma_sphere_kneser(8).ok
+        monkeypatch.setattr(spheres, "_one_element_splits", lambda n: real_splits(n) - {0})
+        assert not verify_lemma_sphere_kneser(8).ok
         assert walks == [list(range(2**7 - 1))]
 
     def test_label_mismatch_named_by_edge_sets(self, monkeypatch):
-        # on the total-Kneser side, keep the 1|2 3 4 5 split and drop the
-        # 1 2|3 4 5 one: the vertex lists differ, so the report compares
-        # label-pair edge sets
+        # on the total-Kneser side, keep the least one-element split
+        # ("drop"), drop the greatest split with both blocks of size >= 2
+        # ("add"), or both ("swap"): the vertex lists differ, so the report
+        # compares label-pair edge sets with the pair-by-pair oracle's
         real = spheres._one_element_splits
-        monkeypatch.setattr(spheres, "_one_element_splits", lambda n: real(n) - {0} | {1})
-        parts = all_partitions(5)
-        kept = [parts[0]] + [p for p in parts[2:] if p.min_block_size >= 2]
         named = lambda g: {(g.labels[i], g.labels[j]) for i, j in g.sorted_edges}
-        sphere = named(sphere_graph_holed(5))
-        total = named(oracles.pairwise_partition_graph(kept))
-        report = verify_lemma_sphere_kneser(5)
-        assert not report.ok and not report.label_lists_equal
-        assert report.missing_edges == tuple(sorted(total - sphere))
-        assert report.extra_edges == tuple(sorted(sphere - total))
-        assert report.missing_edges and report.extra_edges
+        for n in range(4, 9):
+            single = real(n)
+            least = min(single)
+            greatest = max(set(range(2 ** (n - 1) - 1)) - single)
+            sphere = named(sphere_graph_holed(n))
+            for change, patched in [("drop", single - {least}), ("add", single | {greatest}),
+                                    ("swap", single - {least} | {greatest})]:
+                monkeypatch.setattr(spheres, "_one_element_splits", lambda n: patched)
+                kept = [p for h, p in enumerate(all_partitions(n)) if h not in patched]
+                total = named(oracles.pairwise_partition_graph(kept))
+                report = verify_lemma_sphere_kneser(n)
+                assert not report.ok and not report.label_lists_equal, (n, change)
+                assert report.missing_edges == tuple(sorted(total - sphere)), (n, change)
+                assert report.extra_edges == tuple(sorted(sphere - total)), (n, change)
+                # S_4 has no edges, so a vertex added beside it moves none
+                assert report.missing_edges or report.extra_edges or (n, change) == (4, "add")
 
     @pytest.mark.parametrize("n", range(2, spheres.MAX_LEMMA_N + 1))
     def test_one_element_splits_are_the_rest(self, n):
